@@ -81,6 +81,11 @@ go test -race -count=1 -run 'TestAnalyzeKronBackendParity|TestBackendValidation'
 echo "== kron workspace allocs (zero-alloc shuffle products) =="
 go test -count=1 -run 'TestShuffleProductsAllocFree|TestRowIterAllocFree' ./internal/kron
 
+echo "== benchmark harness unit tests (bench/ builds against the library) =="
+# bench/ is its own module (replace cdrstoch => ../), so ./... above never
+# compiles it; this stage catches a library API change that breaks it.
+(cd bench && go test -short -count=1 .)
+
 echo "== bench smoke (1 iteration per benchmark) =="
 go test -run '^$' -bench 'BenchmarkStationary|BenchmarkFig3MatrixForm' \
     -benchtime 1x -benchmem .

@@ -27,22 +27,19 @@ var ErrUnconverged = kron.ErrUnconverged
 // SolveOptions configures the stationary analysis.
 type SolveOptions struct {
 	// Multigrid configures the multilevel solver. The zero value selects
-	// robust defaults (W-cycles, 2+2 Gauss–Seidel smoothing, 1e−12).
+	// robust defaults (multigrid.ColdDefaults: W-cycles doubled on the
+	// phase-pair levels only, 2+2 Gauss–Seidel smoothing, 1e−12).
 	Multigrid multigrid.Config
 	// MinSegLen stops the phase-pair coarsening once segments shrink to
 	// this many phase points. Default 4.
 	MinSegLen int
 }
 
+// withDefaults fills MinSegLen; the multigrid defaults depend on the
+// hierarchy and are applied where it is built (multigrid.ColdDefaults).
 func (o SolveOptions) withDefaults() SolveOptions {
 	if o.MinSegLen <= 0 {
 		o.MinSegLen = 4
-	}
-	cfg := &o.Multigrid
-	if cfg.Cycle == multigrid.VCycle && cfg.PreSmooth == 0 && cfg.PostSmooth == 0 {
-		cfg.Cycle = multigrid.WCycle
-		cfg.PreSmooth = 2
-		cfg.PostSmooth = 2
 	}
 	return o
 }
@@ -113,7 +110,7 @@ func (m *Model) Solve(opt SolveOptions) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver, err := multigrid.New(m.P, parts, opt.Multigrid)
+	solver, err := multigrid.New(m.P, parts, multigrid.ColdDefaults(opt.Multigrid, m.M, opt.MinSegLen))
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +197,9 @@ func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 		return nil, err
 	}
 	parts = append(parts, cp...)
-	solver, err := multigrid.NewKron(d, agg, parts, opt.Multigrid)
+	// The inner hierarchy's phase pairing starts from the mc-point segments
+	// the implicit restriction leaves.
+	solver, err := multigrid.NewKron(d, agg, parts, multigrid.ColdDefaults(opt.Multigrid, mc, opt.MinSegLen))
 	if err != nil {
 		return nil, err
 	}

@@ -49,12 +49,16 @@ type KronSolver struct {
 	gth   spmat.GTHWorkspace
 	xcOld []float64 // restricted block masses (pre-correction)
 	xcNew []float64 // coarse solve iterate
+	xcBuf []float64 // power-sweep product buffer of the GTH fallback
 
 	rawTrace obs.Tracer
 	curCycle int
 
-	fineVisits, coarseVisits int
-	fineNS, coarseNS         int64
+	// Per-level work attribution in LevelSizes order: the implicit fine
+	// level, then the coarse level and the inner hierarchy's levels, the
+	// latter accumulated across the inner solves of one Solve.
+	levelVisits []int
+	levelWorkNS []int64
 }
 
 // NewKron validates the aggregation layout and builds the solver. The
@@ -102,6 +106,7 @@ func NewKron(d *kron.Descriptor, aggLevels int, parts []*lump.Partition, cfg Con
 	s.it = d.NewRowIter()
 	s.xcOld = make([]float64, s.nc)
 	s.xcNew = make([]float64, s.nc)
+	s.xcBuf = make([]float64, s.nc)
 	if err := s.buildCoarsePattern(); err != nil {
 		return nil, err
 	}
@@ -125,6 +130,9 @@ func NewKron(d *kron.Descriptor, aggLevels int, parts []*lump.Partition, cfg Con
 		}
 		s.inner = inner
 	}
+	levels := len(s.LevelSizes())
+	s.levelVisits = make([]int, levels)
+	s.levelWorkNS = make([]int64, levels)
 	return s, nil
 }
 
@@ -255,7 +263,8 @@ func (s *KronSolver) smoothFine(x []float64, steps int) {
 // coarseSolve improves the restricted iterate: through the inner explicit
 // hierarchy when one exists (its finest values refreshed in place from
 // the just-rebuilt coarse matrix), by direct GTH otherwise, with damped
-// power sweeps as the reducible-chain fallback.
+// power sweeps as the reducible-chain fallback. The work lands in the
+// per-level tallies at the positions LevelSizes lists it.
 func (s *KronSolver) coarseSolve() error {
 	copy(s.xcNew, s.xcOld)
 	if s.inner != nil {
@@ -267,19 +276,32 @@ func (s *KronSolver) coarseSolve() error {
 			return err
 		}
 		copy(s.xcNew, res.Pi)
+		for k := range s.inner.levels {
+			s.levelVisits[k+1] += s.inner.levelVisits[k]
+			s.levelWorkNS[k+1] += s.inner.levelWorkNS[k]
+		}
 		return nil
 	}
+	s.levelVisits[1]++
+	start := time.Now()
+	s.directSolve()
+	s.levelWorkNS[1] += time.Since(start).Nanoseconds()
+	return nil
+}
+
+// directSolve solves the coarse chain in xcNew with GTH, falling back to
+// damped power sweeps through the solver-owned product buffer.
+func (s *KronSolver) directSolve() {
 	if pi, err := s.gth.StationaryCSR(s.pc); err == nil {
 		copy(s.xcNew, pi)
-		return nil
+		return
 	}
-	buf := make([]float64, s.nc)
 	omega := s.cfg.Damping
 	for t := 0; t < s.cfg.CoarsestMaxIter; t++ {
-		s.pc.VecMul(buf, s.xcNew)
+		s.pc.VecMul(s.xcBuf, s.xcNew)
 		norm := 0.0
 		for i := range s.xcNew {
-			s.xcNew[i] = (1-omega)*s.xcNew[i] + omega*buf[i]
+			s.xcNew[i] = (1-omega)*s.xcNew[i] + omega*s.xcBuf[i]
 			norm += s.xcNew[i]
 		}
 		if norm > 0 {
@@ -289,7 +311,6 @@ func (s *KronSolver) coarseSolve() error {
 			}
 		}
 	}
-	return nil
 }
 
 // prolong disaggregates the coarse correction multiplicatively: states in
@@ -334,7 +355,7 @@ func (s *KronSolver) LevelSizes() []int {
 // vectors, and the shuffle scratch.
 func (s *KronSolver) workspaceBytes() int64 {
 	b := s.pc.MemoryBytes()
-	b += int64(len(s.diag)+len(s.y)+len(s.xcOld)+len(s.xcNew)) * 8
+	b += int64(len(s.diag)+len(s.y)+len(s.xcOld)+len(s.xcNew)+len(s.xcBuf)) * 8
 	b += 2 * int64(s.n) * 8 // shuffle ping-pong scratch
 	if s.inner != nil {
 		b += s.inner.workspaceBytes()
@@ -384,8 +405,9 @@ func (s *KronSolver) Solve(x0 []float64) (Result, error) {
 		LevelSizes:      s.LevelSizes(),
 		ResidualHistory: make([]float64, 0, s.cfg.MaxCycles),
 	}
-	s.fineVisits, s.coarseVisits = 0, 0
-	s.fineNS, s.coarseNS = 0, 0
+	for k := range s.levelVisits {
+		s.levelVisits[k], s.levelWorkNS[k] = 0, 0
+	}
 	endSpan := obs.StartSpan(s.cfg.Trace, "multigrid-kron")
 	defer endSpan()
 	meter := cost.FromContext(s.cfg.Ctx)
@@ -396,10 +418,7 @@ func (s *KronSolver) Solve(x0 []float64) (Result, error) {
 			meter.AddCycles(int64(res.Cycles))
 			meter.AddPoolDelta(stats0, s.pool.Stats())
 			meter.AddWorkspaceBytes(s.workspaceBytes())
-			meter.SetLevels([]cost.LevelCost{
-				{Level: 0, Size: s.n, Visits: s.fineVisits, SmoothNS: s.fineNS},
-				{Level: 1, Size: s.nc, Visits: s.coarseVisits, SmoothNS: s.coarseNS},
-			})
+			meter.SetLevels(levelCosts(levelStats(res.LevelSizes, s.levelVisits, s.levelWorkNS)))
 			meter.SampleGoroutines()
 		}()
 	}
@@ -416,24 +435,21 @@ func (s *KronSolver) Solve(x0 []float64) (Result, error) {
 		}
 		s.curCycle = c
 		obs.LevelEvent(s.cfg.Trace, "multigrid", c, 0, s.n)
-		s.fineVisits++
+		s.levelVisits[0]++
 		start := time.Now()
 		s.smoothFine(x, s.cfg.PreSmooth)
-		s.fineNS += time.Since(start).Nanoseconds()
+		s.levelWorkNS[0] += time.Since(start).Nanoseconds()
 
 		obs.LevelEvent(s.cfg.Trace, "multigrid", c, 1, s.nc)
-		s.coarseVisits++
-		start = time.Now()
 		s.refreshCoarse(x)
 		if err := s.coarseSolve(); err != nil {
 			return Result{}, err
 		}
-		s.coarseNS += time.Since(start).Nanoseconds()
 		s.prolong(x)
 
 		start = time.Now()
 		s.smoothFine(x, s.cfg.PostSmooth)
-		s.fineNS += time.Since(start).Nanoseconds()
+		s.levelWorkNS[0] += time.Since(start).Nanoseconds()
 
 		mulStart := time.Now()
 		s.d.VecMulWs(&s.ws, s.y, x)
@@ -453,9 +469,6 @@ func (s *KronSolver) Solve(x0 []float64) (Result, error) {
 		}
 	}
 	res.Pi = x
-	res.LevelStats = []LevelStat{
-		{Level: 0, Size: s.n, Visits: s.fineVisits, SmoothNS: s.fineNS},
-		{Level: 1, Size: s.nc, Visits: s.coarseVisits, SmoothNS: s.coarseNS},
-	}
+	res.LevelStats = levelStats(res.LevelSizes, s.levelVisits, s.levelWorkNS)
 	return res, nil
 }

@@ -185,3 +185,78 @@ func TestKronSolverCostAccounting(t *testing.T) {
 		t.Fatal("no workspace bytes reported")
 	}
 }
+
+// TestKronSolverLevelStatsAlign checks that LevelStats and the meter's
+// level report line up with LevelSizes: index 0 is the implicit fine
+// level, the rest accumulate the inner hierarchy's visits across the
+// inner solves of one outer solve.
+func TestKronSolverLevelStatsAlign(t *testing.T) {
+	d := kronTestDescriptor(t, 27, 16)
+	parts, err := BuildPairHierarchy(4, d.Dim()/16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter := cost.NewMeter()
+	ctx := cost.ContextWith(context.Background(), meter)
+	s, err := NewKron(d, 2, parts, Config{Tol: 1e-12, Cycle: WCycle, Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(nil)
+	if err != nil || !res.Converged {
+		t.Fatalf("solve failed: %v %v", err, res)
+	}
+	if len(res.LevelStats) != len(res.LevelSizes) || len(res.LevelSizes) != len(parts)+2 {
+		t.Fatalf("%d level stats for level sizes %v", len(res.LevelStats), res.LevelSizes)
+	}
+	for k, ls := range res.LevelStats {
+		if ls.Level != k || ls.Size != res.LevelSizes[k] {
+			t.Errorf("level %d: stat %+v, size %d", k, ls, res.LevelSizes[k])
+		}
+	}
+	if res.LevelStats[0].Visits != res.Cycles || res.LevelStats[0].Size != d.Dim() {
+		t.Errorf("fine level %+v after %d cycles", res.LevelStats[0], res.Cycles)
+	}
+	// Every outer cycle runs at least one inner cycle, and the classic inner
+	// W-cycle doubles each level's visits relative to its parent.
+	if res.LevelStats[1].Visits < res.Cycles {
+		t.Errorf("coarse visits %d < outer cycles %d", res.LevelStats[1].Visits, res.Cycles)
+	}
+	for k := 2; k < len(res.LevelStats); k++ {
+		if res.LevelStats[k].Visits != 2*res.LevelStats[k-1].Visits {
+			t.Errorf("level %d visits %d, parent %d", k, res.LevelStats[k].Visits, res.LevelStats[k-1].Visits)
+		}
+	}
+	rep := meter.Finish()
+	if len(rep.Levels) != len(res.LevelStats) {
+		t.Fatalf("meter reports %d levels, want %d", len(rep.Levels), len(res.LevelStats))
+	}
+	for k, lc := range rep.Levels {
+		if lc.Visits != res.LevelStats[k].Visits || lc.Size != res.LevelStats[k].Size {
+			t.Errorf("meter level %d = %+v, result %+v", k, lc, res.LevelStats[k])
+		}
+	}
+}
+
+// TestKronSolverFallbackAllocFree checks that the power-sweep fallback
+// behind a failed coarse GTH reuses the solver's buffer: the fallback
+// allocates nothing beyond the GTH error itself.
+func TestKronSolverFallbackAllocFree(t *testing.T) {
+	d := kronTestDescriptor(t, 28, 8)
+	s, err := NewKron(d, 2, nil, Config{CoarsestMaxIter: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A zero coarse matrix is reducible in every state, so GTH fails.
+	clear(s.pc.RawValues())
+	for i := range s.xcNew {
+		s.xcNew[i] = 1 / float64(len(s.xcNew))
+	}
+	if _, err := s.gth.StationaryCSR(s.pc); err == nil {
+		t.Fatal("GTH solved a zero chain")
+	}
+	gthAllocs := testing.AllocsPerRun(20, func() { s.gth.StationaryCSR(s.pc) })
+	if allocs := testing.AllocsPerRun(20, s.directSolve); allocs > gthAllocs {
+		t.Fatalf("fallback allocates %v per call, GTH error alone %v", allocs, gthAllocs)
+	}
+}

@@ -34,8 +34,10 @@ type CycleKind int
 const (
 	// VCycle visits each coarse level once per cycle.
 	VCycle CycleKind = iota
-	// WCycle visits each coarse level twice per cycle, trading work for
-	// stronger coarse-grid correction.
+	// WCycle enters each coarse level twice from its parent, trading work
+	// for stronger coarse-grid correction. With Config.PairLevels = k > 0
+	// only levels 0..k−1 recurse twice, so level j is visited 2^min(j,k)
+	// times per cycle; the zero value is the classic W-cycle, 2^j visits.
 	WCycle
 )
 
@@ -55,8 +57,19 @@ type Config struct {
 	Tol float64
 	// MaxCycles bounds the number of multilevel cycles. Default 200.
 	MaxCycles int
-	// Cycle selects V- or W-cycles. Default VCycle.
+	// Cycle selects V- or W-cycles. Default VCycle. A classic W-cycle
+	// visits level j 2^j times per cycle, so on a deep hierarchy the
+	// coarse tail dominates the cycle's cost.
 	Cycle CycleKind
+	// PairLevels confines a W-cycle's double coarse visits to the first
+	// PairLevels partitions of the chain — the phase-pair levels
+	// BuildPairHierarchy returns, ahead of any model-specific levels
+	// appended below them. Levels from PairLevels down recurse once, so a
+	// W-cycle visits level j 2^min(j,PairLevels) times. Zero (the default)
+	// keeps the classic W-cycle on every level; VCycle ignores it. For a
+	// KronSolver it counts the leading partitions of the inner explicit
+	// hierarchy.
+	PairLevels int
 	// CoarsestMaxIter bounds the fallback iterative solve when the direct
 	// coarsest solve fails (e.g. the weighted coarse chain is reducible).
 	// Default 500.
@@ -115,6 +128,27 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CoarsestMaxIter <= 0 {
 		c.CoarsestMaxIter = 500
+	}
+	return c
+}
+
+// ColdDefaults applies the cold-start schedule shared by the model-level
+// solves: a configuration with zero Cycle, PreSmooth and PostSmooth
+// becomes W(2,2) cycles whose double coarse visits stop at the phase-pair
+// levels BuildPairHierarchy(segLen, _, minSegLen) would build. Below them
+// (in the CDR model, the counter merges that keep the coarsest problem
+// small) the cycle
+// recurses once: doubling there multiplies the coarse work without
+// improving convergence. An explicit cycle configuration is returned
+// unchanged, so callers that choose their own W-cycle keep the classic one.
+func ColdDefaults(c Config, segLen, minSegLen int) Config {
+	if c.Cycle != VCycle || c.PreSmooth != 0 || c.PostSmooth != 0 {
+		return c
+	}
+	c.Cycle, c.PreSmooth, c.PostSmooth, c.PairLevels = WCycle, 2, 2, 0
+	minSegLen = max(minSegLen, 1) // as BuildPairHierarchy clamps it
+	for ; segLen > minSegLen; segLen = (segLen + 1) / 2 {
+		c.PairLevels++
 	}
 	return c
 }
@@ -208,6 +242,9 @@ func New(p *spmat.CSR, parts []*lump.Partition, cfg Config) (*Solver, error) {
 	n, m := p.Dims()
 	if n != m {
 		return nil, errors.New("multigrid: TPM must be square")
+	}
+	if cfg.PairLevels < 0 {
+		return nil, fmt.Errorf("multigrid: negative PairLevels %d", cfg.PairLevels)
 	}
 	size := n
 	for k, part := range parts {
@@ -346,7 +383,7 @@ func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 	part := s.parts[level]
 	xc := part.Restrict(lv.xc, x)
 	visits := 1
-	if s.cfg.Cycle == WCycle {
+	if s.cfg.Cycle == WCycle && (s.cfg.PairLevels == 0 || level < s.cfg.PairLevels) {
 		visits = 2
 	}
 	var err error
@@ -363,15 +400,23 @@ func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 	return x, nil
 }
 
-// levelStats snapshots the per-level attribution accumulated since the
-// last reset, finest first.
-func (s *Solver) levelStats() []LevelStat {
-	sizes := s.LevelSizes()
-	stats := make([]LevelStat, len(s.levels))
-	for k := range s.levels {
-		stats[k] = LevelStat{Level: k, Size: sizes[k], Visits: s.levelVisits[k], SmoothNS: s.levelWorkNS[k]}
+// levelStats pairs per-level sizes with the visit and work tallies
+// accumulated since the last reset, finest first.
+func levelStats(sizes, visits []int, workNS []int64) []LevelStat {
+	stats := make([]LevelStat, len(sizes))
+	for k, size := range sizes {
+		stats[k] = LevelStat{Level: k, Size: size, Visits: visits[k], SmoothNS: workNS[k]}
 	}
 	return stats
+}
+
+// levelCosts converts level stats into the cost meter's level records.
+func levelCosts(stats []LevelStat) []cost.LevelCost {
+	lc := make([]cost.LevelCost, len(stats))
+	for i, st := range stats {
+		lc[i] = cost.LevelCost{Level: st.Level, Size: st.Size, Visits: st.Visits, SmoothNS: st.SmoothNS}
+	}
+	return lc
 }
 
 // workspaceBytes estimates the hierarchy's heap footprint beyond the
@@ -440,12 +485,7 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 			meter.AddCycles(int64(res.Cycles))
 			meter.AddPoolDelta(stats0, s.pool.Stats())
 			meter.AddWorkspaceBytes(s.workspaceBytes())
-			stats := s.levelStats()
-			lc := make([]cost.LevelCost, len(stats))
-			for i, st := range stats {
-				lc[i] = cost.LevelCost{Level: st.Level, Size: st.Size, Visits: st.Visits, SmoothNS: st.SmoothNS}
-			}
-			meter.SetLevels(lc)
+			meter.SetLevels(levelCosts(levelStats(res.LevelSizes, s.levelVisits, s.levelWorkNS)))
 			meter.SampleGoroutines()
 		}()
 	}
@@ -484,7 +524,7 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 		}
 	}
 	res.Pi = x
-	res.LevelStats = s.levelStats()
+	res.LevelStats = levelStats(res.LevelSizes, s.levelVisits, s.levelWorkNS)
 	return res, nil
 }
 

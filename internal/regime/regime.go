@@ -318,16 +318,12 @@ func (m *Model) Hierarchy(minSegLen int) ([]*lump.Partition, error) {
 
 // Solve computes the stationary distribution with the multilevel solver.
 func (m *Model) Solve(cfg multigrid.Config) ([]float64, multigrid.Result, error) {
-	if cfg.Cycle == multigrid.VCycle && cfg.PreSmooth == 0 && cfg.PostSmooth == 0 {
-		cfg.Cycle = multigrid.WCycle
-		cfg.PreSmooth = 2
-		cfg.PostSmooth = 2
-	}
-	parts, err := m.Hierarchy(4)
+	const minSegLen = 4
+	parts, err := m.Hierarchy(minSegLen)
 	if err != nil {
 		return nil, multigrid.Result{}, err
 	}
-	solver, err := multigrid.New(m.P, parts, cfg)
+	solver, err := multigrid.New(m.P, parts, multigrid.ColdDefaults(cfg, m.M, minSegLen))
 	if err != nil {
 		return nil, multigrid.Result{}, err
 	}

@@ -221,3 +221,39 @@ func TestMultigridSolveMatchesDirect(t *testing.T) {
 		t.Fatal("regime model not ergodic")
 	}
 }
+
+// TestColdScheduleCycles checks the default cold schedule — W-cycles
+// doubled on the phase-pair levels only — against the classic all-levels
+// W(2,2) on a burst model with a counter-merge tail: no more than 2 %
+// extra cycles and the same BER to 1e−9 relative.
+func TestColdScheduleCycles(t *testing.T) {
+	spec := burstSpec(t)
+	spec.Base.CounterLen = 8
+	m, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, cold, err := m.Solve(multigrid.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	piClassic, classic, err := m.Solve(multigrid.Config{Cycle: multigrid.WCycle, PreSmooth: 2, PostSmooth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairParts, err := multigrid.BuildPairHierarchy(m.M, m.R*m.D*m.C, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.LevelSizes) <= len(pairParts)+1 {
+		t.Fatalf("levels %v: no merge tail below %d pair levels", cold.LevelSizes, len(pairParts))
+	}
+	t.Logf("cycles %d (classic %d)", cold.Cycles, classic.Cycles)
+	if float64(cold.Cycles) > 1.02*float64(classic.Cycles) {
+		t.Errorf("cycles %d vs classic %d: more than +2 %%", cold.Cycles, classic.Cycles)
+	}
+	ber, berClassic := m.BER(pi), m.BER(piClassic)
+	if rel := math.Abs(ber-berClassic) / berClassic; rel > 1e-9 {
+		t.Errorf("BER %.12e vs classic %.12e: relative deviation %.2e", ber, berClassic, rel)
+	}
+}

@@ -135,7 +135,7 @@ func TestJobsCancelAll(t *testing.T) {
 
 func TestJobsEvictOldFinished(t *testing.T) {
 	jobs := NewJobs(4, 16, nil)
-	var first string
+	var ids []string
 	for i := 0; i < maxFinishedJobs+8; i++ {
 		for {
 			id, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
@@ -148,14 +148,20 @@ func TestJobsEvictOldFinished(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if first == "" {
-				first = id
-			}
+			ids = append(ids, id)
 			break
 		}
 	}
 	jobs.Close()
-	if _, ok := jobs.Get(first); ok {
-		t.Errorf("job %s should have been evicted from the finished set", first)
+	// Four workers finish jobs out of submission order, so which records
+	// are evicted varies from run to run; how many are retained does not.
+	retained := 0
+	for _, id := range ids {
+		if _, ok := jobs.Get(id); ok {
+			retained++
+		}
+	}
+	if retained != maxFinishedJobs {
+		t.Errorf("%d of %d finished jobs retained, want %d", retained, len(ids), maxFinishedJobs)
 	}
 }

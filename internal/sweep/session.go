@@ -22,13 +22,16 @@
 //     blocked SpMM traversal (Solver.Residuals over Pool.MulVecs) and
 //     starts from the best.
 //
-//  3. Cycle-kind continuation. W-cycles visit level k 2^k times, so every
-//     level costs about as much as the finest per cycle — the right
-//     robustness for a cold start, ~len(levels)× overkill within a few
-//     grid steps of the answer. Warm-started points therefore run cheap
-//     V-cycles; if one fails to converge the Session transparently re-runs
-//     the point cold with the configured W-cycles, so accuracy is never
-//     traded: every returned point satisfies the same residual tolerance.
+//  3. Cycle-kind continuation. A cold W-cycle enters each phase-pair
+//     level twice from its parent, so phase-pair level k is visited 2^k
+//     times and costs about as much as the finest per cycle, and the
+//     counter-merge levels below inherit the deepest pair level's count —
+//     the right robustness for a cold start, ~len(pair levels)× overkill
+//     within a few grid steps of the answer. Warm-started points therefore
+//     run cheap V-cycles; if one fails to converge the Session
+//     transparently re-runs the point cold with the configured W-cycles,
+//     so accuracy is never traded: every returned point satisfies the same
+//     residual tolerance.
 package sweep
 
 import (
@@ -118,22 +121,17 @@ func New(opt Options) *Session {
 // Stats returns the cumulative counters.
 func (s *Session) Stats() Stats { return s.stats }
 
-// coldConfig materializes the cold-start multigrid configuration with
-// core's defaults applied, forced refreshable so later points can rewrite
-// values in place.
-func (s *Session) coldConfig() (multigrid.Config, int) {
-	o := s.opt.Solve
-	if o.MinSegLen <= 0 {
-		o.MinSegLen = 4
+// coldConfig materializes the cold-start multigrid configuration for a
+// model with segLen phase points per segment, with core's defaults
+// applied, forced refreshable so later points can rewrite values in place.
+func (s *Session) coldConfig(segLen int) (multigrid.Config, int) {
+	minSeg := s.opt.Solve.MinSegLen
+	if minSeg <= 0 {
+		minSeg = 4
 	}
-	cfg := o.Multigrid
-	if cfg.Cycle == multigrid.VCycle && cfg.PreSmooth == 0 && cfg.PostSmooth == 0 {
-		cfg.Cycle = multigrid.WCycle
-		cfg.PreSmooth = 2
-		cfg.PostSmooth = 2
-	}
+	cfg := multigrid.ColdDefaults(s.opt.Solve.Multigrid, segLen, minSeg)
 	cfg.Refreshable = true
-	return cfg, o.MinSegLen
+	return cfg, minSeg
 }
 
 // Solve assembles and solves one sweep point, reusing the previous
@@ -146,7 +144,7 @@ func (s *Session) Solve(ctx context.Context, spec core.Spec) (*Point, error) {
 		return nil, err
 	}
 	pt := &Point{Model: m}
-	cfg, minSeg := s.coldConfig()
+	cfg, minSeg := s.coldConfig(m.M)
 	if s.solver != nil && spmat.SamePattern(s.fine, m.P) {
 		if err := s.solver.RefreshFine(m.P); err != nil {
 			return nil, err
