@@ -71,10 +71,7 @@ func (m *Model) Hierarchy(minSegLen int) ([]*lump.Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	segLen := m.M
-	for segLen > minSegLen {
-		segLen = (segLen + 1) / 2
-	}
+	_, segLen := multigrid.PairLevelCount(m.M, minSegLen)
 	cp, err := m.counterParts(segLen)
 	if err != nil {
 		return nil, err
@@ -180,18 +177,11 @@ func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 		}
 	}
 	d.SetWorkers(workers)
-	var parts []*lump.Partition
-	segLen := mc
-	if segLen > opt.MinSegLen {
-		pp, err := multigrid.BuildPairHierarchy(segLen, m.D*m.C, opt.MinSegLen)
-		if err != nil {
-			return nil, err
-		}
-		parts = pp
-		for segLen > opt.MinSegLen {
-			segLen = (segLen + 1) / 2
-		}
+	parts, err := multigrid.BuildPairHierarchy(mc, m.D*m.C, opt.MinSegLen)
+	if err != nil {
+		return nil, err
 	}
+	_, segLen := multigrid.PairLevelCount(mc, opt.MinSegLen)
 	cp, err := m.counterParts(segLen)
 	if err != nil {
 		return nil, err

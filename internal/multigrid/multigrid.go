@@ -137,20 +137,32 @@ func (c Config) withDefaults() Config {
 // becomes W(2,2) cycles whose double coarse visits stop at the phase-pair
 // levels BuildPairHierarchy(segLen, _, minSegLen) would build. Below them
 // (in the CDR model, the counter merges that keep the coarsest problem
-// small) the cycle
-// recurses once: doubling there multiplies the coarse work without
-// improving convergence. An explicit cycle configuration is returned
-// unchanged, so callers that choose their own W-cycle keep the classic one.
+// small) the cycle recurses once: doubling there multiplies the coarse
+// work without improving convergence. When segLen is already at most
+// minSegLen there are no pair levels and that schedule is a V(2,2) cycle,
+// which is what is returned (PairLevels = 0 would mean the classic
+// W-cycle). An explicit cycle configuration is returned unchanged, so
+// callers that choose their own W-cycle keep the classic one.
 func ColdDefaults(c Config, segLen, minSegLen int) Config {
 	if c.Cycle != VCycle || c.PreSmooth != 0 || c.PostSmooth != 0 {
 		return c
 	}
-	c.Cycle, c.PreSmooth, c.PostSmooth, c.PairLevels = WCycle, 2, 2, 0
-	minSegLen = max(minSegLen, 1) // as BuildPairHierarchy clamps it
-	for ; segLen > minSegLen; segLen = (segLen + 1) / 2 {
-		c.PairLevels++
+	c.PreSmooth, c.PostSmooth = 2, 2
+	if k, _ := PairLevelCount(segLen, minSegLen); k > 0 {
+		c.Cycle, c.PairLevels = WCycle, k
 	}
 	return c
+}
+
+// PairLevelCount returns how many phase-pair levels BuildPairHierarchy
+// builds for segments of segLen entries, and the segment length left
+// below the last of them. minSegLen below 1 counts as 1.
+func PairLevelCount(segLen, minSegLen int) (levels, coarseSegLen int) {
+	minSegLen = max(minSegLen, 1)
+	for ; segLen > minSegLen; segLen = (segLen + 1) / 2 {
+		levels++
+	}
+	return levels, segLen
 }
 
 // Result reports a multilevel solve.
@@ -601,18 +613,14 @@ func BuildPairHierarchy(segLen, segments, minSegLen int) ([]*lump.Partition, err
 	if segLen <= 0 || segments <= 0 {
 		return nil, fmt.Errorf("multigrid: bad layout %dx%d", segLen, segments)
 	}
-	if minSegLen < 1 {
-		minSegLen = 1
-	}
-	var parts []*lump.Partition
-	cur := segLen
-	for cur > minSegLen {
+	levels, _ := PairLevelCount(segLen, minSegLen)
+	parts := make([]*lump.Partition, 0, levels)
+	for cur := segLen; len(parts) < levels; cur = (cur + 1) / 2 {
 		part, err := lump.PairsWithinSegments(cur, segments)
 		if err != nil {
 			return nil, err
 		}
 		parts = append(parts, part)
-		cur = (cur + 1) / 2
 	}
 	return parts, nil
 }

@@ -121,23 +121,63 @@ func TestNegativePairLevelsRejected(t *testing.T) {
 	}
 }
 
-// TestColdDefaultsCountsPairLevels checks that ColdDefaults derives the
-// phase-pair level count exactly as BuildPairHierarchy builds the levels.
+// TestColdDefaultsCountsPairLevels checks that ColdDefaults confines the
+// W-cycle to the levels BuildPairHierarchy builds, and falls back to a
+// V-cycle when there are none.
 func TestColdDefaultsCountsPairLevels(t *testing.T) {
-	for segLen := 1; segLen <= 130; segLen++ {
-		for _, minSeg := range []int{0, 1, 2, 4, 7} {
-			cfg := ColdDefaults(Config{Tol: 1e-9}, segLen, minSeg)
-			if cfg.Cycle != WCycle || cfg.PreSmooth != 2 || cfg.PostSmooth != 2 || cfg.Tol != 1e-9 {
-				t.Fatalf("ColdDefaults(%d, %d) = %+v", segLen, minSeg, cfg)
-			}
-			parts, err := BuildPairHierarchy(segLen, 1, minSeg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cfg.PairLevels != len(parts) {
-				t.Fatalf("segLen %d, minSeg %d: PairLevels = %d, BuildPairHierarchy built %d",
-					segLen, minSeg, cfg.PairLevels, len(parts))
-			}
+	for _, tc := range []struct {
+		segLen, minSeg, levels, coarse int
+	}{
+		{1, 0, 0, 1},
+		{4, 4, 0, 4},
+		{5, 4, 1, 3},
+		{64, 4, 4, 4},
+		{65, 4, 5, 3},
+		{128, 0, 7, 1},
+	} {
+		levels, coarse := PairLevelCount(tc.segLen, tc.minSeg)
+		if levels != tc.levels || coarse != tc.coarse {
+			t.Errorf("PairLevelCount(%d, %d) = %d, %d, want %d, %d",
+				tc.segLen, tc.minSeg, levels, coarse, tc.levels, tc.coarse)
+		}
+		parts, err := BuildPairHierarchy(tc.segLen, 1, tc.minSeg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) != tc.levels {
+			t.Errorf("BuildPairHierarchy(%d, 1, %d) built %d levels, want %d",
+				tc.segLen, tc.minSeg, len(parts), tc.levels)
+		}
+		want := Config{Tol: 1e-9, Cycle: WCycle, PreSmooth: 2, PostSmooth: 2, PairLevels: tc.levels}
+		if tc.levels == 0 {
+			want.Cycle = VCycle
+		}
+		if got := ColdDefaults(Config{Tol: 1e-9}, tc.segLen, tc.minSeg); got != want {
+			t.Errorf("ColdDefaults(%d, %d) = %+v, want %+v", tc.segLen, tc.minSeg, got, want)
+		}
+	}
+}
+
+// TestColdDefaultsWithoutPairLevels checks that a hierarchy made only of
+// merge levels gets one visit per level per cycle under the cold default,
+// not the classic W-cycle's 2^j.
+func TestColdDefaultsWithoutPairLevels(t *testing.T) {
+	p := segmentedWalk(2, 8, 0.02)
+	parts, pairLevels := pairThenMergeHierarchy(t, 2, 8)
+	if pairLevels != 0 || len(parts) != 3 {
+		t.Fatalf("hierarchy: %d pair levels of %d, want 0 of 3", pairLevels, len(parts))
+	}
+	s, err := New(p, parts, ColdDefaults(Config{Tol: 1e-12}, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(nil)
+	if err != nil || !res.Converged {
+		t.Fatalf("solve failed: %v %v", err, res)
+	}
+	for j, ls := range res.LevelStats {
+		if ls.Visits != res.Cycles {
+			t.Errorf("level %d visits = %d, want %d", j, ls.Visits, res.Cycles)
 		}
 	}
 }

@@ -300,10 +300,7 @@ func (m *Model) Hierarchy(minSegLen int) ([]*lump.Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	segLen := m.M
-	for segLen > minSegLen {
-		segLen = (segLen + 1) / 2
-	}
+	_, segLen := multigrid.PairLevelCount(m.M, minSegLen)
 	counters := m.C
 	for counters > 3 {
 		part, err := lump.PairSegmentsElementwise(segLen, counters, m.R*m.D)

@@ -134,7 +134,9 @@ func TestJobsCancelAll(t *testing.T) {
 }
 
 func TestJobsEvictOldFinished(t *testing.T) {
-	jobs := NewJobs(4, 16, nil)
+	// One worker finishes jobs in submission order, so the oldest finished
+	// records are exactly the first ones submitted.
+	jobs := NewJobs(1, 16, nil)
 	var ids []string
 	for i := 0; i < maxFinishedJobs+8; i++ {
 		for {
@@ -153,15 +155,14 @@ func TestJobsEvictOldFinished(t *testing.T) {
 		}
 	}
 	jobs.Close()
-	// Four workers finish jobs out of submission order, so which records
-	// are evicted varies from run to run; how many are retained does not.
-	retained := 0
-	for _, id := range ids {
-		if _, ok := jobs.Get(id); ok {
-			retained++
+	evicted := len(ids) - maxFinishedJobs
+	for i, id := range ids {
+		_, ok := jobs.Get(id)
+		if i < evicted && ok {
+			t.Errorf("job %d (%s) should have been evicted from the finished set", i, id)
 		}
-	}
-	if retained != maxFinishedJobs {
-		t.Errorf("%d of %d finished jobs retained, want %d", retained, len(ids), maxFinishedJobs)
+		if i >= evicted && !ok {
+			t.Errorf("job %d (%s) should have been retained in the finished set", i, id)
+		}
 	}
 }
