@@ -67,19 +67,22 @@ go test -race -count=1 \
 echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # The matrix-free Kronecker backend must agree with the explicit CSR
 # backend at every layer it plugs into: the shuffle kernels against the
-# materialized matrix (including the parallel split), the operator-backed
-# markov solvers, the implicit-fine-level multigrid, the core analysis,
-# the FSM synchronous product, and the HTTP backend selector end to end.
+# materialized matrix (including the parallel split) and, bit for bit,
+# against the full-slab evaluation their support restriction replaces,
+# the operator-backed markov solvers, the implicit-fine-level multigrid,
+# the core analysis, the FSM synchronous product, and the HTTP backend
+# selector end to end.
 go test -race -count=1 \
-    -run 'TestParallelShuffleMatchesSerial|TestStructuralSurfaceMatchesMaterialized|TestDescriptorMatchesFSMProduct|TestUnconvergedSentinelCrossesLayers' \
+    -run 'TestParallelShuffleMatchesSerial|TestShuffleMatchesFullSlab|TestStructuralSurfaceMatchesMaterialized|TestDescriptorMatchesFSMProduct|TestUnconvergedSentinelCrossesLayers' \
     ./internal/kron
 go test -race -count=1 -run 'TestOperatorChain' ./internal/markov
 go test -race -count=1 -run 'TestKronSolver' ./internal/multigrid
 go test -race -count=1 -run 'TestSolveKron|TestBuildShell' ./internal/core
 go test -race -count=1 -run 'TestAnalyzeKronBackendParity|TestBackendValidation' ./internal/serve
 
-echo "== kron workspace allocs (zero-alloc shuffle products) =="
+echo "== kron workspace allocs (zero-alloc shuffle products and KronSolver cycles) =="
 go test -count=1 -run 'TestShuffleProductsAllocFree|TestRowIterAllocFree' ./internal/kron
+go test -count=1 -run 'TestKronSolverAllocsDoNotScaleWithCycles' ./internal/multigrid
 
 echo "== benchmark harness unit tests (bench/ builds against the library) =="
 # bench/ is its own module (replace cdrstoch => ../), so ./... above never

@@ -136,3 +136,33 @@ func TestSolveKronUnconverged(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnconverged", err)
 	}
 }
+
+// TestSolveKronInexactCoarseSolve checks the matrix-free solve on the
+// counter-8 Figure 5 model: its BER matches the explicit solve's to 1e−9
+// relative, and the coarse level is visited at most 1.5 times per outer
+// cycle — the coarse chain is solved only as far as the next outer cycle
+// can use, not to the tolerance on every visit.
+func TestSolveKronInexactCoarseSolve(t *testing.T) {
+	m, err := Build(fig5Spec(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := m.Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	implicit, err := m.SolveKron(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := math.Abs(implicit.BER-explicit.BER) / explicit.BER
+	cycles := implicit.Multigrid.Cycles
+	visits := implicit.Multigrid.LevelStats[1].Visits
+	t.Logf("kron %d cycles, %d coarse visits; BER relative deviation %.2e", cycles, visits, rel)
+	if rel > 1e-9 {
+		t.Errorf("BER %.12e vs explicit %.12e: relative deviation %.2e", implicit.BER, explicit.BER, rel)
+	}
+	if float64(visits) > 1.5*float64(cycles) {
+		t.Errorf("%d coarse visits for %d outer cycles, want at most 1.5 per cycle", visits, cycles)
+	}
+}

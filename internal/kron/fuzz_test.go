@@ -4,16 +4,16 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"cdrstoch/internal/spmat"
 )
 
 // FuzzShuffleVecMul cross-checks the shuffle-algorithm products against
 // the materialized matrix on randomly shaped descriptors: arbitrary
-// factor counts, ragged sizes, signed coefficients, variable density and
-// a random worker width. Any divergence between the implicit and the
-// explicit evaluation beyond accumulation-order noise is a bug in the
-// mode-product kernels.
+// factor counts, ragged sizes, signed and zero coefficients, variable
+// density, the sparse factor supports of sparseSupportFactor and a random
+// worker width. Any divergence between the implicit and the explicit
+// evaluation beyond accumulation-order noise is a bug in the mode-product
+// kernels; any bit that differs from the full-slab evaluation, serial or
+// parallel, is a bug in the support restriction.
 func FuzzShuffleVecMul(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint8(60), uint8(1))
 	f.Add(int64(7), uint8(3), uint8(1), uint8(90), uint8(4))
@@ -29,19 +29,8 @@ func FuzzShuffleVecMul(f *testing.F) {
 			sizes[c] = 1 + rng.Intn(5)
 			dim *= sizes[c]
 		}
-		terms := make([]Term, nt)
-		for ti := range terms {
-			fs := make([]*spmat.CSR, nf)
-			for c := range fs {
-				fs[c] = randomCSR(sizes[c], sizes[c], dens, rng)
-			}
-			terms[ti] = Term{Coeff: rng.NormFloat64(), Factors: fs}
-		}
-		d, err := NewDescriptor(terms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SetWorkers(1 + int(workers)%4)
+		d := sparseSupportDescriptor(t, sizes, nt, dens, rng)
+		d.SetWorkers(1 + int(workers)%8)
 		m := d.ToCSR()
 		x := make([]float64, dim)
 		for i := range x {
@@ -70,5 +59,7 @@ func FuzzShuffleVecMul(f *testing.F) {
 				t.Fatalf("MulVec[%d] = %g, want %g (sizes %v, %d terms)", i, got[i], want[i], sizes, nt)
 			}
 		}
+		lowerParallelCutoff(t)
+		checkFullSlabBits(t, d, x, "fuzz")
 	})
 }

@@ -44,6 +44,13 @@ type Descriptor struct {
 	dim   int
 	terms []Term
 
+	// vecSlabs[t][c] and matSlabs[t][c] list, ascending, the left slabs
+	// of term t's mode-c product that can hold a nonzero in x·P and P·x
+	// respectively; nil marks a term that is structurally zero in that
+	// direction. vecOps is the multiply-add count of x·P over those slabs.
+	vecSlabs, matSlabs [][][]int
+	vecOps             int64
+
 	// workers is the slab-parallel width of the shuffle products; set
 	// once via SetWorkers before the descriptor is shared.
 	workers int
@@ -52,7 +59,9 @@ type Descriptor struct {
 	ws sync.Pool
 }
 
-// NewDescriptor validates the terms and returns a descriptor.
+// NewDescriptor validates the terms and returns a descriptor. It also
+// fixes, per term and mode, which tensor slabs the shuffle products can
+// reach (activeSlabs), so the factors must not be modified afterwards.
 func NewDescriptor(terms []Term) (*Descriptor, error) {
 	if len(terms) == 0 {
 		return nil, errors.New("kron: no terms")
@@ -96,8 +105,80 @@ func NewDescriptor(terms []Term) (*Descriptor, error) {
 		dim = next
 	}
 	d := &Descriptor{sizes: sizes, dim: dim, terms: terms}
+	d.vecSlabs = make([][][]int, len(terms))
+	d.matSlabs = make([][][]int, len(terms))
+	for ti, t := range terms {
+		if t.Coeff == 0 {
+			continue
+		}
+		d.vecSlabs[ti] = activeSlabs(t.Factors, sizes, true)
+		d.matSlabs[ti] = activeSlabs(t.Factors, sizes, false)
+		if slabs := d.vecSlabs[ti]; slabs != nil {
+			right := dim
+			for c, f := range t.Factors {
+				right /= sizes[c]
+				d.vecOps += int64(len(slabs[c])) * int64(f.NNZ()) * int64(right)
+			}
+		}
+	}
 	d.ws.New = func() any { return &Workspace{} }
 	return d, nil
+}
+
+// activeSlabs lists, for every mode c of one term, the left slabs of the
+// mode-c product that can hold a nonzero: the mixed-radix indices over
+// sizes[:c] whose digits lie in the nonzero supports of the earlier
+// factors — their columns for x·P (cols), their rows for P·x. Every other
+// slab of the mode-c input is an exact zero, whatever the vector. It
+// returns nil when some factor has no nonzero at all, so that the term's
+// product is structurally zero.
+func activeSlabs(factors []*spmat.CSR, sizes []int, cols bool) [][]int {
+	slabs := make([][]int, len(factors))
+	slabs[0] = []int{0}
+	for c, f := range factors {
+		supp := nonzeroSupport(f, cols)
+		if len(supp) == 0 {
+			return nil
+		}
+		if c+1 == len(factors) {
+			break
+		}
+		next := make([]int, 0, len(slabs[c])*len(supp))
+		for _, l := range slabs[c] {
+			for _, j := range supp {
+				next = append(next, l*sizes[c]+j)
+			}
+		}
+		slabs[c+1] = next
+	}
+	return slabs
+}
+
+// nonzeroSupport lists, ascending, the columns (cols) or the rows of the
+// square factor f that hold a nonzero value; stored zeros do not count.
+func nonzeroSupport(f *spmat.CSR, cols bool) []int {
+	n, _ := f.Dims()
+	seen := make([]bool, n)
+	for i := 0; i < n; i++ {
+		cs, vs := f.Row(i)
+		for k, j := range cs {
+			if vs[k] == 0 {
+				continue
+			}
+			if cols {
+				seen[j] = true
+			} else {
+				seen[i] = true
+			}
+		}
+	}
+	var supp []int
+	for j, ok := range seen {
+		if ok {
+			supp = append(supp, j)
+		}
+	}
+	return supp
 }
 
 // Dim returns the global state-space size (product of component sizes).
@@ -118,9 +199,9 @@ func (d *Descriptor) Sizes() []int {
 func (d *Descriptor) NumTerms() int { return len(d.terms) }
 
 // SetWorkers sets the parallel width of subsequent shuffle products:
-// each mode product splits race-free over disjoint tensor slabs (the
-// leading mode when it is wide enough, the trailing stride otherwise).
-// 0 or 1 keeps the products serial; descriptors below
+// each mode product splits race-free over disjoint tensor slabs (its
+// active left slabs when there are several, the trailing stride when
+// there is one). 0 or 1 keeps the products serial; descriptors below
 // spmat.ParallelCutoff stay serial regardless. Set once before the
 // descriptor is shared across goroutines — the width is read unlocked on
 // the multiply hot path.
@@ -157,22 +238,13 @@ func (d *Descriptor) MemoryBytes() int64 {
 	return b
 }
 
-// OpsPerMul estimates the multiply-add count of one shuffle product:
-// Σ_t Σ_c nnz(F_c)·(dim/n_c). The cost layer attributes this as the
-// "entries touched" of each implicit SpMV, keeping effective-bandwidth
-// estimates meaningful for matrix-free solves.
-func (d *Descriptor) OpsPerMul() int64 {
-	var ops int64
-	for _, t := range d.terms {
-		if t.Coeff == 0 {
-			continue
-		}
-		for c, f := range t.Factors {
-			ops += int64(f.NNZ()) * int64(d.dim/d.sizes[c])
-		}
-	}
-	return ops
-}
+// OpsPerMul estimates the multiply-add count of one shuffle product
+// y = x·P: Σ_t Σ_c nnz(F_c)·a_tc·r_c, where a_tc counts the active left
+// slabs of term t's mode-c product and r_c = n_{c+1}⋯n_C is its trailing
+// stride. When every factor has full support a_tc·r_c = dim/n_c. The cost
+// layer attributes this as the "entries touched" of each implicit SpMV,
+// keeping effective-bandwidth estimates meaningful for matrix-free solves.
+func (d *Descriptor) OpsPerMul() int64 { return d.vecOps }
 
 // Workspace holds the two scratch vectors a shuffle product ping-pongs
 // between. The zero value is ready; buffers grow to the descriptor
@@ -193,14 +265,29 @@ func (w *Workspace) ensure(n int) {
 	w.next = w.next[:n]
 }
 
+// clearSlab zeroes the stride window rlo ≤ r < rhi of every row of the
+// n×right output slab that starts at base.
+func clearSlab(out []float64, base, n, right, rlo, rhi int) {
+	if rhi-rlo == right {
+		clear(out[base : base+n*right])
+		return
+	}
+	for j := 0; j < n; j++ {
+		o := base + j*right
+		clear(out[o+rlo : o+rhi])
+	}
+}
+
 // modeVecMulPart computes the mode-k vector–matrix product of the
-// tensorized vector x with factor a over the slab lo ≤ l < hi and the
-// stride window rlo ≤ r < rhi: out[l, j, r] += Σ_i x[l, i, r]·a[i, j].
-// Distinct (l-range, r-range) slabs write disjoint regions of out, which
-// is what makes the parallel split race-free.
-func modeVecMulPart(out, x []float64, a *spmat.CSR, n, right, lo, hi, rlo, rhi int) {
-	for l := lo; l < hi; l++ {
+// tensorized vector x with factor a over the listed left slabs and the
+// stride window rlo ≤ r < rhi: out[l, j, r] = Σ_i x[l, i, r]·a[i, j].
+// Each slab's window is cleared first, so out needs no zeroing outside
+// it. Distinct (slab, r-range) pieces write disjoint regions of out,
+// which is what makes the parallel split race-free.
+func modeVecMulPart(out, x []float64, a *spmat.CSR, n, right int, slabs []int, rlo, rhi int) {
+	for _, l := range slabs {
 		base := l * n * right
+		clearSlab(out, base, n, right, rlo, rhi)
 		for i := 0; i < n; i++ {
 			cols, vals := a.Row(i)
 			if len(cols) == 0 {
@@ -223,11 +310,12 @@ func modeVecMulPart(out, x []float64, a *spmat.CSR, n, right, lo, hi, rlo, rhi i
 	}
 }
 
-// modeMulVecPart is the matrix–vector twin: out[l, i, r] += Σ_j
+// modeMulVecPart is the matrix–vector twin: out[l, i, r] = Σ_j
 // a[i, j]·x[l, j, r], the mode-k product of y = P·x.
-func modeMulVecPart(out, x []float64, a *spmat.CSR, n, right, lo, hi, rlo, rhi int) {
-	for l := lo; l < hi; l++ {
+func modeMulVecPart(out, x []float64, a *spmat.CSR, n, right int, slabs []int, rlo, rhi int) {
+	for _, l := range slabs {
 		base := l * n * right
+		clearSlab(out, base, n, right, rlo, rhi)
 		for i := 0; i < n; i++ {
 			cols, vals := a.Row(i)
 			if len(cols) == 0 {
@@ -251,7 +339,7 @@ func modeMulVecPart(out, x []float64, a *spmat.CSR, n, right, lo, hi, rlo, rhi i
 }
 
 // partFunc is the signature shared by modeVecMulPart and modeMulVecPart.
-type partFunc func(out, x []float64, a *spmat.CSR, n, right, lo, hi, rlo, rhi int)
+type partFunc func(out, x []float64, a *spmat.CSR, n, right int, slabs []int, rlo, rhi int)
 
 // pickPart selects the mode-product kernel. Returning the func (rather
 // than reassigning a local that goroutine closures later capture) keeps
@@ -264,96 +352,79 @@ func pickPart(vecMul bool) partFunc {
 	return modeMulVecPart
 }
 
-// modeProduct dispatches one mode product, splitting it across the
-// descriptor's worker width when the tensor shape offers enough
-// race-free slabs: the leading (left) mode partitions whole blocks, the
-// trailing stride partitions the innermost contiguous runs. Small
-// descriptors and width ≤ 1 stay on the serial path.
-func (d *Descriptor) modeProduct(vecMul bool, out, x []float64, a *spmat.CSR, left, n, right int) {
+// modeProduct dispatches one mode product over its active left slabs,
+// splitting it across the descriptor's worker width: several slabs are
+// dealt out in contiguous runs, a single slab splits along the trailing
+// stride. Small descriptors and width ≤ 1 stay on the serial path.
+func (d *Descriptor) modeProduct(vecMul bool, out, x []float64, a *spmat.CSR, slabs []int, n, right int) {
 	part := pickPart(vecMul)
-	w := d.workers
-	if w > left {
-		w = left
+	split := len(slabs)
+	if split < 2 {
+		split = right
 	}
-	if left < 2 && right >= 2 {
-		w = d.workers
-		if w > right {
-			w = right
-		}
-		if w > 1 && d.dim >= spmat.ParallelCutoff {
-			var wg sync.WaitGroup
-			chunk := (right + w - 1) / w
-			for rlo := 0; rlo < right; rlo += chunk {
-				rhi := rlo + chunk
-				if rhi > right {
-					rhi = right
-				}
-				wg.Add(1)
-				go func(rlo, rhi int) {
-					defer wg.Done()
-					part(out, x, a, n, right, 0, left, rlo, rhi)
-				}(rlo, rhi)
-			}
-			wg.Wait()
-			return
-		}
-		part(out, x, a, n, right, 0, left, 0, right)
+	w := min(d.workers, split)
+	if w < 2 || d.dim < spmat.ParallelCutoff {
+		part(out, x, a, n, right, slabs, 0, right)
 		return
 	}
-	if w > 1 && d.dim >= spmat.ParallelCutoff {
-		var wg sync.WaitGroup
-		chunk := (left + w - 1) / w
-		for lo := 0; lo < left; lo += chunk {
-			hi := lo + chunk
-			if hi > left {
-				hi = left
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				part(out, x, a, n, right, lo, hi, 0, right)
-			}(lo, hi)
+	var wg sync.WaitGroup
+	chunk := (split + w - 1) / w
+	for lo := 0; lo < split; lo += chunk {
+		hi := min(lo+chunk, split)
+		run, rlo, rhi := slabs, lo, hi // one slab: split its stride
+		if len(slabs) > 1 {
+			run, rlo, rhi = slabs[lo:hi], 0, right
 		}
-		wg.Wait()
-		return
+		wg.Add(1)
+		go func(run []int, rlo, rhi int) {
+			defer wg.Done()
+			part(out, x, a, n, right, run, rlo, rhi)
+		}(run, rlo, rhi)
 	}
-	part(out, x, a, n, right, 0, left, 0, right)
+	wg.Wait()
 }
 
-// mul runs the full shuffle evaluation of y = x·P (vecMul) or y = P·x
-// into y using ws scratch.
+// mul runs the shuffle evaluation of y = x·P (vecMul) or y = P·x into y
+// using ws scratch. Each term's mode products visit only the slabs
+// activeSlabs kept, and only those are accumulated into y: every skipped
+// slab holds exact zeros, so the result is bit-identical to running every
+// mode product over the whole tensor.
 func (d *Descriptor) mul(vecMul bool, ws *Workspace, y, x []float64) {
 	if len(x) != d.dim || len(y) != d.dim {
 		panic("kron: multiply dimension mismatch")
 	}
 	ws.ensure(d.dim)
-	cur, next := ws.cur, ws.next
-	for i := range y {
-		y[i] = 0
-	}
-	for _, t := range d.terms {
-		if t.Coeff == 0 {
-			continue
+	clear(y)
+	for ti, t := range d.terms {
+		slabs := d.matSlabs[ti]
+		if vecMul {
+			slabs = d.vecSlabs[ti]
 		}
-		copy(cur, x)
-		left := 1
+		if slabs == nil {
+			continue // zero coefficient or a factor without nonzeros
+		}
+		src := x
 		right := d.dim
 		for c, f := range t.Factors {
 			n := d.sizes[c]
 			right /= n
-			for i := range next {
-				next[i] = 0
+			dst := ws.cur
+			if c%2 == 1 {
+				dst = ws.next
 			}
-			d.modeProduct(vecMul, next, cur, f, left, n, right)
-			cur, next = next, cur
-			left *= n
+			d.modeProduct(vecMul, dst, src, f, slabs[c], n, right)
+			src = dst
 		}
+		// The last mode has a unit stride, so its slabs are n-long runs.
+		n := d.sizes[len(d.sizes)-1]
 		coeff := t.Coeff
-		for i := range y {
-			y[i] += coeff * cur[i]
+		for _, l := range slabs[len(slabs)-1] {
+			yl := y[l*n : (l+1)*n]
+			for i, v := range src[l*n : (l+1)*n] {
+				yl[i] += coeff * v
+			}
 		}
 	}
-	ws.cur, ws.next = cur, next
 }
 
 // VecMulWs computes y = x·P with caller-owned scratch: the zero-alloc

@@ -49,14 +49,14 @@ type KronSolver struct {
 	gth   spmat.GTHWorkspace
 	xcOld []float64 // restricted block masses (pre-correction)
 	xcNew []float64 // coarse solve iterate
-	xcBuf []float64 // power-sweep product buffer of the GTH fallback
+	xcBuf []float64 // coarse product buffer: inner residuals, GTH fallback sweeps
 
 	rawTrace obs.Tracer
 	curCycle int
 
 	// Per-level work attribution in LevelSizes order: the implicit fine
 	// level, then the coarse level and the inner hierarchy's levels, the
-	// latter accumulated across the inner solves of one Solve.
+	// latter accumulated across the coarse solves of one Solve.
 	levelVisits []int
 	levelWorkNS []int64
 }
@@ -121,6 +121,7 @@ func NewKron(d *kron.Descriptor, aggLevels int, parts []*lump.Partition, cfg Con
 		innerCfg.Ctx = nil
 		innerCfg.Faults = nil
 		innerCfg.Trace = nil
+		// The cap bounds the inner cycles of one coarse solve.
 		if innerCfg.MaxCycles > 30 {
 			innerCfg.MaxCycles = 30
 		}
@@ -260,32 +261,54 @@ func (s *KronSolver) smoothFine(x []float64, steps int) {
 	}
 }
 
-// coarseSolve improves the restricted iterate: through the inner explicit
-// hierarchy when one exists (its finest values refreshed in place from
-// the just-rebuilt coarse matrix), by direct GTH otherwise, with damped
-// power sweeps as the reducible-chain fallback. The work lands in the
-// per-level tallies at the positions LevelSizes lists it.
-func (s *KronSolver) coarseSolve() error {
+// coarseSolve improves the restricted iterate. Without an inner explicit
+// hierarchy it solves the coarse chain directly (GTH, with damped power
+// sweeps as the reducible-chain fallback). With one, it refreshes the
+// inner finest values in place from the just-rebuilt coarse matrix and
+// runs inner cycles only until the coarse residual ‖x_c P_c − x_c‖₁ is at
+// most max(Tol, 0.1·fineRes), where fineRes is the fine residual of the
+// previous outer cycle (+Inf on the first, which runs one inner cycle):
+// the next outer cycle re-lumps P_c from a better fine iterate, so
+// solving this one further buys nothing. The inner MaxCycles cap bounds
+// the loop. The work lands in the per-level tallies at the positions
+// LevelSizes lists it.
+func (s *KronSolver) coarseSolve(fineRes float64) error {
 	copy(s.xcNew, s.xcOld)
-	if s.inner != nil {
-		if err := s.inner.RefreshFine(s.pc); err != nil {
-			return err
-		}
-		res, err := s.inner.Solve(s.xcNew)
-		if err != nil {
-			return err
-		}
-		copy(s.xcNew, res.Pi)
-		for k := range s.inner.levels {
-			s.levelVisits[k+1] += s.inner.levelVisits[k]
-			s.levelWorkNS[k+1] += s.inner.levelWorkNS[k]
-		}
+	if s.inner == nil {
+		s.levelVisits[1]++
+		start := time.Now()
+		s.directSolve()
+		s.levelWorkNS[1] += time.Since(start).Nanoseconds()
 		return nil
 	}
-	s.levelVisits[1]++
-	start := time.Now()
-	s.directSolve()
-	s.levelWorkNS[1] += time.Since(start).Nanoseconds()
+	in := s.inner
+	if err := in.RefreshFine(s.pc); err != nil {
+		return err
+	}
+	clear(in.levelVisits)
+	clear(in.levelWorkNS)
+	target := max(s.cfg.Tol, 0.1*fineRes)
+	for c := 1; ; c++ {
+		// cycle works in place: it returns the slice it was given.
+		if _, err := in.cycle(0, s.xcNew); err != nil {
+			return err
+		}
+		if c == in.cfg.MaxCycles || math.IsInf(target, 1) {
+			break
+		}
+		in.pool.VecMulT(in.p, in.levels[0].pt, s.xcBuf, s.xcNew)
+		r := 0.0
+		for i, v := range s.xcNew {
+			r += math.Abs(s.xcBuf[i] - v)
+		}
+		if r <= target {
+			break
+		}
+	}
+	for k := range in.levels {
+		s.levelVisits[k+1] += in.levelVisits[k]
+		s.levelWorkNS[k+1] += in.levelWorkNS[k]
+	}
 	return nil
 }
 
@@ -373,8 +396,9 @@ func (s *KronSolver) SetSolveContext(ctx context.Context) {
 // Solve runs aggregation cycles from x0 (uniform when nil) until the
 // residual criterion is met or MaxCycles is exhausted. One cycle is:
 // pre-smooth the implicit level, rebuild the coarse values with the
-// iterate's weights, solve the coarse chain, disaggregate, post-smooth,
-// then measure ‖xP − x‖₁ with one shuffle product.
+// iterate's weights, solve the coarse chain (inexactly, see coarseSolve),
+// disaggregate, post-smooth, then measure ‖xP − x‖₁ with one shuffle
+// product.
 func (s *KronSolver) Solve(x0 []float64) (Result, error) {
 	x := make([]float64, s.n)
 	if x0 == nil {
@@ -422,6 +446,7 @@ func (s *KronSolver) Solve(x0 []float64) (Result, error) {
 			meter.SampleGoroutines()
 		}()
 	}
+	prevRes := math.Inf(1) // no fine residual before the first cycle
 	for c := 1; c <= s.cfg.MaxCycles; c++ {
 		if s.cfg.Ctx != nil {
 			if cerr := s.cfg.Ctx.Err(); cerr != nil {
@@ -442,7 +467,7 @@ func (s *KronSolver) Solve(x0 []float64) (Result, error) {
 
 		obs.LevelEvent(s.cfg.Trace, "multigrid", c, 1, s.nc)
 		s.refreshCoarse(x)
-		if err := s.coarseSolve(); err != nil {
+		if err := s.coarseSolve(prevRes); err != nil {
 			return Result{}, err
 		}
 		s.prolong(x)
@@ -467,6 +492,7 @@ func (s *KronSolver) Solve(x0 []float64) (Result, error) {
 			res.Converged = true
 			break
 		}
+		prevRes = r
 	}
 	res.Pi = x
 	res.LevelStats = levelStats(res.LevelSizes, s.levelVisits, s.levelWorkNS)

@@ -217,8 +217,10 @@ func TestKronSolverLevelStatsAlign(t *testing.T) {
 	if res.LevelStats[0].Visits != res.Cycles || res.LevelStats[0].Size != d.Dim() {
 		t.Errorf("fine level %+v after %d cycles", res.LevelStats[0], res.Cycles)
 	}
-	// Every outer cycle runs at least one inner cycle, and the classic inner
-	// W-cycle doubles each level's visits relative to its parent.
+	// Every outer cycle runs at least one inner cycle — exactly one on the
+	// first, then as many as bring the coarse residual within a tenth of
+	// the previous fine residual — and the classic inner W-cycle doubles
+	// each level's visits relative to its parent.
 	if res.LevelStats[1].Visits < res.Cycles {
 		t.Errorf("coarse visits %d < outer cycles %d", res.LevelStats[1].Visits, res.Cycles)
 	}
@@ -235,6 +237,64 @@ func TestKronSolverLevelStatsAlign(t *testing.T) {
 		if lc.Visits != res.LevelStats[k].Visits || lc.Size != res.LevelStats[k].Size {
 			t.Errorf("meter level %d = %+v, result %+v", k, lc, res.LevelStats[k])
 		}
+	}
+}
+
+// TestKronSolverOneCycleOneInnerVisit checks the coarse-solve schedule's
+// start: with no fine residual measured yet, the first outer cycle runs
+// exactly one inner cycle however tight the tolerance, so a one-cycle
+// solve enters the coarse level once (solving the coarse chain to a
+// 1e−300 tolerance would run the inner cap of 30 cycles).
+func TestKronSolverOneCycleOneInnerVisit(t *testing.T) {
+	d := kronTestDescriptor(t, 29, 16)
+	parts, err := BuildPairHierarchy(4, d.Dim()/16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewKron(d, 2, parts, Config{Tol: 1e-300, Cycle: WCycle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Limit the outer solve after construction: the inner hierarchy keeps
+	// its cap of 30 cycles rather than inheriting MaxCycles 1.
+	s.cfg.MaxCycles = 1
+	res, err := s.Solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles != 1 || res.Converged {
+		t.Fatalf("one-cycle solve: %v", res)
+	}
+	if v := res.LevelStats[1].Visits; v != 1 {
+		t.Errorf("coarse level visited %d times in one outer cycle, want 1", v)
+	}
+}
+
+// TestKronSolverAllocsDoNotScaleWithCycles pins the claim that KronSolver
+// cycles allocate nothing: a solve's allocations (result vectors, level
+// reports) may not grow with its cycle count, coarse solves included.
+func TestKronSolverAllocsDoNotScaleWithCycles(t *testing.T) {
+	d := kronTestDescriptor(t, 30, 16)
+	parts, err := BuildPairHierarchy(4, d.Dim()/16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewKron(d, 2, parts, Config{Tol: 1e-300, Cycle: WCycle, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(cycles int) float64 {
+		s.cfg.MaxCycles = cycles
+		return testing.AllocsPerRun(10, func() {
+			if _, err := s.Solve(nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short := measure(2)
+	long := measure(20)
+	if long > short {
+		t.Errorf("allocs grew with cycle count: %v (2 cycles) -> %v (20 cycles)", short, long)
 	}
 }
 
