@@ -18,6 +18,22 @@
 # `go test -short`, so short CI legs stay fast automatically.
 set -eu
 
+# run_tests PATTERN [FLAG|PACKAGE...] runs `go test -run PATTERN` over the
+# packages, after checking with `go test -list` that every |-separated
+# alternative of PATTERN selects at least one test: `go test -run` passes
+# with "no tests to run" on a pattern that a rename has emptied.
+run_tests() {
+    pattern=$1
+    shift
+    for alt in $(echo "$pattern" | tr '|' ' '); do
+        if ! go test -list "$alt" "$@" | grep -Eq '^(Test|Fuzz|Example)'; then
+            echo "ci.sh: -run '$alt' selects no tests in: $*" >&2
+            exit 1
+        fi
+    done
+    go test -run "$pattern" "$@"
+}
+
 # chaos_stage replays the deterministic fault-injection suite (storms at
 # every seam: solver entry, cache insert/evict, singleflight leader,
 # job dequeue, cycle boundaries) across a fixed seed matrix, under the
@@ -28,9 +44,9 @@ chaos_stage() {
     for seed in 1 7 42; do
         echo "-- CDR_FAULTS_SEED=$seed"
         CDR_FAULTS_SEED="$seed" go test -race -count=1 ./internal/faults
-        CDR_FAULTS_SEED="$seed" go test -race -count=1 \
-            -run 'Chaos|CachedLeaderDeath|LeaderPanic|JobsShed|SubmitCloseRace|RequestTimeout' \
-            ./internal/serve
+        CDR_FAULTS_SEED="$seed" run_tests \
+            'Chaos|CachedLeaderDeath|LeaderPanic|JobsShed|SubmitCloseRace|RequestTimeout' \
+            -race -count=1 ./internal/serve
     done
 }
 
@@ -52,37 +68,36 @@ go test -race ./...
 chaos_stage
 
 echo "== metrics lint (every name survives Prometheus sanitization, no collisions) =="
-go test -count=1 -run 'TestServerMetricsSurviveLint|TestLintMetrics' \
+run_tests 'TestServerMetricsSurviveLint|TestLintMetrics' -count=1 \
     ./internal/serve ./internal/obs
-go test -count=1 -run 'TestRuntimeCollectorPoll' ./internal/obs/cost
+run_tests 'TestRuntimeCollectorPoll' -count=1 ./internal/obs/cost
 # The progress/watchdog metric families (progress.*, watchdog.*) are
 # touched eagerly at tracker construction, so this lint sees them all.
-go test -count=1 -run 'TestTrackerMetricsSurviveLint' ./internal/obs/progress
+run_tests 'TestTrackerMetricsSurviveLint' -count=1 ./internal/obs/progress
 
 echo "== cost accounting allocs (zero-alloc kernel hot path, -race) =="
-go test -race -count=1 \
-    -run 'TestPoolKernelsAllocFree|TestPoolMulVecsAllocFree|TestPoolMulVecsBitIdentical' \
-    ./internal/spmat
+run_tests 'TestPoolKernelsAllocFree|TestPoolMulVecsAllocFree|TestPoolMulVecsBitIdentical' \
+    -race -count=1 ./internal/spmat
 
 echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # The matrix-free Kronecker backend must agree with the explicit CSR
 # backend at every layer it plugs into: the shuffle kernels against the
 # materialized matrix (including the parallel split) and, bit for bit,
 # against the full-slab evaluation their support restriction replaces,
-# the operator-backed markov solvers, the implicit-fine-level multigrid,
-# the core analysis, the FSM synchronous product, and the HTTP backend
+# the operator-backed markov solvers, the implicit-fine-level multigrid
+# (including its trace, level for level, against the explicit one), the
+# core analysis, the FSM synchronous product, and the HTTP backend
 # selector end to end.
-go test -race -count=1 \
-    -run 'TestParallelShuffleMatchesSerial|TestShuffleMatchesFullSlab|TestStructuralSurfaceMatchesMaterialized|TestDescriptorMatchesFSMProduct|TestUnconvergedSentinelCrossesLayers' \
-    ./internal/kron
-go test -race -count=1 -run 'TestOperatorChain' ./internal/markov
-go test -race -count=1 -run 'TestKronSolver' ./internal/multigrid
-go test -race -count=1 -run 'TestSolveKron|TestBuildShell' ./internal/core
-go test -race -count=1 -run 'TestAnalyzeKronBackendParity|TestBackendValidation' ./internal/serve
+run_tests 'TestParallelShuffleMatchesSerial|TestShuffleMatchesFullSlab|TestStructuralSurfaceMatchesMaterialized|TestDescriptorMatchesFSMProduct|TestUnconvergedSentinelCrossesLayers' \
+    -race -count=1 ./internal/kron
+run_tests 'TestOperatorChain' -race -count=1 ./internal/markov
+run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits' -race -count=1 ./internal/multigrid
+run_tests 'TestSolveKron|TestBuildShell' -race -count=1 ./internal/core
+run_tests 'TestAnalyzeKronBackendParity|TestBackendValidation' -race -count=1 ./internal/serve
 
-echo "== kron workspace allocs (zero-alloc shuffle products and KronSolver cycles) =="
-go test -count=1 -run 'TestShuffleProductsAllocFree|TestRowIterAllocFree' ./internal/kron
-go test -count=1 -run 'TestKronSolverAllocsDoNotScaleWithCycles' ./internal/multigrid
+echo "== kron workspace allocs (zero-alloc shuffle products and implicit-level cycles) =="
+run_tests 'TestShuffleProductsAllocFree|TestRowIterAllocFree' -count=1 ./internal/kron
+run_tests 'TestKronSolverAllocsDoNotScaleWithCycles|TestCoarsestFallbackAllocFree' -count=1 ./internal/multigrid
 
 echo "== benchmark harness unit tests (bench/ builds against the library) =="
 # bench/ is its own module (replace cdrstoch => ../), so ./... above never
@@ -101,7 +116,7 @@ echo "== sweep throughput (batched vs pointwise, 1 iteration) =="
 go test -run '^$' -bench '^BenchmarkSweepFig5$' -benchtime 1x -benchmem .
 
 echo "== cdrserved smoke (build, serve, cache-hit replay, SIGTERM drain) =="
-go test -count=1 -run '^TestServerSmoke$' -v ./cmd/cdrserved
+run_tests '^TestServerSmoke$' -count=1 -v ./cmd/cdrserved
 
 echo "== live progress (SSE stream + seeded stall injection, -race) =="
 # The SSE smoke proves a batched sweep job streams one parseable progress
@@ -109,9 +124,8 @@ echo "== live progress (SSE stream + seeded stall injection, -race) =="
 # fault at the multigrid.cycle seam and requires the watchdog to classify
 # the solve stalled (with the job's trace ID on the verdict) within the
 # configured window, then cancel it. Seeded like the chaos stage.
-CDR_FAULTS_SEED=1 go test -race -count=1 \
-    -run 'TestJobEventsSSE|TestWatchdogStallInjection|TestDebugProgressLiveETA' \
-    ./internal/serve
+CDR_FAULTS_SEED=1 run_tests 'TestJobEventsSSE|TestWatchdogStallInjection|TestDebugProgressLiveETA' \
+    -race -count=1 ./internal/serve
 
 echo "== bench compare (optional; needs two committed BENCH_*.json) =="
 # Diff the two newest committed benchmark snapshots. With fewer than two

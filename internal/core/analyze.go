@@ -72,29 +72,12 @@ func (m *Model) Hierarchy(minSegLen int) ([]*lump.Partition, error) {
 		return nil, err
 	}
 	_, segLen := multigrid.PairLevelCount(m.M, minSegLen)
-	cp, err := m.counterParts(segLen)
-	if err != nil {
-		return nil, err
-	}
-	return append(parts, cp...), nil
-}
-
-// counterParts continues the coarsening across the counter dimension —
-// adjacent counter states merge elementwise — once the phase dimension
-// has been reduced to segLen points per segment, until at most three
-// counter states remain per data state. Shared by the explicit hierarchy
-// (Hierarchy, below the phase-pair levels) and the matrix-free solve
-// (below the aggregated Kronecker restriction).
-func (m *Model) counterParts(segLen int) ([]*lump.Partition, error) {
-	var parts []*lump.Partition
-	counters := m.C
-	for counters > 3 {
+	for counters := m.C; counters > 3; counters = (counters + 1) / 2 {
 		part, err := lump.PairSegmentsElementwise(segLen, counters, m.D)
 		if err != nil {
 			return nil, err
 		}
 		parts = append(parts, part)
-		counters = (counters + 1) / 2
 	}
 	return parts, nil
 }
@@ -102,40 +85,20 @@ func (m *Model) counterParts(segLen int) ([]*lump.Partition, error) {
 // Solve computes the stationary distribution with the multilevel solver
 // and derives the standard performance measures.
 func (m *Model) Solve(opt SolveOptions) (*Analysis, error) {
-	opt = opt.withDefaults()
-	parts, err := m.Hierarchy(opt.MinSegLen)
-	if err != nil {
-		return nil, err
-	}
-	solver, err := multigrid.New(m.P, parts, multigrid.ColdDefaults(opt.Multigrid, m.M, opt.MinSegLen))
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := solver.Solve(nil)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	if !res.Converged {
-		return nil, fmt.Errorf("core: multigrid %w: %v", ErrUnconverged, res)
-	}
-	return &Analysis{
-		Pi:        res.Pi,
-		BER:       m.BER(res.Pi),
-		Multigrid: res,
-		SolveTime: elapsed,
-	}, nil
+	return m.solve(opt.withDefaults(), func(parts []*lump.Partition, cfg multigrid.Config) (*multigrid.Solver, error) {
+		return multigrid.New(m.P, parts, cfg)
+	})
 }
 
 // SolveKron computes the stationary distribution without materializing
 // the TPM: the chain's Kronecker descriptor (the model's Desc, built on
-// demand for explicit models) stays implicit at the finest level of the
-// multigrid.KronSolver, whose first restriction folds the phase-pair
-// coarsening — all the levels Hierarchy would build explicitly, down to
-// MinSegLen — into one aggregated explicit coarse matrix, with the
-// counter lumping continuing below it. Memory stays at a few state-sized
-// vectors plus the coarse hierarchy; the product matrix never exists.
+// demand for explicit models) is level 0 of the multigrid solver
+// (multigrid.NewKron). The hierarchy and schedule are Solve's; the
+// implicit level folds the leading phase-pair partitions into one
+// restriction onto an explicit coarse matrix, and the remaining pair
+// levels and the counter merges run below it exactly as in Solve. Memory
+// stays at a few state-sized vectors plus the coarse hierarchy; the
+// product matrix never exists.
 func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 	opt = opt.withDefaults()
 	d := m.Desc
@@ -148,26 +111,20 @@ func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 		m.Desc = d
 	}
 	// The implicit restriction folds at most two phase pairings: deeper
-	// folds skip too many smoothing levels and the cycle stalls on wide
-	// phase grids, while two keep the explicit coarse matrix at ~1/16 of
-	// the product nnz. Below it, phase pairing continues level by level on
-	// the explicit coarse hierarchy exactly as the assembled solve does.
+	// folds skip smoothing levels and take more cycles, while two keep
+	// the explicit coarse matrix at ~1/16 of the product nnz.
 	const maxImplicitAgg = 2
-	agg := 0
-	mc := m.M
-	for mc > opt.MinSegLen && agg < maxImplicitAgg {
-		mc = (mc + 1) / 2
-		agg++
-	}
-	if agg == 0 {
-		// Phase grid already at or below MinSegLen: the implicit restriction
-		// still needs one coarsening step to produce its explicit level.
+	fold, _ := multigrid.PairLevelCount(m.M, opt.MinSegLen)
+	if fold == 0 {
+		// Phase grid already at or below MinSegLen: the implicit level still
+		// needs one phase pairing to produce its explicit coarse level.
 		if m.M < 2 {
 			return nil, errors.New("core: phase grid too small for the matrix-free solver")
 		}
-		agg = 1
-		mc = (m.M + 1) / 2
+		opt.MinSegLen = (m.M + 1) / 2
+		fold = 1
 	}
+	fold = min(fold, maxImplicitAgg)
 	workers := opt.Multigrid.Workers
 	if workers == 0 {
 		if opt.Multigrid.Pool != nil {
@@ -177,19 +134,20 @@ func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 		}
 	}
 	d.SetWorkers(workers)
-	parts, err := multigrid.BuildPairHierarchy(mc, m.D*m.C, opt.MinSegLen)
+	return m.solve(opt, func(parts []*lump.Partition, cfg multigrid.Config) (*multigrid.Solver, error) {
+		return multigrid.NewKron(d, fold, parts, cfg)
+	})
+}
+
+// solve is the body Solve and SolveKron share: the model's hierarchy and
+// cold schedule go to newSolver, and the converged solve becomes an
+// Analysis.
+func (m *Model) solve(opt SolveOptions, newSolver func([]*lump.Partition, multigrid.Config) (*multigrid.Solver, error)) (*Analysis, error) {
+	parts, err := m.Hierarchy(opt.MinSegLen)
 	if err != nil {
 		return nil, err
 	}
-	_, segLen := multigrid.PairLevelCount(mc, opt.MinSegLen)
-	cp, err := m.counterParts(segLen)
-	if err != nil {
-		return nil, err
-	}
-	parts = append(parts, cp...)
-	// The inner hierarchy's phase pairing starts from the mc-point segments
-	// the implicit restriction leaves.
-	solver, err := multigrid.NewKron(d, agg, parts, multigrid.ColdDefaults(opt.Multigrid, mc, opt.MinSegLen))
+	solver, err := newSolver(parts, multigrid.ColdDefaults(opt.Multigrid, m.M, opt.MinSegLen))
 	if err != nil {
 		return nil, err
 	}

@@ -45,18 +45,8 @@ func newShell(spec Spec) (*Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{
-		Spec:      spec,
-		D:         spec.numData(),
-		C:         spec.numCounter(),
-		M:         spec.gridSize(),
-		corrSteps: int(spec.CorrectionStep/spec.GridStep + 0.5),
-	}
-	if spec.WrapPhase {
-		m.mid = m.M / 2
-	} else {
-		m.mid = (m.M - 1) / 2
-	}
+	m := &Model{Spec: spec, corrSteps: int(spec.CorrectionStep/spec.GridStep + 0.5)}
+	m.D, m.C, m.M, m.mid = spec.Frame()
 	return m, nil
 }
 
@@ -83,8 +73,8 @@ func (m *Model) pdTables() (pLeadAt, pLagAt, pNullAt []float64) {
 // holding a triplet.
 func (m *Model) assemble(tr *spmat.Triplet, drift *dist.PMF, pLeadAt, pLagAt, pNullAt []float64) {
 	for d := 0; d < m.D; d++ {
-		pt := m.Spec.transProb(d)
-		dNoTrans := m.Spec.nextDataState(d, false)
+		pt := m.Spec.TransProb(d)
+		dNoTrans := m.Spec.NextDataState(d, false)
 		for c := 0; c < m.C; c++ {
 			cLead, corrLead := m.counterStep(c, +1)
 			cLag, corrLag := m.counterStep(c, -1)
@@ -145,7 +135,7 @@ func (m *Model) scatteredEntries(drift *dist.PMF, pLeadAt, pLagAt, pNullAt []flo
 	drift.Support(func(float64, int, float64) { driftNNZ++ })
 	entries := 0
 	for d := 0; d < m.D; d++ {
-		pt := m.Spec.transProb(d)
+		pt := m.Spec.TransProb(d)
 		branches := 0
 		for mi := 0; mi < m.M; mi++ {
 			if 1-pt > 0 {

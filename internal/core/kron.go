@@ -29,9 +29,9 @@ func (m *Model) BuildDescriptor() (*kron.Descriptor, error) {
 	d0 := spmat.NewTriplet(m.D, m.D) // no transition
 	d1 := spmat.NewTriplet(m.D, m.D) // transition
 	for r := 0; r < m.D; r++ {
-		pt := m.Spec.transProb(r)
+		pt := m.Spec.TransProb(r)
 		if 1-pt > 0 {
-			d0.Add(r, m.Spec.nextDataState(r, false), 1-pt)
+			d0.Add(r, m.Spec.NextDataState(r, false), 1-pt)
 		}
 		if pt > 0 {
 			d1.Add(r, 0, pt)

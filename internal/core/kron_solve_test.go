@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"cdrstoch/internal/dist"
 	"cdrstoch/internal/multigrid"
 )
 
@@ -164,5 +165,60 @@ func TestSolveKronInexactCoarseSolve(t *testing.T) {
 	}
 	if float64(visits) > 1.5*float64(cycles) {
 		t.Errorf("%d coarse visits for %d outer cycles, want at most 1.5 per cycle", visits, cycles)
+	}
+}
+
+// TestSolveKronTinyPhaseGrid covers phase grids already at or below
+// MinSegLen: Model.Hierarchy has no phase-pair level to fold, so SolveKron
+// forces one pairing of the 4-point wrap grid. At counter lengths 1 and 2
+// the hierarchy is otherwise empty (at most three counter states); at 4 it
+// has counter merges below the forced pairing. π must match the direct
+// solve.
+func TestSolveKronTinyPhaseGrid(t *testing.T) {
+	h := 0.25
+	drift, err := dist.DriftPMF(dist.DriftSpec{Step: h, Max: h, Mean: h / 8, Shape: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, counterLen := range []int{1, 2, 4} {
+		spec := Spec{
+			GridStep:          h,
+			PhaseMax:          0.5,
+			CorrectionStep:    h,
+			TransitionDensity: 0.5,
+			MaxRunLength:      2,
+			EyeJitter:         dist.NewGaussian(0, 0.1),
+			Drift:             drift,
+			CounterLen:        counterLen,
+			Threshold:         0.5,
+			WrapPhase:         true,
+		}
+		m, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := m.Hierarchy(SolveOptions{}.withDefaults().MinSegLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.M != 4 || (counterLen < 4) != (len(parts) == 0) {
+			t.Fatalf("counter %d: M = %d, %d-level hierarchy", counterLen, m.M, len(parts))
+		}
+		a, err := m.SolveKron(SolveOptions{})
+		if err != nil {
+			t.Fatalf("counter %d: %v", counterLen, err)
+		}
+		ref, err := m.SolveDirect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := 0.0
+		for i := range ref {
+			worst = max(worst, math.Abs(a.Pi[i]-ref[i]))
+		}
+		t.Logf("counter %d: %d cycles, levels %v, max |Δπ| %.2e", counterLen, a.Multigrid.Cycles, a.Multigrid.LevelSizes, worst)
+		if worst > 1e-12 {
+			t.Errorf("counter %d: π deviates from the direct solve by %.2e", counterLen, worst)
+		}
 	}
 }

@@ -98,7 +98,7 @@ func (m *Model) CorrectionActivity(pi []float64) CorrectionActivity {
 	topC := m.C - 1 // counter value +(L−1): next LEAD overflows
 	botC := 0       // counter value −(L−1): next LAG underflows
 	for d := 0; d < m.D; d++ {
-		pt := m.Spec.transProb(d)
+		pt := m.Spec.TransProb(d)
 		if pt == 0 {
 			continue
 		}

@@ -63,7 +63,7 @@ func (m *Model) AsNetwork(nw *dist.PMF) (*fsm.Network, error) {
 		Inputs:    []fsm.Port{{Name: "flip", Size: 2}},
 		OutSize:   2,
 		Next: func(r int, in []int) int {
-			return spec.nextDataState(r, dataTransition(spec, r, in[0]))
+			return spec.NextDataState(r, dataTransition(spec, r, in[0]))
 		},
 		Out: func(r int, in []int) int {
 			if dataTransition(spec, r, in[0]) {

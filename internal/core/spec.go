@@ -172,26 +172,19 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// numData returns the number of data-source FSM states (run-length
-// tracker); 1 when no run-length constraint applies.
-func (s Spec) numData() int {
-	if s.MaxRunLength <= 0 {
-		return 1
-	}
-	return s.MaxRunLength
-}
-
-// transProb returns the probability of a data transition from run-length
+// TransProb returns the probability of a data transition from run-length
 // state r (0-based count of identical bits already seen beyond the first).
-func (s Spec) transProb(r int) float64 {
+// Exported, with NextDataState and Frame, so model extensions share the
+// data source and state-space frame exactly.
+func (s Spec) TransProb(r int) float64 {
 	if s.MaxRunLength > 0 && r == s.MaxRunLength-1 {
 		return 1
 	}
 	return s.TransitionDensity
 }
 
-// nextDataState returns the data FSM successor for a given branch.
-func (s Spec) nextDataState(r int, transition bool) int {
+// NextDataState returns the data FSM successor for a given branch.
+func (s Spec) NextDataState(r int, transition bool) int {
 	if transition {
 		return 0
 	}
@@ -199,21 +192,24 @@ func (s Spec) nextDataState(r int, transition bool) int {
 		return r + 1
 	}
 	if s.MaxRunLength > 0 {
-		// Unreachable: transProb forces a transition at the cap.
+		// Unreachable: TransProb forces a transition at the cap.
 		return r
 	}
 	return 0
 }
 
-// numCounter returns the number of counter states (2L − 1).
-func (s Spec) numCounter() int { return 2*s.CounterLen - 1 }
-
-// gridSize returns the number of phase grid points M: odd and spanning
-// ±PhaseMax in the saturating model, exactly one UI in the wrap model.
-func (s Spec) gridSize() int {
+// Frame returns the product space's dimensions — d data-source
+// (run-length tracker) states, 1 when no run-length constraint applies;
+// c = 2L − 1 counter states; m phase grid points, odd and spanning
+// ±PhaseMax in the saturating model, exactly one UI in the wrap model —
+// and mid, the grid index of Φ = 0.
+func (s Spec) Frame() (d, c, m, mid int) {
+	d = max(s.MaxRunLength, 1)
+	c = 2*s.CounterLen - 1
 	if s.WrapPhase {
-		return int(math.Round(1 / s.GridStep))
+		m = int(math.Round(1 / s.GridStep))
+		return d, c, m, m / 2
 	}
 	half := int(math.Round(s.PhaseMax / s.GridStep))
-	return 2*half + 1
+	return d, c, 2*half + 1, half
 }

@@ -106,21 +106,12 @@ func Build(spec Spec) (*Model, error) {
 	base := spec.Base
 	m := &Model{
 		Spec:      spec,
-		D:         numData(base),
-		C:         2*base.CounterLen - 1,
 		Fn:        2*spec.FreqLen + 1,
 		corrSteps: int(base.CorrectionStep/base.GridStep + 0.5),
 	}
+	m.D, m.C, m.M, m.mid = base.Frame()
 	if spec.FreqLen > 0 {
 		m.freqSteps = int(spec.FreqStep/base.GridStep + 0.5)
-	}
-	if base.WrapPhase {
-		m.M = int(math.Round(1 / base.GridStep))
-		m.mid = m.M / 2
-	} else {
-		half := int(math.Round(base.PhaseMax / base.GridStep))
-		m.M = 2*half + 1
-		m.mid = half
 	}
 
 	drift := base.Drift.Trim()
@@ -129,8 +120,8 @@ func Build(spec Spec) (*Model, error) {
 	tr.Reserve(n * (drift.Len() + 3))
 
 	for d := 0; d < m.D; d++ {
-		pt := transProb(base, d)
-		dNoTrans := nextDataState(base, d, false)
+		pt := base.TransProb(d)
+		dNoTrans := base.NextDataState(d, false)
 		for c := 0; c < m.C; c++ {
 			cLead, ovLead := core.CounterAdvance(base.CounterLen, c, +1)
 			cLag, ovLag := core.CounterAdvance(base.CounterLen, c, -1)
@@ -221,14 +212,8 @@ func bfsReachable(p *spmat.CSR, start int) []int {
 		}
 	}
 	// BFS emits in discovery order; sort for a stable layout.
-	sortInts(out)
+	sort.Ints(out)
 	return out
-}
-
-func sortInts(a []int) {
-	// Insertion-free: use the standard library.
-	// (kept as a helper for clarity at call sites)
-	sort.Ints(a)
 }
 
 func (m *Model) addBranch(tr *spmat.Triplet, from, d, c, f, mi, shift int, w float64, drift *dist.PMF) {
@@ -360,30 +345,4 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// The data-source helpers mirror core's unexported logic exactly.
-
-func numData(s core.Spec) int {
-	if s.MaxRunLength <= 0 {
-		return 1
-	}
-	return s.MaxRunLength
-}
-
-func transProb(s core.Spec, r int) float64 {
-	if s.MaxRunLength > 0 && r == s.MaxRunLength-1 {
-		return 1
-	}
-	return s.TransitionDensity
-}
-
-func nextDataState(s core.Spec, r int, transition bool) int {
-	if transition {
-		return 0
-	}
-	if s.MaxRunLength > 0 && r < s.MaxRunLength-1 {
-		return r + 1
-	}
-	return 0
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"cdrstoch/internal/kron"
+	"cdrstoch/internal/lump"
+	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 	"cdrstoch/internal/spmat"
 )
@@ -51,19 +53,27 @@ func kronTestDescriptor(t *testing.T, seed int64, phase int) *kron.Descriptor {
 	return d
 }
 
+// kronTestChain returns the phase-pair partition chain of a
+// kronTestDescriptor: phase points pair within every outer segment until
+// segments reach minSegLen.
+func kronTestChain(t *testing.T, d *kron.Descriptor, phase, minSegLen int) []*lump.Partition {
+	t.Helper()
+	parts, err := BuildPairHierarchy(phase, d.Dim()/phase, minSegLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parts
+}
+
 func TestKronSolverMatchesDirect(t *testing.T) {
 	d := kronTestDescriptor(t, 21, 16)
 	ref, err := spmat.StationaryGTHCSR(d.ToCSR())
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := d.Dim() / 16
-	// Two pairings in the implicit restriction (phase 16 → 4), then the
-	// explicit hierarchy pairs down to 2.
-	parts, err := BuildPairHierarchy(4, segs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Two pairings folded into the implicit restriction (phase 16 → 4),
+	// then the explicit hierarchy pairs down to 2.
+	parts := kronTestChain(t, d, 16, 2)
 	s, err := NewKron(d, 2, parts, Config{Tol: 1e-13, Cycle: WCycle})
 	if err != nil {
 		t.Fatal(err)
@@ -91,9 +101,11 @@ func TestKronSolverEmptyPartsUsesGTH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three pairings collapse phase 8 → 1; the coarse chain (one state per
-	// outer segment pair) is solved directly.
-	s, err := NewKron(d, 3, nil, Config{Tol: 1e-13})
+	// Folding the whole chain collapses phase 8 → 1 in one restriction;
+	// the coarse chain (one state per outer segment) is the coarsest level
+	// and is solved directly.
+	parts := kronTestChain(t, d, 8, 1)
+	s, err := NewKron(d, len(parts), parts, Config{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +125,7 @@ func TestKronSolverEmptyPartsUsesGTH(t *testing.T) {
 
 func TestKronSolverWarmStart(t *testing.T) {
 	d := kronTestDescriptor(t, 23, 8)
-	s, err := NewKron(d, 2, nil, Config{Tol: 1e-13})
+	s, err := NewKron(d, 2, kronTestChain(t, d, 8, 2), Config{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +144,17 @@ func TestKronSolverWarmStart(t *testing.T) {
 
 func TestKronSolverValidation(t *testing.T) {
 	d := kronTestDescriptor(t, 24, 8)
-	if _, err := NewKron(d, 0, nil, Config{}); err == nil {
-		t.Fatal("aggLevels 0 accepted")
+	parts := kronTestChain(t, d, 8, 1)
+	if _, err := NewKron(d, 0, parts, Config{}); err == nil {
+		t.Fatal("fold 0 accepted")
 	}
-	if _, err := NewKron(d, 4, nil, Config{}); err == nil {
-		// 4 pairings of phase 8 do not coarsen past 1.
-		t.Fatal("over-deep aggregation accepted")
+	if _, err := NewKron(d, len(parts)+1, parts, Config{}); err == nil {
+		t.Fatal("fold deeper than the chain accepted")
 	}
-	s, err := NewKron(d, 1, nil, Config{})
+	if _, err := NewKron(d, 1, parts[1:], Config{}); err == nil {
+		t.Fatal("chain not covering the descriptor accepted")
+	}
+	s, err := NewKron(d, 1, parts[:1], Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +167,7 @@ func TestKronSolverCancellation(t *testing.T) {
 	d := kronTestDescriptor(t, 25, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, err := NewKron(d, 2, nil, Config{Ctx: ctx})
+	s, err := NewKron(d, 2, kronTestChain(t, d, 8, 2), Config{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +180,7 @@ func TestKronSolverCostAccounting(t *testing.T) {
 	d := kronTestDescriptor(t, 26, 8)
 	meter := cost.NewMeter()
 	ctx := cost.ContextWith(context.Background(), meter)
-	s, err := NewKron(d, 2, nil, Config{Tol: 1e-12, Ctx: ctx})
+	s, err := NewKron(d, 2, kronTestChain(t, d, 8, 2), Config{Tol: 1e-12, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +203,11 @@ func TestKronSolverCostAccounting(t *testing.T) {
 
 // TestKronSolverLevelStatsAlign checks that LevelStats and the meter's
 // level report line up with LevelSizes: index 0 is the implicit fine
-// level, the rest accumulate the inner hierarchy's visits across the
-// inner solves of one outer solve.
+// level, index 1 the explicit level its folded restriction produces, the
+// rest the explicit levels below.
 func TestKronSolverLevelStatsAlign(t *testing.T) {
 	d := kronTestDescriptor(t, 27, 16)
-	parts, err := BuildPairHierarchy(4, d.Dim()/16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := kronTestChain(t, d, 16, 1)
 	meter := cost.NewMeter()
 	ctx := cost.ContextWith(context.Background(), meter)
 	s, err := NewKron(d, 2, parts, Config{Tol: 1e-12, Cycle: WCycle, Ctx: ctx})
@@ -206,7 +218,8 @@ func TestKronSolverLevelStatsAlign(t *testing.T) {
 	if err != nil || !res.Converged {
 		t.Fatalf("solve failed: %v %v", err, res)
 	}
-	if len(res.LevelStats) != len(res.LevelSizes) || len(res.LevelSizes) != len(parts)+2 {
+	// Two partitions fold into level 0's restriction onto level 1.
+	if len(res.LevelStats) != len(res.LevelSizes) || len(res.LevelSizes) != len(parts) {
 		t.Fatalf("%d level stats for level sizes %v", len(res.LevelStats), res.LevelSizes)
 	}
 	for k, ls := range res.LevelStats {
@@ -217,10 +230,10 @@ func TestKronSolverLevelStatsAlign(t *testing.T) {
 	if res.LevelStats[0].Visits != res.Cycles || res.LevelStats[0].Size != d.Dim() {
 		t.Errorf("fine level %+v after %d cycles", res.LevelStats[0], res.Cycles)
 	}
-	// Every outer cycle runs at least one inner cycle — exactly one on the
-	// first, then as many as bring the coarse residual within a tenth of
-	// the previous fine residual — and the classic inner W-cycle doubles
-	// each level's visits relative to its parent.
+	// Every cycle enters level 1 at least once — exactly once on the first,
+	// then as often as brings the coarse residual within a tenth of the
+	// previous fine residual — and the classic W-cycle doubles each
+	// explicit level's visits relative to its parent.
 	if res.LevelStats[1].Visits < res.Cycles {
 		t.Errorf("coarse visits %d < outer cycles %d", res.LevelStats[1].Visits, res.Cycles)
 	}
@@ -240,23 +253,87 @@ func TestKronSolverLevelStatsAlign(t *testing.T) {
 	}
 }
 
-// TestKronSolverOneCycleOneInnerVisit checks the coarse-solve schedule's
-// start: with no fine residual measured yet, the first outer cycle runs
-// exactly one inner cycle however tight the tolerance, so a one-cycle
-// solve enters the coarse level once (solving the coarse chain to a
-// 1e−300 tolerance would run the inner cap of 30 cycles).
-func TestKronSolverOneCycleOneInnerVisit(t *testing.T) {
-	d := kronTestDescriptor(t, 29, 16)
-	parts, err := BuildPairHierarchy(4, d.Dim()/16, 1)
+// walkFactor is a reflecting random walk on n points, stepping left with
+// probability left and right with probability right.
+func walkFactor(n int, left, right float64) *spmat.CSR {
+	tr := spmat.NewTriplet(n, n)
+	for i := 0; i < n; i++ {
+		tr.Add(i, max(i-1, 0), left)
+		tr.Add(i, min(i+1, n-1), right)
+		tr.Add(i, i, 1-left-right)
+	}
+	return tr.ToCSR()
+}
+
+// TestTraceLevelEventsMatchVisits checks that a traced solve reports every
+// level visit, on both backends: per level, the "level" events a collector
+// records equal LevelStats[k].Visits, and each carries the level's size.
+// The phase mode is a slowly mixing walk, so the implicit level enters
+// level 1 several times in most cycles.
+func TestTraceLevelEventsMatchVisits(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	d, err := kron.NewDescriptor([]kron.Term{
+		{Coeff: 0.5, Factors: []*spmat.CSR{randomStochasticFactor(2, rng), randomStochasticFactor(3, rng), walkFactor(16, 0.3, 0.2)}},
+		{Coeff: 0.5, Factors: []*spmat.CSR{randomStochasticFactor(2, rng), randomStochasticFactor(3, rng), walkFactor(16, 0.2, 0.35)}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	parts := kronTestChain(t, d, 16, 1)
+	cfg := Config{Tol: 1e-12, Cycle: WCycle, PairLevels: 3}
+	backends := []struct {
+		name string
+		make func(cfg Config) (*Solver, error)
+	}{
+		{"explicit", func(cfg Config) (*Solver, error) { return New(d.ToCSR(), parts, cfg) }},
+		{"kron", func(cfg Config) (*Solver, error) { return NewKron(d, 2, parts, cfg) }},
+	}
+	for _, b := range backends {
+		col := obs.NewCollector(nil)
+		cfg.Trace = col
+		s, err := b.make(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Solve(nil)
+		if err != nil || !res.Converged {
+			t.Fatalf("%s: solve failed: %v %v", b.name, err, res)
+		}
+		events := make([]int, len(res.LevelStats))
+		for _, e := range col.Events() {
+			if e.Kind != "level" {
+				continue
+			}
+			if e.Level < 0 || e.Level >= len(events) || e.Size != res.LevelSizes[e.Level] {
+				t.Fatalf("%s: level event %+v for level sizes %v", b.name, e, res.LevelSizes)
+			}
+			events[e.Level]++
+		}
+		if b.name == "kron" && res.LevelStats[1].Visits <= res.Cycles {
+			t.Errorf("kron: %d level-1 visits in %d cycles, want repeated coarse solves", res.LevelStats[1].Visits, res.Cycles)
+		}
+		for k, ls := range res.LevelStats {
+			if events[k] != ls.Visits {
+				t.Errorf("%s: level %d: %d level events, %d visits", b.name, k, events[k], ls.Visits)
+			}
+		}
+	}
+}
+
+// TestKronSolverOneCycleOneInnerVisit checks the coarse-solve schedule's
+// start: with no fine residual measured yet, the first cycle enters level 1
+// exactly once however tight the tolerance, so a one-cycle solve visits
+// the coarse level once (solving the coarse chain to a 1e−300 tolerance
+// would run the cap of 30 level-1 cycles).
+func TestKronSolverOneCycleOneInnerVisit(t *testing.T) {
+	d := kronTestDescriptor(t, 29, 16)
+	parts := kronTestChain(t, d, 16, 1)
 	s, err := NewKron(d, 2, parts, Config{Tol: 1e-300, Cycle: WCycle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Limit the outer solve after construction: the inner hierarchy keeps
-	// its cap of 30 cycles rather than inheriting MaxCycles 1.
+	// Limit the solve after construction: the coarse solve keeps its cap of
+	// 30 level-1 cycles rather than inheriting MaxCycles 1.
 	s.cfg.MaxCycles = 1
 	res, err := s.Solve(nil)
 	if err != nil {
@@ -266,19 +343,17 @@ func TestKronSolverOneCycleOneInnerVisit(t *testing.T) {
 		t.Fatalf("one-cycle solve: %v", res)
 	}
 	if v := res.LevelStats[1].Visits; v != 1 {
-		t.Errorf("coarse level visited %d times in one outer cycle, want 1", v)
+		t.Errorf("coarse level visited %d times in one cycle, want 1", v)
 	}
 }
 
-// TestKronSolverAllocsDoNotScaleWithCycles pins the claim that KronSolver
-// cycles allocate nothing: a solve's allocations (result vectors, level
-// reports) may not grow with its cycle count, coarse solves included.
+// TestKronSolverAllocsDoNotScaleWithCycles pins the claim that cycles over
+// an implicit level allocate nothing: a solve's allocations (result
+// vectors, level reports) may not grow with its cycle count, coarse solves
+// included.
 func TestKronSolverAllocsDoNotScaleWithCycles(t *testing.T) {
 	d := kronTestDescriptor(t, 30, 16)
-	parts, err := BuildPairHierarchy(4, d.Dim()/16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := kronTestChain(t, d, 16, 1)
 	s, err := NewKron(d, 2, parts, Config{Tol: 1e-300, Cycle: WCycle, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -298,25 +373,39 @@ func TestKronSolverAllocsDoNotScaleWithCycles(t *testing.T) {
 	}
 }
 
-// TestKronSolverFallbackAllocFree checks that the power-sweep fallback
-// behind a failed coarse GTH reuses the solver's buffer: the fallback
-// allocates nothing beyond the GTH error itself.
-func TestKronSolverFallbackAllocFree(t *testing.T) {
+// TestCoarsestFallbackAllocFree checks the coarsest solve's fallback:
+// when GTH fails on a reducible coarse chain, the Gauss–Seidel sweeps that
+// replace it allocate nothing, so the fallback allocates only the GTH
+// error.
+func TestCoarsestFallbackAllocFree(t *testing.T) {
 	d := kronTestDescriptor(t, 28, 8)
-	s, err := NewKron(d, 2, nil, Config{CoarsestMaxIter: 5})
+	parts := kronTestChain(t, d, 8, 2)
+	s, err := NewKron(d, len(parts), parts, Config{CoarsestMaxIter: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	lv := s.levels[len(s.levels)-1]
 	// A zero coarse matrix is reducible in every state, so GTH fails.
-	clear(s.pc.RawValues())
-	for i := range s.xcNew {
-		s.xcNew[i] = 1 / float64(len(s.xcNew))
+	clear(lv.p.RawValues())
+	lv.p.RefreshTranspose(lv.pt, lv.perm)
+	x := make([]float64, lv.size)
+	for i := range x {
+		x[i] = 1 / float64(len(x))
 	}
-	if _, err := s.gth.StationaryCSR(s.pc); err == nil {
+	if _, err := s.gth.StationaryCSR(lv.p); err == nil {
 		t.Fatal("GTH solved a zero chain")
 	}
-	gthAllocs := testing.AllocsPerRun(20, func() { s.gth.StationaryCSR(s.pc) })
-	if allocs := testing.AllocsPerRun(20, s.directSolve); allocs > gthAllocs {
+	sweeps := func() { s.gaussSeidel(lv.pt, x, s.cfg.CoarsestMaxIter) }
+	if allocs := testing.AllocsPerRun(20, sweeps); allocs != 0 {
+		t.Fatalf("fallback sweeps allocate %v per call", allocs)
+	}
+	if raceEnabled {
+		// The GTH error's fmt.Errorf draws its printer from a sync.Pool,
+		// which race builds make drop Puts at random: its count varies.
+		return
+	}
+	gthAllocs := testing.AllocsPerRun(20, func() { s.gth.StationaryCSR(lv.p) })
+	if allocs := testing.AllocsPerRun(20, func() { s.coarsestSolve(lv, x) }); allocs > gthAllocs {
 		t.Fatalf("fallback allocates %v per call, GTH error alone %v", allocs, gthAllocs)
 	}
 }

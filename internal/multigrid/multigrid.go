@@ -11,6 +11,10 @@
 // discretized phase-error values within every (data state, filter state)
 // segment, so coarse problems "resemble the original problem but with
 // coarser phase error discretization".
+//
+// The finest level is either an explicit CSR matrix (New) or a Kronecker
+// descriptor that is never materialized (NewKron); every coarser level is
+// explicit, and both backends share one solver, cycle and coarsest solve.
 package multigrid
 
 import (
@@ -66,9 +70,11 @@ type Config struct {
 	// BuildPairHierarchy returns, ahead of any model-specific levels
 	// appended below them. Levels from PairLevels down recurse once, so a
 	// W-cycle visits level j 2^min(j,PairLevels) times. Zero (the default)
-	// keeps the classic W-cycle on every level; VCycle ignores it. For a
-	// KronSolver it counts the leading partitions of the inner explicit
-	// hierarchy.
+	// keeps the classic W-cycle on every level; VCycle ignores it. It
+	// counts partitions of the full chain passed to New or NewKron: on a
+	// NewKron solver, whose implicit level 0 folds the leading partitions
+	// and enters level 1 by its own rule, an explicit level doubles when
+	// the partition below it is among the first PairLevels.
 	PairLevels int
 	// CoarsestMaxIter bounds the fallback iterative solve when the direct
 	// coarsest solve fails (e.g. the weighted coarse chain is reducible).
@@ -104,6 +110,7 @@ type Config struct {
 	// with a refresh permutation instead of sharing the matrix's lazily
 	// cached one, and the per-cycle residual gathers over that owned
 	// transpose. A one-shot solver leaves this false and shares the cache.
+	// NewKron ignores it: an implicit level has no values to refresh.
 	Refreshable bool
 }
 
@@ -205,33 +212,41 @@ func (r Result) String() string {
 
 // mgLevel is the per-level workspace of the hierarchy: the level's matrix,
 // its transpose (refreshed in place on coarse levels, whose values change
-// every cycle), the lumping plan down to the next level, and the coarse
-// iterate buffer. Everything is allocated once in New so the cycles run
-// allocation-free.
+// every cycle), the restriction down to the next level, and the coarse
+// iterate buffer. Everything is allocated at construction so the cycles
+// run allocation-free. A NewKron solver's level 0 has no matrix: imp
+// smooths, restricts and prolongs through the Kronecker descriptor.
 type mgLevel struct {
-	p    *spmat.CSR // level matrix; level 0 is the caller's, others are plan-owned
-	pt   *spmat.CSR // transpose of p, used by the Gauss–Seidel smoother
-	perm []int      // p→pt value permutation for in-place refresh; nil at level 0
-	plan *lump.Plan // lumping onto the next level; nil at the coarsest
-	xc   []float64  // coarse iterate buffer; nil at the coarsest
+	size  int             // state count
+	p     *spmat.CSR      // level matrix; level 0 is the caller's, others are plan-owned
+	pt    *spmat.CSR      // transpose of p, used by the Gauss–Seidel smoother
+	perm  []int           // p→pt value permutation for in-place refresh; nil for a shared transpose
+	part  *lump.Partition // restriction onto the next level; nil at the coarsest and on imp
+	chain int             // index of part in the caller's partition chain
+	plan  *lump.Plan      // lumping onto the next level; nil at the coarsest and on imp
+	xc    []float64       // coarse iterate buffer; nil at the coarsest
+	imp   *implicitLevel  // descriptor-backed level 0 (NewKron); nil on explicit levels
 }
 
-// Solver is a configured multilevel hierarchy for one transition matrix.
+// Solver is a configured multilevel hierarchy for one transition chain,
+// held as a CSR matrix (New) or as a Kronecker descriptor (NewKron).
 type Solver struct {
-	p        *spmat.CSR
-	parts    []*lump.Partition
 	cfg      Config
 	levels   []*mgLevel
 	gth      spmat.GTHWorkspace
 	pool     *spmat.Pool
-	curCycle int // cycle number stamped on level-visit trace events
+	y        []float64 // fine product buffer: residuals and implicit sweeps
+	curCycle int       // cycle number stamped on level-visit trace events
+	// fineRes is the fine residual of the previous cycle (+Inf before the
+	// first); it sets how far an implicit level 0 solves level 1.
+	fineRes float64
 
 	// rawTrace is the caller's tracer before trace-identity stamping, kept
 	// so SetSolveContext can restamp per-solve contexts on a reused solver.
 	rawTrace obs.Tracer
 
-	// Per-level work attribution, preallocated in New and reset per
-	// Solve so the cycles stay allocation-free.
+	// Per-level work attribution, preallocated at construction and reset
+	// per Solve so the cycles stay allocation-free.
 	levelVisits []int
 	levelWorkNS []int64
 
@@ -255,6 +270,27 @@ func New(p *spmat.CSR, parts []*lump.Partition, cfg Config) (*Solver, error) {
 	if n != m {
 		return nil, errors.New("multigrid: TPM must be square")
 	}
+	s, err := newSolver(n, parts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	fine := &mgLevel{size: n, p: p}
+	if s.cfg.Refreshable {
+		fine.pt, fine.perm = p.TransposeWithPerm()
+	} else {
+		// The finest matrix's values never change; share the chain-owned
+		// cached transpose.
+		fine.pt = p.T()
+	}
+	if err := s.stack(fine, parts, 0); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newSolver validates a partition chain over n fine states and returns a
+// solver with its defaults, worker pool and fine buffer, but no levels.
+func newSolver(n int, parts []*lump.Partition, cfg Config) (*Solver, error) {
 	if cfg.PairLevels < 0 {
 		return nil, fmt.Errorf("multigrid: negative PairLevels %d", cfg.PairLevels)
 	}
@@ -270,60 +306,76 @@ func New(p *spmat.CSR, parts []*lump.Partition, cfg Config) (*Solver, error) {
 		}
 		size = part.NumBlocks()
 	}
-	rawTrace := cfg.Trace
-	cfg = cfg.withDefaults()
-	s := &Solver{p: p, parts: parts, cfg: cfg, pool: cfg.Pool, rawTrace: rawTrace}
+	s := &Solver{cfg: cfg.withDefaults(), pool: cfg.Pool, rawTrace: cfg.Trace, y: make([]float64, n)}
 	if s.pool == nil {
 		s.pool = spmat.NewPool(cfg.Workers)
 	}
-	cur := p
-	s.levels = make([]*mgLevel, len(parts)+1)
-	for k := range s.levels {
-		lv := &mgLevel{p: cur}
-		if k == 0 && !cfg.Refreshable {
-			// The finest matrix's values never change; share the chain-owned
-			// cached transpose.
-			lv.pt = cur.T()
-		} else {
-			lv.pt, lv.perm = cur.TransposeWithPerm()
+	return s, nil
+}
+
+// stack appends lv and, below it, one explicit level per partition from
+// parts[first] on: each level's plan lumps it onto the next, whose
+// transpose is solver-owned because its values change every cycle.
+func (s *Solver) stack(lv *mgLevel, parts []*lump.Partition, first int) error {
+	for k := first; ; k++ {
+		s.levels = append(s.levels, lv)
+		if k == len(parts) {
+			break
 		}
-		if k < len(parts) {
-			plan, err := lump.NewPlan(cur, parts[k])
-			if err != nil {
-				return nil, fmt.Errorf("multigrid: level %d: %w", k, err)
-			}
-			lv.plan = plan
-			lv.xc = make([]float64, parts[k].NumBlocks())
-			cur = plan.Coarse()
+		plan, err := lump.NewPlan(lv.p, parts[k])
+		if err != nil {
+			return fmt.Errorf("multigrid: level %d: %w", len(s.levels)-1, err)
 		}
-		s.levels[k] = lv
+		lv.part, lv.chain, lv.plan = parts[k], k, plan
+		lv.xc = make([]float64, parts[k].NumBlocks())
+		lv = &mgLevel{size: parts[k].NumBlocks(), p: plan.Coarse()}
+		lv.pt, lv.perm = lv.p.TransposeWithPerm()
 	}
 	s.levelVisits = make([]int, len(s.levels))
 	s.levelWorkNS = make([]int64, len(s.levels))
-	return s, nil
+	return nil
 }
 
 // LevelSizes returns the state count of every level, finest first.
 func (s *Solver) LevelSizes() []int {
-	sizes := []int{dimOf(s.p)}
-	for _, part := range s.parts {
-		sizes = append(sizes, part.NumBlocks())
+	sizes := make([]int, len(s.levels))
+	for k, lv := range s.levels {
+		sizes[k] = lv.size
 	}
 	return sizes
 }
 
-func dimOf(p *spmat.CSR) int {
-	n, _ := p.Dims()
-	return n
+// normalize rescales x to unit mass (left as is when it has none).
+func normalize(x []float64) {
+	norm := 0.0
+	for _, v := range x {
+		norm += v
+	}
+	if norm > 0 {
+		inv := 1 / norm
+		for i := range x {
+			x[i] *= inv
+		}
+	}
 }
 
-// smooth performs steps relaxed Gauss–Seidel sweeps on (I − Pᵀ)x = 0,
+// smooth runs the level's smoother: Gauss–Seidel on an explicit level,
+// weighted Jacobi through shuffle products on an implicit one.
+func (s *Solver) smooth(lv *mgLevel, x []float64, steps int) {
+	if lv.imp != nil {
+		lv.imp.smooth(s.pool, s.y, x, steps, s.cfg.Damping)
+		return
+	}
+	s.gaussSeidel(lv.pt, x, steps)
+}
+
+// gaussSeidel performs steps relaxed Gauss–Seidel sweeps on (I − Pᵀ)x = 0,
 // x_i ← (1−ω)x_i + ω·Σ_{j≠i} P_ji x_j / (1 − P_ii), keeping x normalized.
 // Gauss–Seidel damps the within-aggregate (high-frequency) error far more
 // effectively than power iteration, which is what the aggregation cycle
 // relies on: the coarse correction fixes block masses, the smoother fixes
 // the shape inside blocks. pt is Pᵀ in CSR form.
-func (s *Solver) smooth(pt *spmat.CSR, x []float64, steps int) {
+func (s *Solver) gaussSeidel(pt *spmat.CSR, x []float64, steps int) {
 	omega := s.cfg.Damping
 	n := len(x)
 	for t := 0; t < steps; t++ {
@@ -343,16 +395,7 @@ func (s *Solver) smooth(pt *spmat.CSR, x []float64, steps int) {
 			gs := sum / (1 - diag)
 			x[i] = (1-omega)*x[i] + omega*gs
 		}
-		norm := 0.0
-		for _, v := range x {
-			norm += v
-		}
-		if norm > 0 {
-			inv := 1 / norm
-			for i := range x {
-				x[i] *= inv
-			}
-		}
+		normalize(x)
 	}
 }
 
@@ -366,7 +409,7 @@ func (s *Solver) coarsestSolve(lv *mgLevel, x []float64) []float64 {
 		copy(x, pi)
 		return x
 	}
-	s.smooth(lv.pt, x, s.cfg.CoarsestMaxIter)
+	s.gaussSeidel(lv.pt, x, s.cfg.CoarsestMaxIter)
 	return x
 }
 
@@ -375,39 +418,46 @@ func (s *Solver) coarsestSolve(lv *mgLevel, x []float64) []float64 {
 // vectors — live in the per-level workspaces; a cycle allocates nothing.
 func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 	lv := s.levels[level]
-	obs.LevelEvent(s.cfg.Trace, "multigrid", s.curCycle, level, dimOf(lv.p))
+	obs.LevelEvent(s.cfg.Trace, "multigrid", s.curCycle, level, lv.size)
 	s.levelVisits[level]++
-	if level == len(s.parts) {
-		start := time.Now()
+	start := time.Now()
+	if level == len(s.levels)-1 {
 		x = s.coarsestSolve(lv, x)
 		s.levelWorkNS[level] += time.Since(start).Nanoseconds()
 		return x, nil
 	}
-	start := time.Now()
-	s.smooth(lv.pt, x, s.cfg.PreSmooth)
+	s.smooth(lv, x, s.cfg.PreSmooth)
 	s.levelWorkNS[level] += time.Since(start).Nanoseconds()
 
-	if err := lv.plan.Update(x); err != nil {
-		return nil, fmt.Errorf("multigrid: level %d: %w", level, err)
-	}
+	// Restrict (rewriting the next level's values), correct, prolong.
 	next := s.levels[level+1]
-	next.p.RefreshTranspose(next.pt, next.perm)
-	part := s.parts[level]
-	xc := part.Restrict(lv.xc, x)
-	visits := 1
-	if s.cfg.Cycle == WCycle && (s.cfg.PairLevels == 0 || level < s.cfg.PairLevels) {
-		visits = 2
-	}
-	var err error
-	for v := 0; v < visits; v++ {
-		xc, err = s.cycle(level+1, xc)
-		if err != nil {
+	if im := lv.imp; im != nil {
+		im.restrict(x, next.p, lv.xc)
+		next.p.RefreshTranspose(next.pt, next.perm)
+		if err := s.solveCoarse(im, lv.xc); err != nil {
 			return nil, err
 		}
+		im.prolong(x, lv.xc)
+	} else {
+		if err := lv.plan.Update(x); err != nil {
+			return nil, fmt.Errorf("multigrid: level %d: %w", level, err)
+		}
+		next.p.RefreshTranspose(next.pt, next.perm)
+		xc := lv.part.Restrict(lv.xc, x)
+		visits := 1
+		if s.cfg.Cycle == WCycle && (s.cfg.PairLevels == 0 || lv.chain < s.cfg.PairLevels) {
+			visits = 2
+		}
+		for v := 0; v < visits; v++ {
+			// cycle works in place: it returns the slice it was given.
+			if _, err := s.cycle(level+1, xc); err != nil {
+				return nil, err
+			}
+		}
+		lv.part.Prolong(x, xc, lv.plan.Weights())
 	}
-	x = part.Prolong(x, xc, lv.plan.Weights())
 	start = time.Now()
-	s.smooth(lv.pt, x, s.cfg.PostSmooth)
+	s.smooth(lv, x, s.cfg.PostSmooth)
 	s.levelWorkNS[level] += time.Since(start).Nanoseconds()
 	return x, nil
 }
@@ -432,16 +482,20 @@ func levelCosts(stats []LevelStat) []cost.LevelCost {
 }
 
 // workspaceBytes estimates the hierarchy's heap footprint beyond the
-// caller's finest matrix: coarse matrices, transposes, and iterate
-// buffers.
+// caller's finest matrix or descriptor: coarse matrices, transposes,
+// iterate buffers and the implicit level's vectors.
 func (s *Solver) workspaceBytes() int64 {
-	var b int64
+	b := int64(len(s.y)) * 8
 	for k, lv := range s.levels {
 		if k > 0 {
 			b += lv.p.MemoryBytes()
 		}
-		b += lv.pt.MemoryBytes()
-		b += int64(len(lv.perm))*8 + int64(len(lv.xc))*8
+		if lv.imp != nil {
+			b += lv.imp.workspaceBytes()
+		} else {
+			b += lv.pt.MemoryBytes()
+		}
+		b += int64(len(lv.perm)+len(lv.xc)) * 8
 	}
 	return b
 }
@@ -449,7 +503,7 @@ func (s *Solver) workspaceBytes() int64 {
 // Solve runs multilevel cycles from x0 (uniform when nil) until the
 // residual criterion is met or MaxCycles is exhausted.
 func (s *Solver) Solve(x0 []float64) (Result, error) {
-	n := dimOf(s.p)
+	n := s.levels[0].size
 	x := make([]float64, n)
 	if x0 == nil {
 		for i := range x {
@@ -479,16 +533,14 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 		LevelSizes:      s.LevelSizes(),
 		ResidualHistory: make([]float64, 0, s.cfg.MaxCycles),
 	}
-	y := make([]float64, n)
 	var err error
 	endSpan := obs.StartSpan(s.cfg.Trace, "multigrid")
 	defer endSpan()
 	// Cost accounting: one meter lookup per solve, never per cycle. The
 	// deferred attribution also covers the error returns, so a canceled
 	// or faulted solve still reports the work it did.
-	for k := range s.levels {
-		s.levelVisits[k], s.levelWorkNS[k] = 0, 0
-	}
+	clear(s.levelVisits)
+	clear(s.levelWorkNS)
 	meter := cost.FromContext(s.cfg.Ctx)
 	if meter != nil {
 		stats0 := s.pool.Stats()
@@ -501,6 +553,7 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 			meter.SampleGoroutines()
 		}()
 	}
+	s.fineRes = math.Inf(1)
 	for c := 1; c <= s.cfg.MaxCycles; c++ {
 		if s.cfg.Ctx != nil {
 			if cerr := s.cfg.Ctx.Err(); cerr != nil {
@@ -517,14 +570,12 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		// Gather over the level-0 transpose: in the default mode that is the
-		// matrix's shared cache (same object VecMul would use), in
-		// refreshable mode the solver-owned, value-current copy.
-		s.pool.VecMulT(s.p, s.levels[0].pt, y, x)
+		s.fineProduct(s.y, x)
 		r := 0.0
 		for i := range x {
-			r += math.Abs(y[i] - x[i])
+			r += math.Abs(s.y[i] - x[i])
 		}
+		s.fineRes = r
 		res.Cycles = c
 		res.Residual = r
 		res.ResidualHistory = append(res.ResidualHistory, r)
@@ -550,15 +601,28 @@ func (s *Solver) RefreshFine(src *spmat.CSR) error {
 	if !s.cfg.Refreshable {
 		return errors.New("multigrid: RefreshFine on a non-refreshable solver")
 	}
-	dst := s.p.RawValues()
+	lv := s.levels[0]
+	dst := lv.p.RawValues()
 	vals := src.RawValues()
 	if len(vals) != len(dst) {
 		return fmt.Errorf("multigrid: RefreshFine value count %d, want %d", len(vals), len(dst))
 	}
 	copy(dst, vals)
-	lv := s.levels[0]
-	s.p.RefreshTranspose(lv.pt, lv.perm)
+	lv.p.RefreshTranspose(lv.pt, lv.perm)
 	return nil
+}
+
+// fineProduct sets y = x·P on the finest level: a gather over the level-0
+// transpose (the matrix's shared cache, or in refreshable mode the
+// solver-owned, value-current copy), or one shuffle product on an
+// implicit level.
+func (s *Solver) fineProduct(y, x []float64) {
+	lv := s.levels[0]
+	if lv.imp != nil {
+		lv.imp.mul(s.pool, y, x)
+		return
+	}
+	s.pool.VecMulT(lv.p, lv.pt, y, x)
 }
 
 // SetCycle switches the recursion pattern for subsequent Solve calls. The
@@ -581,14 +645,13 @@ func (s *Solver) SetSolveContext(ctx context.Context) {
 // transpose) — the sweep engine's seed selection: score the previous
 // point's solution, an extrapolation, and the uniform vector together,
 // then warm-start from the best. Candidates must be normalized
-// distributions of the fine dimension.
+// distributions of the fine dimension; the solver must be explicit (New).
 func (s *Solver) Residuals(xs [][]float64) []float64 {
 	if len(xs) == 0 {
 		return nil
 	}
-	n := dimOf(s.p)
 	for len(s.resBufs) < len(xs) {
-		s.resBufs = append(s.resBufs, make([]float64, n))
+		s.resBufs = append(s.resBufs, make([]float64, len(s.y)))
 	}
 	ys := s.resBufs[:len(xs)]
 	s.pool.MulVecs(s.levels[0].pt, ys, xs)

@@ -94,6 +94,38 @@ func TestWCyclePairLevelsVisitCounts(t *testing.T) {
 	}
 }
 
+// TestKronPairLevelsCountFullChain checks that PairLevels counts
+// partitions of the full chain on a NewKron solver too: its level 0 folds
+// the first fold partitions, so explicit level j ≥ 1 restricts with
+// partition fold+j−1 and doubles its coarse visits exactly when that index
+// is below PairLevels.
+func TestKronPairLevelsCountFullChain(t *testing.T) {
+	d := kronTestDescriptor(t, 32, 16)
+	parts, pairLevels := pairThenMergeHierarchy(t, 16, d.Dim()/16)
+	const fold = 2
+	for _, k := range []int{1, fold, pairLevels, len(parts)} {
+		s, err := NewKron(d, fold, parts, Config{Tol: 1e-12, Cycle: WCycle, PairLevels: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Solve(nil)
+		if err != nil || !res.Converged {
+			t.Fatalf("k=%d: solve failed: %v %v", k, err, res)
+		}
+		stats := res.LevelStats
+		for j := 1; j+1 < len(stats); j++ {
+			want := stats[j].Visits
+			if fold+j-1 < k {
+				want *= 2
+			}
+			if stats[j+1].Visits != want {
+				t.Errorf("k=%d: level %d visits = %d after %d at level %d, want %d",
+					k, j+1, stats[j+1].Visits, stats[j].Visits, j, want)
+			}
+		}
+	}
+}
+
 // TestVCycleIgnoresPairLevels checks that PairLevels only shapes W-cycles.
 func TestVCycleIgnoresPairLevels(t *testing.T) {
 	p := segmentedWalk(16, 8, 0.02)

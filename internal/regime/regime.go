@@ -116,22 +116,9 @@ func Build(spec Spec) (*Model, error) {
 	m := &Model{
 		Spec:      spec,
 		R:         len(spec.Regimes),
-		C:         2*base.CounterLen - 1,
 		corrSteps: int(base.CorrectionStep/base.GridStep + 0.5),
 	}
-	if base.MaxRunLength <= 0 {
-		m.D = 1
-	} else {
-		m.D = base.MaxRunLength
-	}
-	if base.WrapPhase {
-		m.M = int(math.Round(1 / base.GridStep))
-		m.mid = m.M / 2
-	} else {
-		half := int(math.Round(base.PhaseMax / base.GridStep))
-		m.M = 2*half + 1
-		m.mid = half
-	}
+	m.D, m.C, m.M, m.mid = base.Frame()
 
 	n := m.NumStates()
 	tr := spmat.NewTriplet(n, n)
@@ -141,8 +128,8 @@ func Build(spec Spec) (*Model, error) {
 		regimeSpec := base
 		regimeSpec.EyeJitter = reg.EyeJitter
 		for d := 0; d < m.D; d++ {
-			pt := transProb(base, d)
-			dNoTrans := nextDataState(base, d)
+			pt := base.TransProb(d)
+			dNoTrans := base.NextDataState(d, false)
 			for c := 0; c < m.C; c++ {
 				cLead, ovLead := core.CounterAdvance(base.CounterLen, c, +1)
 				cLag, ovLag := core.CounterAdvance(base.CounterLen, c, -1)
@@ -345,17 +332,3 @@ func (m *Model) SolveDirect() ([]float64, error) {
 
 // Chain wraps the TPM for structural queries.
 func (m *Model) Chain() (*markov.Chain, error) { return markov.New(m.P) }
-
-func transProb(s core.Spec, r int) float64 {
-	if s.MaxRunLength > 0 && r == s.MaxRunLength-1 {
-		return 1
-	}
-	return s.TransitionDensity
-}
-
-func nextDataState(s core.Spec, r int) int {
-	if s.MaxRunLength > 0 && r < s.MaxRunLength-1 {
-		return r + 1
-	}
-	return 0
-}
