@@ -85,13 +85,16 @@ echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # materialized matrix (including the parallel split) and, bit for bit,
 # against the full-slab evaluation their support restriction replaces,
 # the operator-backed markov solvers, the implicit-fine-level multigrid
-# (including its trace, level for level, against the explicit one), the
+# (including its trace, level for level, against the explicit one, and
+# its segment smoother and restriction against point Gauss–Seidel on the
+# materialized matrix and the row-by-row restriction they replaced), the
 # core analysis, the FSM synchronous product, and the HTTP backend
 # selector end to end.
 run_tests 'TestParallelShuffleMatchesSerial|TestShuffleMatchesFullSlab|TestStructuralSurfaceMatchesMaterialized|TestDescriptorMatchesFSMProduct|TestUnconvergedSentinelCrossesLayers' \
     -race -count=1 ./internal/kron
 run_tests 'TestOperatorChain' -race -count=1 ./internal/markov
-run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits' -race -count=1 ./internal/multigrid
+run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits|TestSegmentSweepMatchesPointGaussSeidel|TestSegmentRestrictMatchesRowIter' \
+    -race -count=1 ./internal/multigrid
 run_tests 'TestSolveKron|TestBuildShell' -race -count=1 ./internal/core
 run_tests 'TestAnalyzeKronBackendParity|TestBackendValidation' -race -count=1 ./internal/serve
 
@@ -128,15 +131,23 @@ CDR_FAULTS_SEED=1 run_tests 'TestJobEventsSSE|TestWatchdogStallInjection|TestDeb
     -race -count=1 ./internal/serve
 
 echo "== bench compare (optional; needs two committed BENCH_*.json) =="
-# Diff the two newest committed benchmark snapshots. With fewer than two
-# snapshots there is nothing to compare, so the stage skips cleanly —
-# fresh clones and the first benchmarked commit must not fail CI. The
-# generous time threshold (50%) absorbs machine-to-machine noise; tighten
-# it locally when hunting a specific regression. Allocation metrics are
-# exact counts, so they gate tighter: 25% growth in allocs/op or B/op
-# fails — that is what catches an instrumented hot loop that silently
-# started allocating.
-set -- $(ls -t BENCH_*.json 2>/dev/null || true)
+# Diff the two newest committed benchmark snapshots, newest by the commit
+# that added them: git log lists the most recent addition first. (File
+# mtimes cannot order them: a fresh clone gives every file the same one.)
+# With fewer than two snapshots there is nothing to compare, so the stage
+# skips cleanly — the first benchmarked commit and a tree without git
+# history must not fail CI. The generous time threshold (50%) absorbs
+# machine-to-machine noise; tighten it locally when hunting a specific
+# regression. Allocation metrics are exact counts, so they gate tighter:
+# 25% growth in allocs/op or B/op fails — that is what catches an
+# instrumented hot loop that silently started allocating.
+snapshots=
+for f in $(git log --diff-filter=A --format= --name-only -- 'BENCH_*.json' 2>/dev/null || true); do
+    if [ -f "$f" ]; then
+        snapshots="$snapshots $f"
+    fi
+done
+set -- $snapshots
 if [ "$#" -ge 2 ]; then
     new="$1"
     old="$2"

@@ -17,6 +17,7 @@ package kron
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cdrstoch/internal/spmat"
@@ -197,6 +198,14 @@ func (d *Descriptor) Sizes() []int {
 
 // NumTerms returns the number of Kronecker terms.
 func (d *Descriptor) NumTerms() int { return len(d.terms) }
+
+// Term returns term i: its coefficient and its factors, outermost first.
+// The factor slice is a copy, but the matrices are the descriptor's own
+// and must not be modified.
+func (d *Descriptor) Term(i int) Term {
+	t := d.terms[i]
+	return Term{Coeff: t.Coeff, Factors: slices.Clone(t.Factors)}
+}
 
 // SetWorkers sets the parallel width of subsequent shuffle products:
 // each mode product splits race-free over disjoint tensor slabs (its
@@ -515,10 +524,10 @@ func (d *Descriptor) RowSums() []float64 {
 }
 
 // RowIter enumerates single rows of the implicit matrix without
-// materializing it — the access pattern the multigrid restriction uses
-// to lump an implicit fine level into an explicit coarse matrix. Create
-// one per traversal; after the first row, Row performs no allocations
-// (the visit closure should likewise be hoisted outside the row loop).
+// materializing it, entry by entry; ToCSR assembles the explicit matrix
+// from it. Create one per traversal; after the first row, Row performs no
+// allocations (the visit closure should likewise be hoisted outside the
+// row loop).
 // A RowIter is not safe for concurrent use.
 type RowIter struct {
 	d      *Descriptor

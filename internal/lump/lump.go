@@ -69,7 +69,8 @@ func PairsWithinSegments(segLen, numSegs int) (*Partition, error) {
 			blockOf[s*segLen+i] = s*blocksPerSeg + i/2
 		}
 	}
-	return NewPartition(blockOf)
+	// Every block is non-empty by construction: adopt the map unchecked.
+	return &Partition{blockOf: blockOf, nBlocks: numSegs * blocksPerSeg}, nil
 }
 
 // PairSegmentsElementwise partitions a state space laid out as
@@ -92,7 +93,7 @@ func PairSegmentsElementwise(segLen, segsPerGroup, groups int) (*Partition, erro
 			}
 		}
 	}
-	return NewPartition(blockOf)
+	return &Partition{blockOf: blockOf, nBlocks: groups * coarseSegs * segLen}, nil
 }
 
 // NumBlocks returns the number of aggregates.

@@ -3,6 +3,8 @@ package lump
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"cdrstoch/internal/spmat"
 )
@@ -24,7 +26,7 @@ type Plan struct {
 	p      *spmat.CSR
 	part   *Partition
 	coarse *spmat.CSR
-	dest   []int     // coarse val index per fine stored entry, row-major
+	dest   []int32   // coarse val index per fine stored entry, row-major
 	w      []float64 // disaggregation weights of the last Update
 	sums   []float64 // per-block mass scratch
 	counts []int     // block sizes, for the vanished-mass uniform fallback
@@ -41,34 +43,18 @@ func NewPlan(p *spmat.CSR, part *Partition) (*Plan, error) {
 	if n != part.NumStates() {
 		return nil, fmt.Errorf("lump: partition covers %d states, TPM has %d", part.NumStates(), n)
 	}
+	if p.NNZ() > math.MaxInt32 {
+		return nil, fmt.Errorf("lump: %d stored entries exceed the plan's 32-bit destinations", p.NNZ())
+	}
 	nb := part.NumBlocks()
 	counts := make([]int, nb)
 	for _, b := range part.blockOf {
 		counts[b]++
 	}
-	tr := spmat.NewTriplet(nb, nb)
-	tr.Reserve(p.NNZ())
-	for i := 0; i < n; i++ {
-		bi := part.blockOf[i]
-		cols, _ := p.Row(i)
-		for _, j := range cols {
-			tr.Add(bi, part.blockOf[j], 0)
-		}
-	}
-	coarse := tr.ToCSR()
-	dest := make([]int, p.NNZ())
-	k := 0
-	for i := 0; i < n; i++ {
-		bi := part.blockOf[i]
-		cols, _ := p.Row(i)
-		for _, j := range cols {
-			d := coarse.EntryIndex(bi, part.blockOf[j])
-			if d < 0 {
-				return nil, fmt.Errorf("lump: internal: coarse entry (%d,%d) missing", bi, part.blockOf[j])
-			}
-			dest[k] = d
-			k++
-		}
+	rowPtr, colIdx, dest := CoarsePattern(p, part)
+	coarse, err := spmat.NewCSR(nb, nb, rowPtr, colIdx, make([]float64, len(colIdx)))
+	if err != nil {
+		return nil, fmt.Errorf("lump: internal: coarse pattern: %w", err)
 	}
 	return &Plan{
 		p:      p,
@@ -79,6 +65,114 @@ func NewPlan(p *spmat.CSR, part *Partition) (*Plan, error) {
 		sums:   make([]float64, nb),
 		counts: counts,
 	}, nil
+}
+
+// CoarsePattern returns the structural image of p's sparsity pattern under
+// part as coarse CSR row pointers and ascending column indices: coarse
+// entry (I, J) is stored when some stored fine entry (i, j), zero or not,
+// has i in block I and j in block J. dest lists, row-major over p's stored
+// entries, the index of the coarse entry each one accumulates into. p must
+// be square over part's states, with at most math.MaxInt32 stored entries.
+func CoarsePattern(p *spmat.CSR, part *Partition) (rowPtr, colIdx []int, dest []int32) {
+	bo := part.blockOf
+	nb := part.nBlocks
+	// Group the fine rows by block, ascending within each (a counting
+	// sort), and note where each fine row's stored entries start. Each
+	// entry's slot in dest starts out holding its coarse column.
+	first := make([]int, nb+1)
+	for _, b := range bo {
+		first[b+1]++
+	}
+	for b := range nb {
+		first[b+1] += first[b]
+	}
+	rows := make([]int, len(bo))
+	start := make([]int, len(bo)+1)
+	next := slices.Clone(first[:nb])
+	dest = make([]int32, p.NNZ())
+	for i, b := range bo {
+		rows[next[b]] = i
+		next[b]++
+		cols, _ := p.Row(i)
+		start[i+1] = start[i] + len(cols)
+		for k, j := range cols {
+			dest[start[i]+k] = int32(bo[j])
+		}
+	}
+	rowPtr, colIdx = Pattern(nb, nb, dest, func(I int, visit func(lo, hi int)) {
+		for _, i := range rows[first[I]:first[I+1]] {
+			visit(start[i], start[i+1])
+		}
+	})
+	return rowPtr, colIdx, dest
+}
+
+// Pattern builds the sparsity pattern of a rows×cols matrix from candidate
+// columns, which may repeat. slots holds one candidate column per slot;
+// ranges(r, visit) calls visit(lo, hi) for each range of slots that are
+// candidates of row r, and every slot must lie in exactly one such range.
+// Pattern returns the row pointers and the ascending distinct columns of
+// every row, and overwrites each slot with the index in colIdx of its
+// column's entry. It makes three passes over the ranges: one to count,
+// one to fill, one to resolve the slots. Slots are 32-bit, half the
+// memory of a CSR index, because callers keep them as destination
+// tables; cols and len(slots) must be at most math.MaxInt32.
+func Pattern(rows, cols int, slots []int32, ranges func(r int, visit func(lo, hi int))) (rowPtr, colIdx []int) {
+	// Count the distinct columns of each row; mark[c] is the last row that
+	// counted c.
+	mark := make([]int, cols)
+	for c := range mark {
+		mark[c] = -1
+	}
+	rowPtr = make([]int, rows+1)
+	var r, n int
+	count := func(lo, hi int) {
+		for _, c := range slots[lo:hi] {
+			if mark[c] != r {
+				mark[c] = r
+				n++
+			}
+		}
+	}
+	for r = 0; r < rows; r++ {
+		n = 0
+		ranges(r, count)
+		rowPtr[r+1] = rowPtr[r] + n
+	}
+	// Fill and sort each row once. pos[c] is column c's index in the
+	// current row once it is sorted (an index below the row's start is
+	// left from an earlier row); the row's slots then read it.
+	colIdx = make([]int, rowPtr[rows])
+	pos := mark
+	for c := range pos {
+		pos[c] = -1
+	}
+	var lo, k int
+	fill := func(a, b int) {
+		for _, c := range slots[a:b] {
+			if pos[c] < lo {
+				pos[c] = k
+				colIdx[k] = int(c)
+				k++
+			}
+		}
+	}
+	resolve := func(a, b int) {
+		for q := a; q < b; q++ {
+			slots[q] = int32(pos[slots[q]])
+		}
+	}
+	for r := range rows {
+		lo, k = rowPtr[r], rowPtr[r]
+		ranges(r, fill)
+		hi := rowPtr[r+1]
+		slices.Sort(colIdx[lo:hi])
+		for q := lo; q < hi; q++ {
+			pos[colIdx[q]] = q
+		}
+		ranges(r, resolve)
+	}
+	return rowPtr, colIdx
 }
 
 // Coarse returns the plan-owned coarse matrix. Update rewrites its values

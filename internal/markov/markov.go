@@ -298,7 +298,7 @@ func (c *Chain) initial(opt Options) ([]float64, error) {
 
 // StationaryPower computes the stationary distribution by (optionally
 // damped) power iteration x ← α·xP + (1−α)·x. This is the paper's baseline
-// "Gauss–Jacobi" smoother, and the smoother used between multigrid levels.
+// "Gauss–Jacobi" smoother; the multigrid levels smooth with Gauss–Seidel.
 func (c *Chain) StationaryPower(opt Options) (Result, error) {
 	opt = opt.withDefaults(c.N())
 	ws := opt.workspace(c.N())

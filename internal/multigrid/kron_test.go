@@ -163,6 +163,37 @@ func TestKronSolverValidation(t *testing.T) {
 	}
 }
 
+// TestKronSolverRejectsMixedSegments checks that NewKron refuses fold
+// partitions the segment kernels cannot run: one that merges states of
+// different segments, and one that aggregates the phase states of odd and
+// even segments differently.
+func TestKronSolverRejectsMixedSegments(t *testing.T) {
+	d := kronTestDescriptor(t, 32, 8)
+	segs := d.Dim() / 8
+	merge, err := lump.PairSegmentsElementwise(8, segs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockOf := make([]int, d.Dim())
+	for i := range blockOf {
+		s, k := i/8, i%8
+		if s%2 == 0 {
+			blockOf[i] = 4*s + k/2 // pairs (0,1), (2,3), …
+		} else {
+			blockOf[i] = 4*s + k/4*2 + k%2 // pairs (0,2), (1,3), …
+		}
+	}
+	uneven, err := lump.NewPartition(blockOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, part := range map[string]*lump.Partition{"segment merge": merge, "uneven pairing": uneven} {
+		if _, err := NewKron(d, 1, []*lump.Partition{part}, Config{}); err == nil {
+			t.Errorf("%s accepted as a fold partition", name)
+		}
+	}
+}
+
 func TestKronSolverCancellation(t *testing.T) {
 	d := kronTestDescriptor(t, 25, 8)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -192,7 +223,8 @@ func TestKronSolverCostAccounting(t *testing.T) {
 	if rep.Cycles != int64(res.Cycles) {
 		t.Fatalf("meter cycles %d, result %d", rep.Cycles, res.Cycles)
 	}
-	// At least one shuffle product per smoothing step and residual check.
+	// At least one counted product per segment sweep, and one shuffle
+	// product per residual check.
 	if rep.Pool.SpMVs < int64(res.Cycles)*3 {
 		t.Fatalf("SpMVs %d for %d cycles", rep.Pool.SpMVs, res.Cycles)
 	}

@@ -2,9 +2,9 @@
 // stationary distributions of large Markov chains, in the style of
 // Horton & Leutenegger (the method the paper employs): a hierarchy of
 // recursively lumped chains, iterate-weighted aggregation and
-// disaggregation between levels, simple (damped) power/Gauss–Jacobi
-// smoothing interleaved with the lumping and expanding steps, and an
-// exact direct solve (subtraction-free GTH) at the coarsest level.
+// disaggregation between levels, relaxed Gauss–Seidel smoothing
+// interleaved with the lumping and expanding steps, and an exact direct
+// solve (subtraction-free GTH) at the coarsest level.
 //
 // The coarsening strategy is supplied by the caller as a chain of
 // partitions; for the CDR model, each partition lumps pairs of consecutive
@@ -13,8 +13,10 @@
 // coarser phase error discretization".
 //
 // The finest level is either an explicit CSR matrix (New) or a Kronecker
-// descriptor that is never materialized (NewKron); every coarser level is
-// explicit, and both backends share one solver, cycle and coarsest solve.
+// descriptor that is never materialized (NewKron), which smooths and
+// restricts segment by segment through its phase factors; every coarser
+// level is explicit, and both backends share one solver, cycle, smoother
+// and coarsest solve.
 package multigrid
 
 import (
@@ -47,7 +49,7 @@ const (
 
 // Config tunes the multilevel solver.
 type Config struct {
-	// PreSmooth is the number of damped power (Gauss–Jacobi) sweeps before
+	// PreSmooth is the number of relaxed Gauss–Seidel sweeps before
 	// descending to the coarse level. Default 1.
 	PreSmooth int
 	// PostSmooth is the number of sweeps after the coarse-grid correction.
@@ -220,7 +222,7 @@ type mgLevel struct {
 	size  int             // state count
 	p     *spmat.CSR      // level matrix; level 0 is the caller's, others are plan-owned
 	pt    *spmat.CSR      // transpose of p, used by the Gauss–Seidel smoother
-	perm  []int           // p→pt value permutation for in-place refresh; nil for a shared transpose
+	perm  []int32         // p→pt value permutation for in-place refresh; nil for a shared transpose
 	part  *lump.Partition // restriction onto the next level; nil at the coarsest and on imp
 	chain int             // index of part in the caller's partition chain
 	plan  *lump.Plan      // lumping onto the next level; nil at the coarsest and on imp
@@ -235,7 +237,7 @@ type Solver struct {
 	levels   []*mgLevel
 	gth      spmat.GTHWorkspace
 	pool     *spmat.Pool
-	y        []float64 // fine product buffer: residuals and implicit sweeps
+	y        []float64 // fine product buffer for the per-cycle residual
 	curCycle int       // cycle number stamped on level-visit trace events
 	// fineRes is the fine residual of the previous cycle (+Inf before the
 	// first); it sets how far an implicit level 0 solves level 1.
@@ -359,11 +361,11 @@ func normalize(x []float64) {
 	}
 }
 
-// smooth runs the level's smoother: Gauss–Seidel on an explicit level,
-// weighted Jacobi through shuffle products on an implicit one.
+// smooth runs the level's Gauss–Seidel smoother: over the transpose's rows
+// on an explicit level, segment by segment on an implicit one.
 func (s *Solver) smooth(lv *mgLevel, x []float64, steps int) {
 	if lv.imp != nil {
-		lv.imp.smooth(s.pool, s.y, x, steps, s.cfg.Damping)
+		lv.imp.smooth(s.pool, x, steps, s.cfg.Damping)
 		return
 	}
 	s.gaussSeidel(lv.pt, x, steps)
@@ -495,7 +497,7 @@ func (s *Solver) workspaceBytes() int64 {
 		} else {
 			b += lv.pt.MemoryBytes()
 		}
-		b += int64(len(lv.perm)+len(lv.xc)) * 8
+		b += int64(len(lv.perm))*4 + int64(len(lv.xc))*8
 	}
 	return b
 }

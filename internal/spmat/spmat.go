@@ -295,8 +295,13 @@ func (m *CSR) Transpose() *CSR {
 // linking the two: t.val[perm[k]] = m.val[k] for every stored entry k.
 // Solvers that refresh a fixed-pattern matrix's values in place use perm
 // to refresh the transpose in one O(nnz) pass instead of rebuilding it.
-func (m *CSR) TransposeWithPerm() (t *CSR, perm []int) {
-	perm = make([]int, len(m.val))
+// perm stores 32-bit positions, half the memory of the matrix's own
+// indices, so m may hold at most math.MaxInt32 entries.
+func (m *CSR) TransposeWithPerm() (t *CSR, perm []int32) {
+	if len(m.val) > math.MaxInt32 {
+		panic("spmat: TransposeWithPerm on more than math.MaxInt32 entries")
+	}
+	perm = make([]int32, len(m.val))
 	return m.transpose(perm), perm
 }
 
@@ -311,7 +316,7 @@ func (m *CSR) T() *CSR {
 	return m.t
 }
 
-func (m *CSR) transpose(perm []int) *CSR {
+func (m *CSR) transpose(perm []int32) *CSR {
 	count := make([]int, m.cols+1)
 	for _, j := range m.colIdx {
 		count[j+1]++
@@ -332,7 +337,7 @@ func (m *CSR) transpose(perm []int) *CSR {
 			colIdx[p] = r
 			val[p] = m.val[k]
 			if perm != nil {
-				perm[k] = p
+				perm[k] = int32(p)
 			}
 			next[j]++
 		}
@@ -353,7 +358,7 @@ func (m *CSR) EntryIndex(i, j int) int {
 // RefreshTranspose re-derives t's values from m through the permutation
 // returned by TransposeWithPerm, after m's values were rewritten in place.
 // One O(nnz) pass, no allocation.
-func (m *CSR) RefreshTranspose(t *CSR, perm []int) {
+func (m *CSR) RefreshTranspose(t *CSR, perm []int32) {
 	if len(perm) != len(m.val) || len(t.val) != len(m.val) {
 		panic("spmat: RefreshTranspose permutation mismatch")
 	}
