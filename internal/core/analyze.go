@@ -28,7 +28,9 @@ var ErrUnconverged = kron.ErrUnconverged
 type SolveOptions struct {
 	// Multigrid configures the multilevel solver. The zero value selects
 	// robust defaults (multigrid.ColdDefaults: W-cycles doubled on the
-	// phase-pair levels only, 2+2 Gauss–Seidel smoothing, 1e−12).
+	// phase-pair levels only, 2+2 Gauss–Seidel smoothing, 1e−12). SolveKron
+	// keeps the smoothing and tolerance but not the W-cycle: below its
+	// implicit level every level recurses once (multigrid.NewKron).
 	Multigrid multigrid.Config
 	// MinSegLen stops the phase-pair coarsening once segments shrink to
 	// this many phase points. Default 4.
@@ -93,12 +95,13 @@ func (m *Model) Solve(opt SolveOptions) (*Analysis, error) {
 // SolveKron computes the stationary distribution without materializing
 // the TPM: the chain's Kronecker descriptor (the model's Desc, built on
 // demand for explicit models) is level 0 of the multigrid solver
-// (multigrid.NewKron). The hierarchy and schedule are Solve's; the
+// (multigrid.NewKron). The hierarchy and smoothing are Solve's; the
 // implicit level folds the leading phase-pair partitions into one
-// restriction onto an explicit coarse matrix, and the remaining pair
-// levels and the counter merges run below it exactly as in Solve. Memory
-// stays at a few state-sized vectors plus the coarse hierarchy; the
-// product matrix never exists.
+// restriction onto an explicit coarse matrix, enters it as often as the
+// fine residual needs, and the remaining pair levels and the counter
+// merges run below it once per visit, a V-cycle where Solve W-cycles the
+// pair levels. Memory stays at a few state-sized vectors plus the coarse
+// hierarchy; the product matrix never exists.
 func (m *Model) SolveKron(opt SolveOptions) (*Analysis, error) {
 	opt = opt.withDefaults()
 	d := m.Desc

@@ -78,6 +78,13 @@ type segLink struct {
 // every segment (the innermost mode) alike, into one segment of level 1,
 // as BuildPairHierarchy's do. Construction holds O(coarse nnz) memory:
 // the global matrix never exists.
+//
+// Level 0 enters level 1 by the forcing rule, as often as it takes to
+// solve the coarse chain to a tenth of the fine residual (solveCoarse),
+// and every explicit level below runs once per visit of its parent.
+// Config.Cycle and PairLevels therefore have no effect: doubling the
+// explicit levels' visits on top of the forcing rule multiplies the
+// coarse work without saving a cycle.
 func NewKron(d *kron.Descriptor, fold int, parts []*lump.Partition, cfg Config) (*Solver, error) {
 	if fold < 1 || fold > len(parts) {
 		return nil, fmt.Errorf("multigrid: cannot fold %d of %d partitions into the implicit level", fold, len(parts))
@@ -410,8 +417,9 @@ func (im *implicitLevel) workspaceBytes() int64 {
 // residual ‖x_c P_c − x_c‖₁ is at most max(Tol, 0.1·fineRes), fineRes
 // being the fine residual of the previous cycle (+Inf on the first, which
 // enters once): the next cycle re-lumps P_c from a better fine iterate, so
-// solving this one further buys nothing. maxCoarse bounds the loop, and a
-// level 1 that is the coarsest is solved directly, once.
+// solving this one further buys nothing. Each entry is a V-cycle from
+// level 1 down. maxCoarse bounds the loop, and a level 1 that is the
+// coarsest is solved directly, once.
 func (s *Solver) solveCoarse(im *implicitLevel, xc []float64) error {
 	next := s.levels[1]
 	target := max(s.cfg.Tol, 0.1*s.fineRes)

@@ -65,18 +65,17 @@ type Config struct {
 	MaxCycles int
 	// Cycle selects V- or W-cycles. Default VCycle. A classic W-cycle
 	// visits level j 2^j times per cycle, so on a deep hierarchy the
-	// coarse tail dominates the cycle's cost.
+	// coarse tail dominates the cycle's cost. NewKron ignores it: its
+	// level 0 enters level 1 by the forcing rule (see NewKron), and every
+	// level below recurses once.
 	Cycle CycleKind
 	// PairLevels confines a W-cycle's double coarse visits to the first
 	// PairLevels partitions of the chain — the phase-pair levels
 	// BuildPairHierarchy returns, ahead of any model-specific levels
 	// appended below them. Levels from PairLevels down recurse once, so a
 	// W-cycle visits level j 2^min(j,PairLevels) times. Zero (the default)
-	// keeps the classic W-cycle on every level; VCycle ignores it. It
-	// counts partitions of the full chain passed to New or NewKron: on a
-	// NewKron solver, whose implicit level 0 folds the leading partitions
-	// and enters level 1 by its own rule, an explicit level doubles when
-	// the partition below it is among the first PairLevels.
+	// keeps the classic W-cycle on every level; VCycle and NewKron ignore
+	// it.
 	PairLevels int
 	// CoarsestMaxIter bounds the fallback iterative solve when the direct
 	// coarsest solve fails (e.g. the weighted coarse chain is reducible).
@@ -446,8 +445,11 @@ func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 		}
 		next.p.RefreshTranspose(next.pt, next.perm)
 		xc := lv.part.Restrict(lv.xc, x)
+		// Below an implicit level 0 every level recurses once: solveCoarse
+		// already re-enters level 1 as often as the fine residual needs.
 		visits := 1
-		if s.cfg.Cycle == WCycle && (s.cfg.PairLevels == 0 || lv.chain < s.cfg.PairLevels) {
+		if s.cfg.Cycle == WCycle && s.levels[0].imp == nil &&
+			(s.cfg.PairLevels == 0 || lv.chain < s.cfg.PairLevels) {
 			visits = 2
 		}
 		for v := 0; v < visits; v++ {
@@ -630,7 +632,8 @@ func (s *Solver) fineProduct(y, x []float64) {
 // SetCycle switches the recursion pattern for subsequent Solve calls. The
 // hierarchy is cycle-kind independent, so flipping between the robust
 // W-cycle (cold starts) and the cheaper V-cycle (warm-started continuation
-// points) on a reused solver is safe at any quiescent point.
+// points) on a reused solver is safe at any quiescent point. A NewKron
+// solver ignores the cycle kind.
 func (s *Solver) SetCycle(k CycleKind) { s.cfg.Cycle = k }
 
 // SetSolveContext rebinds the context consulted at every cycle boundary —

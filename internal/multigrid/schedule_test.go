@@ -94,34 +94,46 @@ func TestWCyclePairLevelsVisitCounts(t *testing.T) {
 	}
 }
 
-// TestKronPairLevelsCountFullChain checks that PairLevels counts
-// partitions of the full chain on a NewKron solver too: its level 0 folds
-// the first fold partitions, so explicit level j ≥ 1 restricts with
-// partition fold+j−1 and doubles its coarse visits exactly when that index
-// is below PairLevels.
-func TestKronPairLevelsCountFullChain(t *testing.T) {
+// TestKronSolverExplicitLevelsRecurseOnce checks that a NewKron solver
+// ignores Config.Cycle and PairLevels: the forcing rule enters level 1 as
+// often as the fine residual needs, every explicit level below it has
+// exactly its parent's visits, and the solve is the same, bit for bit,
+// whatever the cycle configuration.
+func TestKronSolverExplicitLevelsRecurseOnce(t *testing.T) {
 	d := kronTestDescriptor(t, 32, 16)
-	parts, pairLevels := pairThenMergeHierarchy(t, 16, d.Dim()/16)
+	parts, _ := pairThenMergeHierarchy(t, 16, d.Dim()/16)
 	const fold = 2
-	for _, k := range []int{1, fold, pairLevels, len(parts)} {
-		s, err := NewKron(d, fold, parts, Config{Tol: 1e-12, Cycle: WCycle, PairLevels: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Solve(nil)
-		if err != nil || !res.Converged {
-			t.Fatalf("k=%d: solve failed: %v %v", k, err, res)
-		}
-		stats := res.LevelStats
-		for j := 1; j+1 < len(stats); j++ {
-			want := stats[j].Visits
-			if fold+j-1 < k {
-				want *= 2
-			}
-			if stats[j+1].Visits != want {
-				t.Errorf("k=%d: level %d visits = %d after %d at level %d, want %d",
-					k, j+1, stats[j+1].Visits, stats[j].Visits, j, want)
-			}
+	var ref *Result
+	for _, cycle := range []CycleKind{VCycle, WCycle} {
+		for _, k := range []int{0, 1, fold, len(parts)} {
+			t.Run(fmt.Sprintf("%c-cycle/k=%d", "VW"[cycle], k), func(t *testing.T) {
+				s, err := NewKron(d, fold, parts, Config{Tol: 1e-12, Cycle: cycle, PairLevels: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Solve(nil)
+				if err != nil || !res.Converged {
+					t.Fatalf("solve failed: %v %v", err, res)
+				}
+				stats := res.LevelStats
+				if len(stats) < 3 || stats[1].Visits < res.Cycles {
+					t.Fatalf("level stats %+v after %d cycles", stats, res.Cycles)
+				}
+				for j := 2; j < len(stats); j++ {
+					if stats[j].Visits != stats[j-1].Visits {
+						t.Errorf("level %d visits = %d, parent level %d has %d",
+							j, stats[j].Visits, j-1, stats[j-1].Visits)
+					}
+				}
+				if ref == nil {
+					ref = &res
+					return
+				}
+				if res.Cycles != ref.Cycles || maxAbsDiff(res.Pi, ref.Pi) != 0 {
+					t.Errorf("%d cycles, π off by %g; V-cycle with PairLevels 0: %d cycles",
+						res.Cycles, maxAbsDiff(res.Pi, ref.Pi), ref.Cycles)
+				}
+			})
 		}
 	}
 }
