@@ -89,17 +89,22 @@ echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # its segment smoother and restriction against point Gauss–Seidel on the
 # materialized matrix and the row-by-row restriction they replaced), the
 # core analysis, the FSM synchronous product, and the HTTP backend
-# selector end to end.
-run_tests 'TestParallelShuffleMatchesSerial|TestShuffleMatchesFullSlab|TestStructuralSurfaceMatchesMaterialized|TestDescriptorMatchesFSMProduct|TestUnconvergedSentinelCrossesLayers' \
+# selector end to end. The explicit backend is the materialized
+# descriptor, so its independent oracles run here too: ToCSR against
+# sums of explicit Kronecker products, Build against the four-FSM
+# network on random specs, and the regime and frequency-loop chains
+# against the direct assembly they replaced.
+run_tests 'TestParallelShuffleMatchesSerial|TestShuffleMatchesFullSlab|TestStructuralSurfaceMatchesMaterialized|TestDescriptorMatchesFSMProduct|TestToCSRMatchesKronSum' \
     -race -count=1 ./internal/kron
 run_tests 'TestOperatorChain' -race -count=1 ./internal/markov
 run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits|TestSegmentSweepMatchesPointGaussSeidel|TestSegmentRestrictMatchesRowIter' \
     -race -count=1 ./internal/multigrid
-run_tests 'TestSolveKron|TestBuildShell' -race -count=1 ./internal/core
+run_tests 'TestSolveKron|TestBuildShell|TestQuickDescriptorEquivalence' -race -count=1 ./internal/core
+run_tests 'TestBuildMatchesDirectAssembly' -race -count=1 ./internal/regime ./internal/freqloop
 run_tests 'TestAnalyzeKronBackendParity|TestBackendValidation' -race -count=1 ./internal/serve
 
 echo "== kron workspace allocs (zero-alloc shuffle products and implicit-level cycles) =="
-run_tests 'TestShuffleProductsAllocFree|TestRowIterAllocFree' -count=1 ./internal/kron
+run_tests 'TestShuffleProductsAllocFree' -count=1 ./internal/kron
 run_tests 'TestKronSolverAllocsDoNotScaleWithCycles|TestCoarsestFallbackAllocFree' -count=1 ./internal/multigrid
 
 echo "== benchmark harness unit tests (bench/ builds against the library) =="

@@ -17,7 +17,7 @@ import (
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/dist"
 	"cdrstoch/internal/experiments"
-	"cdrstoch/internal/kron"
+	"cdrstoch/internal/markov"
 	"cdrstoch/internal/pdd"
 	"cdrstoch/internal/spmat"
 )
@@ -96,7 +96,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kres, err := d.StationaryPower(kron.PowerOptions{Tol: 1e-11, MaxIter: 200000, Damping: 0.9})
+	kch, err := markov.NewOperator(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kres, err := kch.StationaryPower(markov.Options{Tol: 1e-11, MaxIter: 200000, Damping: 0.9})
 	if err != nil {
 		t.Fatalf("kron power: %v", err)
 	}

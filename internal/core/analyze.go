@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cdrstoch/internal/dist"
-	"cdrstoch/internal/kron"
 	"cdrstoch/internal/lump"
 	"cdrstoch/internal/markov"
 	"cdrstoch/internal/multigrid"
@@ -20,9 +19,7 @@ import (
 // reaching tolerance. Callers (the HTTP service in particular) match it
 // with errors.Is to trigger postmortem handling — flight-recorder dumps
 // attached to the error response — distinct from plain input errors.
-// It aliases the kron package's sentinel (core imports kron, never the
-// reverse), so a matrix-free solve's failure matches under either name.
-var ErrUnconverged = kron.ErrUnconverged
+var ErrUnconverged = errors.New("did not converge")
 
 // SolveOptions configures the stationary analysis.
 type SolveOptions struct {

@@ -38,218 +38,83 @@ type Model struct {
 	wrapSlip []float64
 }
 
-// newShell validates the spec and sets up the model's dimensional frame —
-// everything both the explicit (Build) and matrix-free (BuildShell)
-// constructors share before choosing a transition backend.
-func newShell(spec Spec) (*Model, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	m := &Model{Spec: spec, corrSteps: int(spec.CorrectionStep/spec.GridStep + 0.5)}
-	m.D, m.C, m.M, m.mid = spec.Frame()
-	return m, nil
-}
-
-// pdTables evaluates the phase-detector decision probabilities once per
-// grid point. They depend only on the phase index, not on the data or
-// counter state. On a data transition the PD emits LEAD when Φ + n_w > +δ,
-// LAG when Φ + n_w ≤ −δ and NULL inside the dead zone |Φ + n_w| ≤ δ (δ = 0
-// recovers the ideal signum detector). Deep-tail-safe evaluation keeps
-// BER ~1e−14 distinguishable from zero.
-func (m *Model) pdTables() (pLeadAt, pLagAt, pNullAt []float64) {
-	pLeadAt = make([]float64, m.M)
-	pLagAt = make([]float64, m.M)
-	pNullAt = make([]float64, m.M)
-	for mi := 0; mi < m.M; mi++ {
-		pLeadAt[mi], pLagAt[mi], pNullAt[mi] = m.pdProbs(m.PhaseValue(mi))
-	}
-	return pLeadAt, pLagAt, pNullAt
-}
-
-// assemble walks every (data, counter, phase) state and scatters its
-// surviving transition branches: into tr when non-nil (the explicit
-// build), and in any case through addBranch's wrap-slip tally — which is
-// how BuildShell obtains the WrapPhase slip probabilities without ever
-// holding a triplet.
-func (m *Model) assemble(tr *spmat.Triplet, drift *dist.PMF, pLeadAt, pLagAt, pNullAt []float64) {
-	for d := 0; d < m.D; d++ {
-		pt := m.Spec.TransProb(d)
-		dNoTrans := m.Spec.NextDataState(d, false)
-		for c := 0; c < m.C; c++ {
-			cLead, corrLead := m.counterStep(c, +1)
-			cLag, corrLag := m.counterStep(c, -1)
-			for mi := 0; mi < m.M; mi++ {
-				from := m.StateIndex(d, c, mi)
-				pLead, pLag, pNull := pLeadAt[mi], pLagAt[mi], pNullAt[mi]
-
-				if w := 1 - pt; w > 0 {
-					m.addBranch(tr, from, dNoTrans, c, mi, 0, w, drift)
-				}
-				if pt > 0 {
-					if w := pt * pLead; w > 0 {
-						m.addBranch(tr, from, 0, cLead, mi, corrLead, w, drift)
-					}
-					if w := pt * pLag; w > 0 {
-						m.addBranch(tr, from, 0, cLag, mi, corrLag, w, drift)
-					}
-					if w := pt * pNull; w > 0 {
-						m.addBranch(tr, from, 0, c, mi, 0, w, drift)
-					}
-				}
-			}
-		}
-	}
-}
-
-// Build assembles the transition probability matrix from the spec.
-func Build(spec Spec) (*Model, error) {
-	m, err := newShell(spec)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	n := m.D * m.C * m.M
-	if spec.WrapPhase {
-		m.wrapSlip = make([]float64, n)
-	}
-	drift := spec.Drift.Trim()
-	pLeadAt, pLagAt, pNullAt := m.pdTables()
-	tr := spmat.NewTriplet(n, n)
-	tr.Reserve(m.scatteredEntries(drift, pLeadAt, pLagAt, pNullAt))
-	m.assemble(tr, drift, pLeadAt, pLagAt, pNullAt)
-	p := tr.ToCSR()
-	if err := p.CheckStochastic(1e-9); err != nil {
-		return nil, fmt.Errorf("core: assembled TPM invalid: %w", err)
-	}
-	m.P = p
-	m.FormTime = time.Since(start)
-	return m, nil
-}
-
-// scatteredEntries counts the triplet entries assemble would scatter:
-// each surviving branch contributes one entry per nonzero drift mass
-// point. Build uses it to Reserve exactly (assembly never regrows);
-// ExplicitEntries uses it to price an assembly that never happens.
-func (m *Model) scatteredEntries(drift *dist.PMF, pLeadAt, pLagAt, pNullAt []float64) int {
-	driftNNZ := 0
-	drift.Support(func(float64, int, float64) { driftNNZ++ })
-	entries := 0
-	for d := 0; d < m.D; d++ {
-		pt := m.Spec.TransProb(d)
-		branches := 0
-		for mi := 0; mi < m.M; mi++ {
-			if 1-pt > 0 {
-				branches++
-			}
-			if pt > 0 {
-				if pt*pLeadAt[mi] > 0 {
-					branches++
-				}
-				if pt*pLagAt[mi] > 0 {
-					branches++
-				}
-				if pt*pNullAt[mi] > 0 {
-					branches++
-				}
-			}
-		}
-		entries += m.C * branches * driftNNZ
-	}
-	return entries
-}
-
-// ExplicitEntries counts the triplet entries an explicit Build of this
-// model would scatter — an upper bound within a few percent of the final
-// CSR's nnz (boundary clamping and wrap folding merge some duplicates).
-// It runs the exact counting loop Build uses without allocating anything
-// matrix-shaped, so a matrix-free shell can report what the assembly it
-// avoided would have cost.
-func (m *Model) ExplicitEntries() int {
-	pLeadAt, pLagAt, pNullAt := m.pdTables()
-	return m.scatteredEntries(m.Spec.Drift.Trim(), pLeadAt, pLagAt, pNullAt)
-}
+// Build assembles the transition probability matrix from the spec: the
+// materialized descriptor of its Terms.
+func Build(spec Spec) (*Model, error) { return build(spec, true) }
 
 // BuildShell prepares a model for matrix-free analysis: the dimensional
 // frame, the Kronecker descriptor, and (for WrapPhase models) the
 // per-state wrap-slip tally — everything Build produces except the
 // assembled TPM. Memory stays proportional to the component factors plus
 // one state-sized vector for the tally; the product matrix never exists.
-func BuildShell(spec Spec) (*Model, error) {
-	m, err := newShell(spec)
-	if err != nil {
-		return nil, err
-	}
+func BuildShell(spec Spec) (*Model, error) { return build(spec, false) }
+
+// build forms the spec's Terms and the WrapPhase slip tally, and keeps
+// the transition law materialized as P (explicit) or as the descriptor
+// Desc.
+func build(spec Spec, explicit bool) (*Model, error) {
 	start := time.Now()
-	if spec.WrapPhase {
-		m.wrapSlip = make([]float64, m.D*m.C*m.M)
-		pLeadAt, pLagAt, pNullAt := m.pdTables()
-		m.assemble(nil, spec.Drift.Trim(), pLeadAt, pLagAt, pNullAt)
-	}
-	d, err := m.BuildDescriptor()
+	terms, err := Terms(spec)
 	if err != nil {
 		return nil, err
 	}
-	m.Desc = d
+	m := &Model{Spec: spec, corrSteps: spec.correctionSteps()}
+	m.D, m.C, m.M, m.mid = spec.Frame()
+	d, err := descriptor(terms)
+	if err != nil {
+		return nil, err
+	}
+	if explicit {
+		m.P = d.ToCSR()
+		if err := m.P.CheckStochastic(1e-9); err != nil {
+			return nil, fmt.Errorf("core: assembled TPM invalid: %w", err)
+		}
+	} else {
+		m.Desc = d
+	}
+	m.wrapSlip = wrapSlips(terms, m.NumStates())
 	m.FormTime = time.Since(start)
 	return m, nil
 }
 
-// addBranch accumulates one (data, counter, correction) branch across the
-// drift PMF: Φ' = clamp(Φ + corr + n_r) in the saturating model, or
-// Φ' = wrap(Φ + corr + n_r) in the wrap model, where boundary crossings
-// are additionally tallied as cycle-slip probability.
-func (m *Model) addBranch(tr *spmat.Triplet, from, d, c, mi, corrSteps int, w float64, drift *dist.PMF) {
-	base := mi + corrSteps
-	drift.Support(func(_ float64, k int, pk float64) {
-		mj := base + k
-		if m.Spec.WrapPhase {
-			if mj < 0 || mj >= m.M {
-				m.wrapSlip[from] += w * pk
-				mj = ((mj % m.M) + m.M) % m.M
-			}
-		} else {
-			if mj < 0 {
-				mj = 0
-			}
-			if mj >= m.M {
-				mj = m.M - 1
-			}
+// ExplicitEntries counts the entries an explicit Build expands, Σ_t Π_c
+// nnz(F_tc) over the Terms: an upper bound on the assembled nnz, exact
+// when no two terms reach one entry. A matrix-free shell uses it to
+// report what the assembly it avoided would have cost.
+func (m *Model) ExplicitEntries() int {
+	d := m.Desc
+	if d == nil {
+		var err error
+		if d, err = m.BuildDescriptor(); err != nil {
+			return 0 // unreachable: Build validated the spec
 		}
-		if tr != nil {
-			tr.Add(from, m.StateIndex(d, c, mj), w*pk)
-		}
-	})
+	}
+	return d.ExpandedNNZ()
 }
 
-// PDProbs returns the phase-detector decision probabilities at phase
-// error phi for the given spec, honoring the dead zone:
-// P(LEAD) = P(n_w > δ−Φ), P(LAG) = P(n_w ≤ −δ−Φ), P(NULL) the remaining
-// dead-zone mass. Exported so model extensions (e.g. the second-order
-// loop in internal/freqloop) share the exact decision arithmetic.
-func PDProbs(s Spec, phi float64) (pLead, pLag, pNull float64) {
+// pdProbs returns the phase-detector decision probabilities at phase
+// error phi, honoring the dead zone: P(LEAD) = P(n_w > δ−Φ),
+// P(LAG) = P(n_w ≤ −δ−Φ), P(NULL) the remaining dead-zone mass (δ = 0
+// recovers the ideal signum detector). Deep-tail-safe evaluation keeps
+// BER ~1e−14 distinguishable from zero. Each is clamped at zero: a grid
+// PMF's tail 1 − CDF can round to −2e−16.
+func pdProbs(s Spec, phi float64) (pLead, pLag, pNull float64) {
 	delta := s.PDDeadZone
-	pLead = dist.TailAbove(s.EyeJitter, delta-phi)
-	pLag = dist.TailBelow(s.EyeJitter, -delta-phi)
+	pLead = max(dist.TailAbove(s.EyeJitter, delta-phi), 0)
+	pLag = max(dist.TailBelow(s.EyeJitter, -delta-phi), 0)
 	if delta > 0 {
-		pNull = dist.TailBelow(s.EyeJitter, delta-phi) - dist.TailBelow(s.EyeJitter, -delta-phi)
-		if pNull < 0 {
-			pNull = 0
-		}
+		pNull = max(dist.TailBelow(s.EyeJitter, delta-phi)-dist.TailBelow(s.EyeJitter, -delta-phi), 0)
 	}
 	return pLead, pLag, pNull
 }
 
-// pdProbs is the model-bound form of PDProbs.
-func (m *Model) pdProbs(phi float64) (pLead, pLag, pNull float64) {
-	return PDProbs(m.Spec, phi)
-}
-
-// CounterAdvance advances an up/down counter of overflow length l from
+// counterAdvance advances an up/down counter of overflow length l from
 // state index cIdx (value cIdx − (l−1)) by dir ∈ {+1, −1}. It returns the
 // successor index and the overflow direction: +1 when the counter hit +l
 // (emit a retard-by-G correction), −1 when it hit −l (advance by G),
-// 0 otherwise. Exported for model extensions.
-func CounterAdvance(l, cIdx, dir int) (next, overflow int) {
+// 0 otherwise. The counter walks on c ∈ (−L, L) and resets to zero on
+// overflow.
+func counterAdvance(l, cIdx, dir int) (next, overflow int) {
 	c := cIdx - (l - 1) + dir
 	switch {
 	case c >= l:
@@ -259,15 +124,6 @@ func CounterAdvance(l, cIdx, dir int) (next, overflow int) {
 	default:
 		return c + (l - 1), 0
 	}
-}
-
-// counterStep advances the up/down counter state index by dir ∈ {+1, −1}
-// and returns the successor index together with the phase correction (in
-// grid steps) emitted on overflow. The counter walks on c ∈ (−L, L); at ±L
-// it emits ∓G and resets to zero.
-func (m *Model) counterStep(cIdx, dir int) (next, corrSteps int) {
-	next, overflow := CounterAdvance(m.Spec.CounterLen, cIdx, dir)
-	return next, -overflow * m.corrSteps
 }
 
 // NumStates returns the size of the product state space D·C·M.

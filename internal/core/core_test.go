@@ -1,11 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
 	"cdrstoch/internal/dist"
-	"cdrstoch/internal/kron"
 	"cdrstoch/internal/markov"
 )
 
@@ -91,6 +91,39 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsDriftOrigin: the builders move the phase by the
+// drift's support index k·GridStep, so a nonzero Origin — on the grid or
+// off it — would be ignored; Validate must refuse it, including through
+// the JSON wire form.
+func TestValidateRejectsDriftOrigin(t *testing.T) {
+	for _, origin := range []float64{1, 0.3, -2} {
+		s := DefaultSpec()
+		drift := *s.Drift
+		drift.Origin = origin * s.GridStep
+		s.Drift = &drift
+		if err := s.Validate(); err == nil {
+			t.Errorf("drift origin %g·GridStep accepted", origin)
+		}
+		if _, err := Build(s); err == nil {
+			t.Errorf("Build accepted drift origin %g·GridStep", origin)
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire Spec
+		if err := json.Unmarshal(b, &wire); err != nil {
+			t.Fatal(err)
+		}
+		if wire.Drift.Origin != drift.Origin || wire.Validate() == nil {
+			t.Errorf("wire spec with drift origin %g·GridStep accepted", origin)
+		}
+	}
+	if err := DefaultSpec().Validate(); err != nil {
+		t.Fatalf("default spec rejected: %v", err)
+	}
+}
+
 func TestIndexRoundTrips(t *testing.T) {
 	m := buildTiny(t)
 	for d := 0; d < m.D; d++ {
@@ -119,20 +152,21 @@ func TestIndexRoundTrips(t *testing.T) {
 
 func TestCounterStepSemantics(t *testing.T) {
 	m := buildTiny(t) // L = 2: counter values {-1, 0, +1}, indices {0,1,2}
+	l := m.Spec.CounterLen
 	// +1 from c=+1 overflows: reset to 0, retard by G.
-	next, corr := m.counterStep(2, +1)
-	if next != 1 || corr != -m.corrSteps {
-		t.Errorf("overflow: next=%d corr=%d", next, corr)
+	next, ov := counterAdvance(l, 2, +1)
+	if next != 1 || ov != +1 {
+		t.Errorf("overflow: next=%d overflow=%d", next, ov)
 	}
 	// -1 from c=-1 underflows: reset to 0, advance by G.
-	next, corr = m.counterStep(0, -1)
-	if next != 1 || corr != m.corrSteps {
-		t.Errorf("underflow: next=%d corr=%d", next, corr)
+	next, ov = counterAdvance(l, 0, -1)
+	if next != 1 || ov != -1 {
+		t.Errorf("underflow: next=%d overflow=%d", next, ov)
 	}
 	// Interior moves emit no correction.
-	next, corr = m.counterStep(1, +1)
-	if next != 2 || corr != 0 {
-		t.Errorf("interior up: next=%d corr=%d", next, corr)
+	next, ov = counterAdvance(l, 1, +1)
+	if next != 2 || ov != 0 {
+		t.Errorf("interior up: next=%d overflow=%d", next, ov)
 	}
 	if v := m.CounterValue(0); v != -1 {
 		t.Errorf("CounterValue(0) = %d", v)
@@ -150,7 +184,7 @@ func TestCounterLenOne(t *testing.T) {
 		t.Fatalf("C = %d", m.C)
 	}
 	// Every detector decision immediately corrects.
-	if _, corr := m.counterStep(0, +1); corr != -m.corrSteps {
+	if _, ov := counterAdvance(1, 0, +1); ov != +1 {
 		t.Error("L=1 must correct on every LEAD")
 	}
 }
@@ -350,6 +384,9 @@ func TestSlipQuasiStationary(t *testing.T) {
 	}
 }
 
+// TestDescriptorMatchesDirectBuild: the descriptor has five terms over
+// the full product space, and Build's P — its materialization — matches
+// the direct per-branch assembly entry by entry.
 func TestDescriptorMatchesDirectBuild(t *testing.T) {
 	m := buildTiny(t)
 	d, err := m.BuildDescriptor()
@@ -362,20 +399,8 @@ func TestDescriptorMatchesDirectBuild(t *testing.T) {
 	if d.NumTerms() != 5 {
 		t.Errorf("terms = %d, want 5", d.NumTerms())
 	}
-	mat := d.ToCSR()
-	n := m.NumStates()
-	for i := 0; i < n; i++ {
-		cols, vals := m.P.Row(i)
-		kcols, kvals := mat.Row(i)
-		if len(cols) != len(kcols) {
-			t.Fatalf("row %d: nnz %d vs %d", i, len(cols), len(kcols))
-		}
-		for k := range cols {
-			if cols[k] != kcols[k] || math.Abs(vals[k]-kvals[k]) > 1e-12 {
-				t.Fatalf("row %d entry %d: (%d,%g) vs (%d,%g)", i, k, cols[k], vals[k], kcols[k], kvals[k])
-			}
-		}
-	}
+	ref, _ := referenceChain(t, m.Spec)
+	assertSameMatrix(t, m.P, ref, 1e-12)
 }
 
 func TestDescriptorStationaryMatches(t *testing.T) {
@@ -384,7 +409,11 @@ func TestDescriptorStationaryMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.StationaryPower(kron.PowerOptions{Tol: 1e-12, MaxIter: 200000, Damping: 0.9})
+	ch, err := markov.NewOperator(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ch.StationaryPower(markov.Options{Tol: 1e-12, MaxIter: 200000, Damping: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestPDProbsSumToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for mi := 0; mi < m.M; mi++ {
-		lead, lag, null := m.pdProbs(m.PhaseValue(mi))
+		lead, lag, null := pdProbs(m.Spec, m.PhaseValue(mi))
 		if lead < 0 || lag < 0 || null < 0 {
 			t.Fatalf("negative decision prob at %d", mi)
 		}
@@ -43,7 +43,7 @@ func TestPDProbsSumToOne(t *testing.T) {
 	// Zero dead zone: null vanishes.
 	m0 := buildTiny(t)
 	for mi := 0; mi < m0.M; mi++ {
-		_, _, null := m0.pdProbs(m0.PhaseValue(mi))
+		_, _, null := pdProbs(m0.Spec, m0.PhaseValue(mi))
 		if null != 0 {
 			t.Fatalf("nonzero null prob without dead zone")
 		}
@@ -111,19 +111,8 @@ func TestDeadZoneDescriptorMatchesDirect(t *testing.T) {
 	if d.NumTerms() != 6 {
 		t.Fatalf("terms = %d, want 6 with a dead zone", d.NumTerms())
 	}
-	mat := d.ToCSR()
-	for i := 0; i < m.NumStates(); i++ {
-		cols, vals := m.P.Row(i)
-		kcols, kvals := mat.Row(i)
-		if len(cols) != len(kcols) {
-			t.Fatalf("row %d nnz mismatch: %d vs %d", i, len(cols), len(kcols))
-		}
-		for k := range cols {
-			if cols[k] != kcols[k] || math.Abs(vals[k]-kvals[k]) > 1e-12 {
-				t.Fatalf("row %d entry %d mismatch", i, k)
-			}
-		}
-	}
+	ref, _ := referenceChain(t, m.Spec)
+	assertSameMatrix(t, m.P, ref, 1e-12)
 }
 
 func TestDeadZoneNetworkMatchesDirect(t *testing.T) {

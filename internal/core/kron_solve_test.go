@@ -97,33 +97,50 @@ func TestBuildShellMatchesBuild(t *testing.T) {
 	}
 }
 
-// WrapPhase shells tally the wrap-slip probabilities in the assembly loop
-// without a triplet; WrapSlipRate must agree with the explicit build.
+// WrapPhase models tally the wrap-slip probabilities from the phase
+// factors' wrapped entries; the tally must match the direct per-branch
+// one state by state, on the explicit model and the shell alike. With
+// MaxRunLength 0 and a dead zone, the no-transition and NULL terms reach
+// the same entries.
 func TestBuildShellWrapSlipParity(t *testing.T) {
-	spec := tinySpec(t)
-	spec.WrapPhase = true
-	full, err := Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shell, err := BuildShell(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := full.SolveDirect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, mf, err := full.WrapSlipRate(pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, ms, err := shell.WrapSlipRate(pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rf-rs) > 1e-15 || math.Abs(mf-ms) > 1e-3*math.Abs(mf) {
-		t.Fatalf("wrap slip: full (%g, %g) vs shell (%g, %g)", rf, mf, rs, ms)
+	base := tinySpec(t)
+	base.WrapPhase = true
+	noRunCap := base
+	noRunCap.MaxRunLength = 0
+	noRunCap.PDDeadZone = 0.05
+	odd := base
+	odd.TransitionDensity = 0.37 // not a power of two: products round
+	odd.PDDeadZone = 0.03
+	for name, spec := range map[string]Spec{"tiny": base, "no run cap, dead zone": noRunCap, "density 0.37": odd} {
+		full, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shell, err := BuildShell(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := referenceChain(t, spec)
+		for i, w := range want {
+			if math.Abs(full.wrapSlip[i]-w) > 1e-15 || math.Abs(shell.wrapSlip[i]-w) > 1e-15 {
+				t.Fatalf("%s: state %d slip: full %g, shell %g, want %g", name, i, full.wrapSlip[i], shell.wrapSlip[i], w)
+			}
+		}
+		pi, err := full.SolveDirect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rf, mf, err := full.WrapSlipRate(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, ms, err := shell.WrapSlipRate(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(rf-rs) > 1e-15 || math.Abs(mf-ms) > 1e-3*math.Abs(mf) {
+			t.Fatalf("%s: wrap slip: full (%g, %g) vs shell (%g, %g)", name, rf, mf, rs, ms)
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ func (m *Model) CorrectionActivity(pi []float64) CorrectionActivity {
 			continue
 		}
 		for mi := 0; mi < m.M; mi++ {
-			pLead, pLag, _ := m.pdProbs(m.PhaseValue(mi))
+			pLead, pLag, _ := pdProbs(m.Spec, m.PhaseValue(mi))
 			act.UpRate += pi[m.StateIndex(d, topC, mi)] * pt * pLead
 			act.DownRate += pi[m.StateIndex(d, botC, mi)] * pt * pLag
 		}

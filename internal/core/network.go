@@ -203,14 +203,14 @@ func counterDecision(m *Model, c, pdSym int) (next, cmd int) {
 	case pdNull:
 		return c, cmdNone
 	case pdLead:
-		next, corr := m.counterStep(c, +1)
-		if corr != 0 {
+		next, ov := counterAdvance(m.Spec.CounterLen, c, +1)
+		if ov != 0 {
 			return next, cmdRetard
 		}
 		return next, cmdNone
 	default: // pdLag
-		next, corr := m.counterStep(c, -1)
-		if corr != 0 {
+		next, ov := counterAdvance(m.Spec.CounterLen, c, -1)
+		if ov != 0 {
 			return next, cmdAdvance
 		}
 		return next, cmdNone

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -86,44 +87,83 @@ func TestQuickBuildInvariants(t *testing.T) {
 	}
 }
 
-// Property: the Kronecker descriptor agrees with the direct build for
-// random small specs (both boundary models).
+// Property: for random small specs the materialized descriptor — Build's
+// P — agrees to 1e−12 with the chain of the paper's four-FSM network
+// (AsNetwork + BuildChain) on every reachable state, with n_w quantized
+// onto the phase grid on both sides. Every combination of boundary model,
+// dead zone (on grid multiples, so decisions are exact) and MaxRunLength 0
+// is drawn.
 func TestQuickDescriptorEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		spec, err := randomSpec(rng)
-		if err != nil {
-			return true
-		}
-		if spec.GridStep < 1.0/16 {
-			return true // keep the materialization cheap
-		}
-		m, err := Build(spec)
-		if err != nil {
-			return false
-		}
-		d, err := m.BuildDescriptor()
-		if err != nil {
-			return false
-		}
-		mat := d.ToCSR()
-		for i := 0; i < m.NumStates(); i++ {
-			cols, vals := m.P.Row(i)
-			kcols, kvals := mat.Row(i)
-			if len(cols) != len(kcols) {
+	for variant := 0; variant < 8; variant++ {
+		wrap, deadZone, noRunCap := variant&1 != 0, variant&2 != 0, variant&4 != 0
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			spec, err := randomSpec(rng)
+			if err != nil || spec.GridStep < 1.0/16 {
+				return true // invalid draw, or too fine to keep the network cheap
+			}
+			spec.WrapPhase = wrap
+			if deadZone {
+				spec.PDDeadZone = float64(1+rng.Intn(2)) * spec.GridStep
+			}
+			if noRunCap {
+				spec.MaxRunLength = 0
+			}
+			nw, err := dist.Quantize(dist.NewGaussian(0, 0.05+0.1*rng.Float64()), spec.GridStep, -4, 4)
+			if err != nil {
 				return false
 			}
-			for k := range cols {
-				if cols[k] != kcols[k] || math.Abs(vals[k]-kvals[k]) > 1e-12 {
-					return false
-				}
+			spec.EyeJitter = nw
+			if spec.Validate() != nil {
+				return true
+			}
+			m, err := Build(spec)
+			if err != nil {
+				t.Logf("variant %d seed %d: %v", variant, seed, err)
+				return false
+			}
+			if err := networkMatches(m, nw); err != nil {
+				t.Logf("variant %d seed %d: %v", variant, seed, err)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
+			t.Fatalf("variant %d (wrap %v, dead zone %v, MaxRunLength 0 %v): %v", variant, wrap, deadZone, noRunCap, err)
+		}
+	}
+}
+
+// networkMatches compares every reachable state's row of the network
+// chain with the same row of m.P.
+func networkMatches(m *Model, nw *dist.PMF) error {
+	net, err := m.AsNetwork(nw)
+	if err != nil {
+		return err
+	}
+	ch, err := net.BuildChain()
+	if err != nil {
+		return err
+	}
+	// Machine registration order: data, pd, counter, phase.
+	toModel := func(tuple []int) int { return m.StateIndex(tuple[0], tuple[2], tuple[3]) }
+	for i, tuple := range ch.States {
+		netRow := map[int]float64{}
+		cols, vals := ch.P.Row(i)
+		for k, c := range cols {
+			netRow[toModel(ch.States[c])] += vals[k]
+		}
+		dcols, dvals := m.P.Row(toModel(tuple))
+		if len(dcols) != len(netRow) {
+			return fmt.Errorf("state %v: nnz %d (Build) vs %d (network)", tuple, len(dcols), len(netRow))
+		}
+		for k, j := range dcols {
+			if math.Abs(netRow[j]-dvals[k]) > 1e-12 {
+				return fmt.Errorf("state %v -> %d: Build %g vs network %g", tuple, j, dvals[k], netRow[j])
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+	return nil
 }
 
 // TestEquationOneRecovery: the paper's equation (1) — the memoryless

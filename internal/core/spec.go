@@ -160,6 +160,11 @@ func (s Spec) Validate() error {
 	if math.Abs(s.Drift.Step-s.GridStep) > 1e-12*s.GridStep {
 		return fmt.Errorf("core: Drift step %g must equal GridStep %g", s.Drift.Step, s.GridStep)
 	}
+	if s.Drift.Origin != 0 {
+		// The phase moves by the support index k·GridStep, so n_r must
+		// take its values on grid multiples.
+		return fmt.Errorf("core: Drift origin %g must be 0", s.Drift.Origin)
+	}
 	if s.CounterLen < 1 {
 		return errors.New("core: CounterLen must be >= 1")
 	}
@@ -197,6 +202,9 @@ func (s Spec) NextDataState(r int, transition bool) int {
 	}
 	return 0
 }
+
+// correctionSteps returns CorrectionStep in grid steps.
+func (s Spec) correctionSteps() int { return int(s.CorrectionStep/s.GridStep + 0.5) }
 
 // Frame returns the product space's dimensions — d data-source
 // (run-length tracker) states, 1 when no run-length constraint applies;

@@ -186,17 +186,9 @@ func TestWrapDescriptorMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat := d.ToCSR()
-	for i := 0; i < m.NumStates(); i++ {
-		cols, vals := m.P.Row(i)
-		kcols, kvals := mat.Row(i)
-		if len(cols) != len(kcols) {
-			t.Fatalf("row %d nnz mismatch", i)
-		}
-		for k := range cols {
-			if cols[k] != kcols[k] || math.Abs(vals[k]-kvals[k]) > 1e-12 {
-				t.Fatalf("row %d entry %d mismatch", i, k)
-			}
-		}
+	if d.Dim() != m.NumStates() || d.NumTerms() != 5 {
+		t.Fatalf("descriptor dim %d with %d terms, want %d with 5", d.Dim(), d.NumTerms(), m.NumStates())
 	}
+	ref, _ := referenceChain(t, m.Spec)
+	assertSameMatrix(t, m.P, ref, 1e-12)
 }

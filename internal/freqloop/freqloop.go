@@ -29,6 +29,7 @@ import (
 
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/dist"
+	"cdrstoch/internal/kron"
 	"cdrstoch/internal/markov"
 	"cdrstoch/internal/spmat"
 )
@@ -91,70 +92,51 @@ type Model struct {
 	// FormTime is the assembly wall-clock time.
 	FormTime time.Duration
 
-	mid       int
-	corrSteps int
-	freqSteps int   // FreqStep in grid steps
-	pos       []int // product index -> reachable index (or −1)
+	mid int
+	pos []int // product index -> reachable index (or −1)
 }
 
-// Build assembles the second-order transition matrix.
+// Build assembles the second-order transition matrix. For every register
+// value f it takes core's terms with the drift shifted by the register
+// correction −f·q (a fixed part of the phase jump) and puts a register
+// factor f → clamp(f + overflow, −F, +F) in front of each term's phase
+// factor.
 func Build(spec Spec) (*Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	base := spec.Base
-	m := &Model{
-		Spec:      spec,
-		Fn:        2*spec.FreqLen + 1,
-		corrSteps: int(base.CorrectionStep/base.GridStep + 0.5),
-	}
+	m := &Model{Spec: spec, Fn: 2*spec.FreqLen + 1}
 	m.D, m.C, m.M, m.mid = base.Frame()
+	freqSteps := 0 // FreqStep in grid steps
 	if spec.FreqLen > 0 {
-		m.freqSteps = int(spec.FreqStep/base.GridStep + 0.5)
+		freqSteps = int(spec.FreqStep/base.GridStep + 0.5)
 	}
 
-	drift := base.Drift.Trim()
-	n := m.D * m.C * m.Fn * m.M
-	tr := spmat.NewTriplet(n, n)
-	tr.Reserve(n * (drift.Len() + 3))
-
-	for d := 0; d < m.D; d++ {
-		pt := base.TransProb(d)
-		dNoTrans := base.NextDataState(d, false)
-		for c := 0; c < m.C; c++ {
-			cLead, ovLead := core.CounterAdvance(base.CounterLen, c, +1)
-			cLag, ovLag := core.CounterAdvance(base.CounterLen, c, -1)
-			for f := 0; f < m.Fn; f++ {
-				fVal := f - spec.FreqLen
-				fLead := clampInt(fVal+ovLead, -spec.FreqLen, spec.FreqLen) + spec.FreqLen
-				fLag := clampInt(fVal+ovLag, -spec.FreqLen, spec.FreqLen) + spec.FreqLen
-				// Per-bit integral-path correction in grid steps.
-				fCorr := -fVal * m.freqSteps
-				for mi := 0; mi < m.M; mi++ {
-					phi := m.PhaseValue(mi)
-					from := m.productIndex(d, c, f, mi)
-					pLead, pLag, pNull := core.PDProbs(base, phi)
-
-					if w := 1 - pt; w > 0 {
-						m.addBranch(tr, from, dNoTrans, c, f, mi, fCorr, w, drift)
-					}
-					if pt > 0 {
-						if w := pt * pLead; w > 0 {
-							m.addBranch(tr, from, 0, cLead, fLead, mi, fCorr-ovLead*m.corrSteps, w, drift)
-						}
-						if w := pt * pLag; w > 0 {
-							m.addBranch(tr, from, 0, cLag, fLag, mi, fCorr-ovLag*m.corrSteps, w, drift)
-						}
-						if w := pt * pNull; w > 0 {
-							m.addBranch(tr, from, 0, c, f, mi, fCorr, w, drift)
-						}
-					}
-				}
-			}
+	var terms []kron.Term
+	for f := 0; f < m.Fn; f++ {
+		fVal := f - spec.FreqLen
+		drift := *base.Drift
+		drift.MinK -= fVal * freqSteps
+		shifted := base
+		shifted.Drift = &drift
+		ts, err := core.Terms(shifted)
+		if err != nil {
+			return nil, err
+		}
+		for _, t := range ts {
+			reg := spmat.NewTriplet(m.Fn, m.Fn)
+			reg.Add(f, min(max(fVal+t.Overflow, -spec.FreqLen), spec.FreqLen)+spec.FreqLen, 1)
+			a, c, phase := t.Factors[0], t.Factors[1], t.Factors[2]
+			terms = append(terms, kron.Term{Coeff: t.Coeff, Factors: []*spmat.CSR{a, c, reg.ToCSR(), phase}})
 		}
 	}
-	full := tr.ToCSR()
+	d, err := kron.NewDescriptor(terms)
+	if err != nil {
+		return nil, err
+	}
+	full := d.ToCSR()
 	if err := full.CheckStochastic(1e-9); err != nil {
 		return nil, fmt.Errorf("freqloop: assembled TPM invalid: %w", err)
 	}
@@ -165,7 +147,7 @@ func Build(spec Spec) (*Model, error) {
 	locked := m.productIndex(0, base.CounterLen-1, spec.FreqLen, m.mid)
 	reach := bfsReachable(full, locked)
 	m.States = reach
-	m.pos = make([]int, n)
+	m.pos = make([]int, d.Dim())
 	for i := range m.pos {
 		m.pos[i] = -1
 	}
@@ -214,25 +196,6 @@ func bfsReachable(p *spmat.CSR, start int) []int {
 	// BFS emits in discovery order; sort for a stable layout.
 	sort.Ints(out)
 	return out
-}
-
-func (m *Model) addBranch(tr *spmat.Triplet, from, d, c, f, mi, shift int, w float64, drift *dist.PMF) {
-	base := mi + shift
-	wrap := m.Spec.Base.WrapPhase
-	drift.Support(func(_ float64, k int, pk float64) {
-		mj := base + k
-		if wrap {
-			mj = ((mj % m.M) + m.M) % m.M
-		} else {
-			if mj < 0 {
-				mj = 0
-			}
-			if mj >= m.M {
-				mj = m.M - 1
-			}
-		}
-		tr.Add(from, m.productIndex(d, c, f, mj), w*pk)
-	})
 }
 
 // productIndex maps (data, counter, freq, phase) to the full product
@@ -336,13 +299,3 @@ func (m *Model) SolveDirect() ([]float64, error) {
 
 // Chain wraps the TPM for structural queries.
 func (m *Model) Chain() (*markov.Chain, error) { return markov.New(m.P) }
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

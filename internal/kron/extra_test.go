@@ -75,30 +75,3 @@ func TestThreeFactorDescriptor(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStationaryPowerDefaults(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	a := randomStochasticCSR(4, rng)
-	d, err := NewDescriptor([]Term{{Coeff: 1, Factors: []*spmat.CSR{a}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Degenerate option values fall back to defaults.
-	res, err := d.StationaryPower(PowerOptions{Tol: -1, MaxIter: -1, Damping: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Residual > 1e-11 || res.Iterations < 1 || !res.Converged {
-		t.Fatalf("resid %g iters %d", res.Residual, res.Iterations)
-	}
-	pi := res.Pi
-	ref, err := spmat.StationaryGTHCSR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		if math.Abs(pi[i]-ref[i]) > 1e-9 {
-			t.Fatalf("pi[%d] off", i)
-		}
-	}
-}

@@ -23,13 +23,6 @@ import (
 	"cdrstoch/internal/spmat"
 )
 
-// ErrUnconverged marks an iterative Kron solve that exhausted its budget
-// without reaching tolerance. core.ErrUnconverged aliases this sentinel
-// (core imports kron, never the reverse), so errors.Is matches a Kron
-// solve's failure against either name — the service's postmortem and
-// retry classification work unchanged for the matrix-free path.
-var ErrUnconverged = errors.New("did not converge")
-
 // Term is one Kronecker-product summand c·(F₁ ⊗ F₂ ⊗ … ⊗ F_C).
 type Term struct {
 	// Coeff scales the product term (typically an event probability).
@@ -523,66 +516,146 @@ func (d *Descriptor) RowSums() []float64 {
 	return out
 }
 
-// RowIter enumerates single rows of the implicit matrix without
-// materializing it, entry by entry; ToCSR assembles the explicit matrix
-// from it. Create one per traversal; after the first row, Row performs no
-// allocations (the visit closure should likewise be hoisted outside the
-// row loop).
-// A RowIter is not safe for concurrent use.
-type RowIter struct {
-	d      *Descriptor
-	digits []int
-}
-
-// NewRowIter returns a row enumerator for the descriptor.
-func (d *Descriptor) NewRowIter() *RowIter {
-	return &RowIter{d: d, digits: make([]int, len(d.sizes))}
-}
-
-// Row calls visit for every stored entry of row i, as (column, value)
-// pairs. Columns may repeat across terms (the implicit matrix entry is
-// the sum); callers accumulate.
-func (it *RowIter) Row(i int, visit func(col int, v float64)) {
-	d := it.d
-	if i < 0 || i >= d.dim {
-		panic("kron: row index out of range")
-	}
-	rem := i
-	for c := len(d.sizes) - 1; c >= 0; c-- {
-		it.digits[c] = rem % d.sizes[c]
-		rem /= d.sizes[c]
-	}
-	for ti := range d.terms {
-		t := &d.terms[ti]
-		if t.Coeff != 0 {
-			it.expand(t, 0, 0, t.Coeff, visit)
+// ExpandedNNZ returns Σ_t Π_c nnz(F_tc) over the terms with a nonzero
+// coefficient: the entries ToCSR expands before it sums those that
+// several terms place at one position. It bounds the materialized
+// matrix's nnz from above and equals it when no two terms reach one entry.
+func (d *Descriptor) ExpandedNNZ() int {
+	total := 0
+	for _, t := range d.terms {
+		if t.Coeff == 0 {
+			continue
 		}
-	}
-}
-
-func (it *RowIter) expand(t *Term, c, col int, prod float64, visit func(col int, v float64)) {
-	if c == len(it.d.sizes) {
-		visit(col, prod)
-		return
-	}
-	cols, vals := t.Factors[c].Row(it.digits[c])
-	n := it.d.sizes[c]
-	for k, j := range cols {
-		if v := vals[k]; v != 0 {
-			it.expand(t, c+1, col*n+j, prod*v, visit)
+		p := 1
+		for _, f := range t.Factors {
+			p *= f.NNZ()
 		}
+		total += p
 	}
+	return total
 }
 
-// ToCSR materializes the descriptor as an explicit sparse matrix. Intended
-// for tests and small models; the memory cost is the full global nnz.
+// ToCSR materializes the descriptor as an explicit sparse matrix. Each row
+// expands its terms' factor rows straight into the CSR arrays, sized by
+// ExpandedNNZ up front: a term contributes one run in ascending column
+// order, with values multiplied outermost factor first. A k-way merge then
+// orders the row's runs and sums, in term order, the entries several
+// terms place in one column. Stored zeros in a factor contribute nothing,
+// as in the shuffle products.
 func (d *Descriptor) ToCSR() *spmat.CSR {
-	tr := spmat.NewTriplet(d.dim, d.dim)
-	it := d.NewRowIter()
-	for i := 0; i < d.dim; i++ {
-		it.Row(i, func(j int, v float64) { tr.Add(i, j, v) })
+	nnz := d.ExpandedNNZ()
+	e := expander{
+		d:      d,
+		digits: make([]int, len(d.sizes)),
+		cols:   make([]int, 0, nnz),
+		vals:   make([]float64, 0, nnz),
 	}
-	return tr.ToCSR()
+	rowPtr := make([]int, d.dim+1)
+	for i := 0; i < d.dim; i++ {
+		start := len(e.cols)
+		e.runs = e.runs[:0]
+		for ti := range d.terms {
+			if t := &d.terms[ti]; t.Coeff != 0 {
+				at := len(e.cols)
+				if e.expand(t, 0, 0, t.Coeff); len(e.cols) > at {
+					e.runs = append(e.runs, at)
+				}
+			}
+		}
+		e.merge(start)
+		rowPtr[i+1] = len(e.cols)
+		// Advance the row's mixed-radix digits, innermost fastest.
+		for c := len(e.digits) - 1; c >= 0; c-- {
+			if e.digits[c]++; e.digits[c] < d.sizes[c] {
+				break
+			}
+			e.digits[c] = 0
+		}
+	}
+	m, err := spmat.NewCSR(d.dim, d.dim, rowPtr, e.cols, e.vals)
+	if err != nil {
+		panic("kron: ToCSR: " + err.Error())
+	}
+	return m
+}
+
+// expander holds ToCSR's output arrays and per-row scratch.
+type expander struct {
+	d      *Descriptor
+	digits []int // the current row's index in each component
+	cols   []int
+	vals   []float64
+	// runs lists where each nonempty term run of the current row begins
+	// in cols; sc and sv are the merge's copy of the row, head and end
+	// its cursors.
+	runs      []int
+	sc        []int
+	sv        []float64
+	head, end []int
+}
+
+// expand appends the entries of term t's current row from component c on:
+// col is the column prefix and prod the product of the factors before c.
+func (e *expander) expand(t *Term, c, col int, prod float64) {
+	cols, vals := t.Factors[c].Row(e.digits[c])
+	n := e.d.sizes[c]
+	last := c == len(t.Factors)-1
+	for k, j := range cols {
+		v := vals[k]
+		if v == 0 {
+			continue
+		}
+		if last {
+			e.cols = append(e.cols, col*n+j)
+			e.vals = append(e.vals, prod*v)
+		} else {
+			e.expand(t, c+1, col*n+j, prod*v)
+		}
+	}
+}
+
+// merge sorts the current row, cols[start:], by column: it merges the
+// runs, each already ascending, picking the lowest term on ties so that
+// shared columns sum in term order.
+func (e *expander) merge(start int) {
+	sorted := true
+	for r := 1; r < len(e.runs) && sorted; r++ {
+		sorted = e.cols[e.runs[r]-1] < e.cols[e.runs[r]]
+	}
+	if sorted {
+		return // the runs follow one another: the row is ascending already
+	}
+	e.sc = append(e.sc[:0], e.cols[start:]...)
+	e.sv = append(e.sv[:0], e.vals[start:]...)
+	e.head, e.end = e.head[:0], e.end[:0]
+	for r, at := range e.runs {
+		e.head = append(e.head, at-start)
+		if r > 0 {
+			e.end = append(e.end, at-start)
+		}
+	}
+	e.end = append(e.end, len(e.sc))
+	out := start
+	for {
+		best := -1
+		for r, h := range e.head {
+			if h < e.end[r] && (best < 0 || e.sc[h] < e.sc[e.head[best]]) {
+				best = r
+			}
+		}
+		if best < 0 {
+			break
+		}
+		h := e.head[best]
+		e.head[best]++
+		if out > start && e.cols[out-1] == e.sc[h] {
+			e.vals[out-1] += e.sv[h]
+			continue
+		}
+		e.cols[out], e.vals[out] = e.sc[h], e.sv[h]
+		out++
+	}
+	e.cols, e.vals = e.cols[:out], e.vals[:out]
 }
 
 // Kron returns the explicit Kronecker product A ⊗ B.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cdrstoch/internal/markov"
 	"cdrstoch/internal/spmat"
 )
 
@@ -151,6 +152,79 @@ func TestDescriptorVecMulMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestToCSRMatchesKronSum checks the materialization against
+// Σ_t c_t·(F_t1 ⊗ … ⊗ F_tC) formed with Kron, on random descriptors whose
+// terms overlap, one of which has a zero coefficient and one a factor
+// with an empty row: the same pattern, and values to 1e−12.
+func TestToCSRMatchesKronSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		sizes := make([]int, 1+rng.Intn(3))
+		for c := range sizes {
+			sizes[c] = 2 + rng.Intn(4)
+		}
+		terms := make([]Term, 4+rng.Intn(3))
+		for ti := range terms {
+			fs := make([]*spmat.CSR, len(sizes))
+			for c, n := range sizes {
+				fs[c] = randomCSR(n, n, 0.6, rng)
+			}
+			terms[ti] = Term{Coeff: rng.NormFloat64(), Factors: fs}
+		}
+		terms[1].Coeff = 0
+		// Term 2 repeats term 3's pattern with other values, so the two
+		// overlap entry for entry, and has an empty row in a factor.
+		c := rng.Intn(len(sizes))
+		for k, f := range terms[3].Factors {
+			n, _ := f.Dims()
+			tr := spmat.NewTriplet(n, n)
+			for i := 0; i < n; i++ {
+				cols, _ := f.Row(i)
+				if k == c && i == n/2 {
+					continue
+				}
+				for _, j := range cols {
+					tr.Add(i, j, rng.NormFloat64())
+				}
+			}
+			terms[2].Factors[k] = tr.ToCSR()
+		}
+		d, err := NewDescriptor(terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := spmat.NewTriplet(d.Dim(), d.Dim())
+		for _, term := range terms {
+			if term.Coeff == 0 {
+				continue
+			}
+			k := term.Factors[0]
+			for _, f := range term.Factors[1:] {
+				k = Kron(k, f)
+			}
+			for i := 0; i < d.Dim(); i++ {
+				cols, vals := k.Row(i)
+				for kk, j := range cols {
+					want.Add(i, j, term.Coeff*vals[kk])
+				}
+			}
+		}
+		w := want.ToCSR()
+		got := d.ToCSR()
+		if !spmat.SamePattern(got, w) {
+			t.Fatalf("trial %d: pattern differs from the Kronecker sum", trial)
+		}
+		if got.NNZ() > d.ExpandedNNZ() {
+			t.Fatalf("trial %d: nnz %d above ExpandedNNZ %d", trial, got.NNZ(), d.ExpandedNNZ())
+		}
+		for k, v := range w.RawValues() {
+			if g := got.RawValues()[k]; math.Abs(g-v) > 1e-12 {
+				t.Fatalf("trial %d: entry %d = %g, want %g", trial, k, g, v)
+			}
+		}
+	}
+}
+
 func TestDescriptorOfProductChain(t *testing.T) {
 	// Two independent chains: P = A ⊗ B; the stationary distribution is
 	// the product of component stationaries.
@@ -169,7 +243,11 @@ func TestDescriptorOfProductChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.StationaryPower(PowerOptions{Tol: 1e-13})
+	ch, err := markov.NewOperator(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ch.StationaryPower(markov.Options{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package kron
 
 import (
-	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -53,29 +51,6 @@ func TestShuffleProductsAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, tc.f); allocs != 0 {
 			t.Errorf("%s: %v allocs per call after warmup", tc.name, allocs)
 		}
-	}
-}
-
-// Row enumeration is allocation-free after the first row, which is what
-// keeps the multigrid coarse refresh cycle-allocation-free.
-func TestRowIterAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	d, err := NewDescriptor([]Term{
-		{Coeff: 1, Factors: []*spmat.CSR{randomStochasticCSR(4, rng), randomStochasticCSR(6, rng)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := d.NewRowIter()
-	sum := 0.0
-	visit := func(_ int, v float64) { sum += v }
-	it.Row(0, visit)
-	if allocs := testing.AllocsPerRun(20, func() {
-		for i := 0; i < d.Dim(); i++ {
-			it.Row(i, visit)
-		}
-	}); allocs != 0 {
-		t.Errorf("RowIter.Row: %v allocs per sweep", allocs)
 	}
 }
 
@@ -153,9 +128,8 @@ func TestParallelShuffleMatchesSerial(t *testing.T) {
 	}
 }
 
-// Diag, RowSums and RowIter are the structural surface the operator
-// backend and the multigrid restriction rely on; all must agree with the
-// materialized matrix.
+// Diag and RowSums are the structural surface the operator backend
+// relies on; both must agree with the materialized matrix.
 func TestStructuralSurfaceMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 5; trial++ {
@@ -182,58 +156,5 @@ func TestStructuralSurfaceMatchesMaterialized(t *testing.T) {
 				t.Fatalf("trial %d: rowsum[%d] = %g, want %g", trial, i, sums[i], refSums[i])
 			}
 		}
-		it := d.NewRowIter()
-		row := make([]float64, d.Dim())
-		for i := 0; i < d.Dim(); i++ {
-			for j := range row {
-				row[j] = 0
-			}
-			it.Row(i, func(j int, v float64) { row[j] += v })
-			for j := range row {
-				if math.Abs(row[j]-m.At(i, j)) > 1e-12 {
-					t.Fatalf("trial %d: row %d col %d = %g, want %g", trial, i, j, row[j], m.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-// A canceled context stops the power solve at the next sweep boundary
-// with a partial-progress error wrapping ctx.Err (the repo-wide sweep
-// cadence convention).
-func TestStationaryPowerCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	d, err := NewDescriptor([]Term{{Coeff: 1, Factors: []*spmat.CSR{randomStochasticCSR(6, rng)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := d.StationaryPower(PowerOptions{Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(res.Pi) != d.Dim() {
-		t.Fatal("no partial iterate returned")
-	}
-}
-
-// An exhausted iteration budget returns the best iterate AND the wrapped
-// sentinel — the silent-nonconvergence bug this PR fixes.
-func TestStationaryPowerUnconverged(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	d, err := NewDescriptor([]Term{{Coeff: 1, Factors: []*spmat.CSR{randomStochasticCSR(8, rng)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.StationaryPower(PowerOptions{Tol: 1e-16, MaxIter: 2})
-	if err == nil {
-		t.Fatal("2-sweep solve reported success")
-	}
-	if !errors.Is(err, ErrUnconverged) {
-		t.Fatalf("err = %v, want ErrUnconverged", err)
-	}
-	if res.Converged || res.Iterations != 2 || len(res.Pi) != d.Dim() {
-		t.Fatalf("partial result %+v", res)
 	}
 }

@@ -215,7 +215,7 @@ func newImplicitLevel(d *kron.Descriptor, fold []*lump.Partition) (*implicitLeve
 // outerLinks appends term t's links: for every nonzero entry of the
 // Kronecker product of its outer factors, the link from the entry's row
 // segment to its column segment, valued coef·Π entries (multiplied
-// outermost first, as kron.RowIter does). A term with a single factor has
+// outermost first, as Descriptor.ToCSR does). A term with a single factor has
 // one segment, mapped onto itself with its coefficient.
 func outerLinks(links []segLink, t int, term kron.Term, sizes []int) []segLink {
 	outer := term.Factors[:len(term.Factors)-1]

@@ -108,7 +108,7 @@ func TestSegmentRestrictMatchesRowIter(t *testing.T) {
 			}
 			x := randomIterate(c.d.Dim(), rng)
 			got := s.RestrictFine(x)
-			want := rowIterRestrict(t, c.d, c.parts[:fold], x)
+			want := rowRestrict(t, c.d, c.parts[:fold], x)
 			if !spmat.SamePattern(got, want) {
 				t.Fatalf("%s fold %d: level-1 pattern differs from the row-by-row one", c.name, fold)
 			}
@@ -126,11 +126,11 @@ func TestSegmentRestrictMatchesRowIter(t *testing.T) {
 	}
 }
 
-// rowIterRestrict is the restriction the segment kernels replaced, kept
-// as the oracle: it builds level 1's pattern by enumerating every fine row
-// with kron.RowIter, then adds each weighted fine entry into the coarse
-// entry that EntryIndex finds.
-func rowIterRestrict(t *testing.T, d *kron.Descriptor, fold []*lump.Partition, x []float64) *spmat.CSR {
+// rowRestrict is the restriction the segment kernels replaced, kept as
+// the oracle: it builds level 1's pattern from the rows of the
+// materialized descriptor, then adds each weighted fine entry into the
+// coarse entry that EntryIndex finds.
+func rowRestrict(t *testing.T, d *kron.Descriptor, fold []*lump.Partition, x []float64) *spmat.CSR {
 	t.Helper()
 	nc := fold[len(fold)-1].NumBlocks()
 	blockOf := make([]int, d.Dim())
@@ -143,11 +143,14 @@ func rowIterRestrict(t *testing.T, d *kron.Descriptor, fold []*lump.Partition, x
 		blockOf[i] = b
 		count[b]++
 	}
-	it := d.NewRowIter()
+	p := d.ToCSR()
 	cols := make([][]int, nc)
 	for i := range blockOf {
 		I := blockOf[i]
-		it.Row(i, func(j int, _ float64) { cols[I] = append(cols[I], blockOf[j]) })
+		pcols, _ := p.Row(i)
+		for _, j := range pcols {
+			cols[I] = append(cols[I], blockOf[j])
+		}
 	}
 	rowPtr := make([]int, nc+1)
 	var colIdx []int
@@ -174,7 +177,10 @@ func rowIterRestrict(t *testing.T, d *kron.Descriptor, fold []*lump.Partition, x
 		if w == 0 {
 			continue
 		}
-		it.Row(i, func(j int, p float64) { vals[pc.EntryIndex(I, blockOf[j])] += w * p })
+		pcols, pvals := p.Row(i)
+		for k, j := range pcols {
+			vals[pc.EntryIndex(I, blockOf[j])] += w * pvals[k]
+		}
 	}
 	return pc
 }

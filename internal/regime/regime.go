@@ -23,6 +23,7 @@ import (
 
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/dist"
+	"cdrstoch/internal/kron"
 	"cdrstoch/internal/lump"
 	"cdrstoch/internal/markov"
 	"cdrstoch/internal/multigrid"
@@ -99,94 +100,56 @@ type Model struct {
 	// FormTime is the assembly wall-clock time.
 	FormTime time.Duration
 
-	mid       int
-	corrSteps int
+	mid int
 }
 
 // Build assembles the modulated transition matrix. The regime switches
 // independently of the loop each bit; within a bit the active regime's
 // laws drive the PD decision and the phase jump (the regime transition
-// applies the *current* regime's noise, then moves).
+// applies the *current* regime's noise, then moves). Each term is a
+// switch factor — row r of Switch — in front of one of core's terms for
+// regime r's laws.
 func Build(spec Spec) (*Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	base := spec.Base
-	m := &Model{
-		Spec:      spec,
-		R:         len(spec.Regimes),
-		corrSteps: int(base.CorrectionStep/base.GridStep + 0.5),
-	}
+	m := &Model{Spec: spec, R: len(spec.Regimes)}
 	m.D, m.C, m.M, m.mid = base.Frame()
 
-	n := m.NumStates()
-	tr := spmat.NewTriplet(n, n)
-	for r := 0; r < m.R; r++ {
-		reg := spec.Regimes[r]
-		drift := reg.Drift.Trim()
+	var terms []kron.Term
+	for r, reg := range spec.Regimes {
 		regimeSpec := base
 		regimeSpec.EyeJitter = reg.EyeJitter
-		for d := 0; d < m.D; d++ {
-			pt := base.TransProb(d)
-			dNoTrans := base.NextDataState(d, false)
-			for c := 0; c < m.C; c++ {
-				cLead, ovLead := core.CounterAdvance(base.CounterLen, c, +1)
-				cLag, ovLag := core.CounterAdvance(base.CounterLen, c, -1)
-				for mi := 0; mi < m.M; mi++ {
-					phi := m.PhaseValue(mi)
-					from := m.StateIndex(r, d, c, mi)
-					pLead, pLag, pNull := core.PDProbs(regimeSpec, phi)
-					for r2 := 0; r2 < m.R; r2++ {
-						ps := spec.Switch[r][r2]
-						if ps == 0 {
-							continue
-						}
-						if w := ps * (1 - pt); w > 0 {
-							m.addBranch(tr, from, r2, dNoTrans, c, mi, 0, w, drift)
-						}
-						if pt > 0 {
-							if w := ps * pt * pLead; w > 0 {
-								m.addBranch(tr, from, r2, 0, cLead, mi, -ovLead*m.corrSteps, w, drift)
-							}
-							if w := ps * pt * pLag; w > 0 {
-								m.addBranch(tr, from, r2, 0, cLag, mi, -ovLag*m.corrSteps, w, drift)
-							}
-							if w := ps * pt * pNull; w > 0 {
-								m.addBranch(tr, from, r2, 0, c, mi, 0, w, drift)
-							}
-						}
-					}
-				}
+		regimeSpec.Drift = reg.Drift
+		ts, err := core.Terms(regimeSpec)
+		if err != nil {
+			return nil, err
+		}
+		sw := spmat.NewTriplet(m.R, m.R)
+		for r2, ps := range spec.Switch[r] {
+			if ps > 0 {
+				sw.Add(r, r2, ps)
 			}
 		}
+		swr := sw.ToCSR()
+		for _, t := range ts {
+			factors := append([]*spmat.CSR{swr}, t.Factors...)
+			terms = append(terms, kron.Term{Coeff: t.Coeff, Factors: factors})
+		}
 	}
-	p := tr.ToCSR()
+	d, err := kron.NewDescriptor(terms)
+	if err != nil {
+		return nil, err
+	}
+	p := d.ToCSR()
 	if err := p.CheckStochastic(1e-9); err != nil {
 		return nil, fmt.Errorf("regime: assembled TPM invalid: %w", err)
 	}
 	m.P = p
 	m.FormTime = time.Since(start)
 	return m, nil
-}
-
-func (m *Model) addBranch(tr *spmat.Triplet, from, r, d, c, mi, shift int, w float64, drift *dist.PMF) {
-	base := mi + shift
-	wrap := m.Spec.Base.WrapPhase
-	drift.Support(func(_ float64, k int, pk float64) {
-		mj := base + k
-		if wrap {
-			mj = ((mj % m.M) + m.M) % m.M
-		} else {
-			if mj < 0 {
-				mj = 0
-			}
-			if mj >= m.M {
-				mj = m.M - 1
-			}
-		}
-		tr.Add(from, m.StateIndex(r, d, c, mj), w*pk)
-	})
 }
 
 // NumStates returns R·D·C·M.

@@ -186,6 +186,23 @@ func TestServerRejectsBadInput(t *testing.T) {
 	}
 }
 
+// A drift PMF whose origin is off zero is a 400, not a model that
+// silently solves the origin-free chain.
+func TestServerRejectsDriftOrigin(t *testing.T) {
+	_, ts, _ := newTestServer(t, ServerConfig{})
+	spec := core.DefaultSpec()
+	drift := *spec.Drift
+	drift.Origin = spec.GridStep
+	spec.Drift = &drift
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", solveRequest{Spec: spec})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "origin") {
+		t.Errorf("error body %s does not name the drift origin", body)
+	}
+}
+
 func TestServerSweepEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t, ServerConfig{})
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweepRequest{
