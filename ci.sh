@@ -85,11 +85,14 @@ echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # materialized matrix (including the parallel split) and, bit for bit,
 # against the full-slab evaluation their support restriction replaces,
 # the operator-backed markov solvers, the implicit-fine-level multigrid
-# (including its trace, level for level, against the explicit one, and
-# its segment smoother and restriction against point Gauss–Seidel on the
-# materialized matrix and the row-by-row restriction they replaced), the
-# core analysis, the FSM synchronous product, and the HTTP backend
-# selector end to end. The explicit backend is the materialized
+# (including its trace, level for level, against the explicit one, its
+# segment smoother and restriction against point Gauss–Seidel and a
+# row-by-row restriction over the materialized matrix, and its level 1,
+# written straight into its transpose, bit for bit against the restriction
+# into a CSR matrix whose transpose is refreshed), the core analysis, the
+# FSM synchronous product, and the HTTP backend selector end to end. The
+# lumping plan that builds every explicit coarse level as a transpose runs
+# against the transpose of a fresh Lump. The explicit backend is the materialized
 # descriptor, so its independent oracles run here too: ToCSR against
 # sums of explicit Kronecker products, Build against the four-FSM
 # network on random specs, and the regime and frequency-loop chains
@@ -97,15 +100,17 @@ echo "== kron backend parity (matrix-free vs explicit, -race) =="
 run_tests 'TestParallelShuffleMatchesSerial|TestShuffleMatchesFullSlab|TestStructuralSurfaceMatchesMaterialized|TestDescriptorMatchesFSMProduct|TestToCSRMatchesKronSum' \
     -race -count=1 ./internal/kron
 run_tests 'TestOperatorChain' -race -count=1 ./internal/markov
-run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits|TestSegmentSweepMatchesPointGaussSeidel|TestSegmentRestrictMatchesRowIter' \
+run_tests 'TestPlanMatchesLump' -race -count=1 ./internal/lump
+run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits|TestSegmentSweepMatchesPointGaussSeidel|TestSegmentRestrictMatchesMaterializedRows|TestSegmentRestrictTransposeBitIdentical' \
     -race -count=1 ./internal/multigrid
 run_tests 'TestSolveKron|TestBuildShell|TestQuickDescriptorEquivalence' -race -count=1 ./internal/core
 run_tests 'TestBuildMatchesDirectAssembly' -race -count=1 ./internal/regime ./internal/freqloop
 run_tests 'TestAnalyzeKronBackendParity|TestBackendValidation' -race -count=1 ./internal/serve
 
-echo "== kron workspace allocs (zero-alloc shuffle products and implicit-level cycles) =="
+echo "== workspace allocs (zero-alloc shuffle products and implicit-level cycles; workspace figure vs retained heap) =="
 run_tests 'TestShuffleProductsAllocFree' -count=1 ./internal/kron
-run_tests 'TestKronSolverAllocsDoNotScaleWithCycles|TestCoarsestFallbackAllocFree' -count=1 ./internal/multigrid
+run_tests 'TestKronSolverAllocsDoNotScaleWithCycles|TestCoarsestFallbackAllocFree|TestWorkspaceBytesMatchesRetainedHeap' \
+    -count=1 ./internal/multigrid
 
 echo "== benchmark harness unit tests (bench/ builds against the library) =="
 # bench/ is its own module (replace cdrstoch => ../), so ./... above never

@@ -10,54 +10,59 @@ import (
 )
 
 // Plan precomputes everything about iterate-weighted lumping that depends
-// only on the fine sparsity pattern and the partition: the coarse matrix's
-// structural pattern and, for every fine stored entry, the index of the
-// coarse entry it accumulates into. Repeated lumping along a sequence of
-// iterates — the multigrid cycle does one per level per cycle — then
-// reduces to a weights pass and an O(nnz) scatter into the coarse value
-// slice, with zero allocation after the plan is built. Lump, by contrast,
-// rebuilds a triplet and re-sorts it on every call.
+// only on the fine sparsity pattern and the partition. It works on
+// transposes, the layout the multigrid smoother reads: it reads the fine
+// matrix P as Pᵀ and writes the coarse matrix P_c as P_cᵀ, so a hierarchy
+// holds each coarse level once. The plan keeps P_cᵀ's structural pattern
+// and, for every stored entry of Pᵀ, the index of the P_cᵀ entry it
+// accumulates into. Repeated lumping along a sequence of iterates — the
+// multigrid cycle does one per level per cycle — then reduces to a weights
+// pass and an O(nnz) scatter into P_cᵀ's values, with zero allocation
+// after the plan is built. Lump, by contrast, rebuilds a triplet and
+// re-sorts it on every call.
 //
 // The coarse pattern is the structural image of the fine pattern: it keeps
 // entries whose accumulated value happens to be zero for the current
 // iterate, which a fresh Lump would drop. Explicit zeros are valid CSR and
 // harmless to the smoothers and the coarsest-level GTH solve.
 type Plan struct {
-	p      *spmat.CSR
+	pt     *spmat.CSR // fine transpose Pᵀ
 	part   *Partition
-	coarse *spmat.CSR
-	dest   []int32   // coarse val index per fine stored entry, row-major
-	w      []float64 // disaggregation weights of the last Update
-	sums   []float64 // per-block mass scratch
-	counts []int     // block sizes, for the vanished-mass uniform fallback
+	coarse *spmat.CSR // coarse transpose P_cᵀ
+	dest   []int32    // P_cᵀ value index per stored entry of Pᵀ, row-major
+	w      []float64  // disaggregation weights of the last Update
+	sums   []float64  // per-block mass scratch, then the coarse row sums
+	counts []int      // block sizes, for the vanished-mass uniform fallback
 }
 
-// NewPlan validates the pair like Lump and builds the structural plan.
-// The fine matrix's values may change between Updates (the multigrid
-// hierarchy refreshes them in place level by level); its pattern must not.
-func NewPlan(p *spmat.CSR, part *Partition) (*Plan, error) {
-	n, m := p.Dims()
+// NewPlan validates the pair like Lump and builds the structural plan from
+// pt, the transpose of the fine matrix. pt's values may change between
+// Updates (the multigrid hierarchy rewrites them in place level by
+// level); its pattern must not.
+func NewPlan(pt *spmat.CSR, part *Partition) (*Plan, error) {
+	n, m := pt.Dims()
 	if n != m {
 		return nil, errors.New("lump: TPM must be square")
 	}
 	if n != part.NumStates() {
 		return nil, fmt.Errorf("lump: partition covers %d states, TPM has %d", part.NumStates(), n)
 	}
-	if p.NNZ() > math.MaxInt32 {
-		return nil, fmt.Errorf("lump: %d stored entries exceed the plan's 32-bit destinations", p.NNZ())
+	if pt.NNZ() > math.MaxInt32 {
+		return nil, fmt.Errorf("lump: %d stored entries exceed the plan's 32-bit destinations", pt.NNZ())
 	}
 	nb := part.NumBlocks()
 	counts := make([]int, nb)
 	for _, b := range part.blockOf {
 		counts[b]++
 	}
-	rowPtr, colIdx, dest := CoarsePattern(p, part)
+	// The structural image of Pᵀ is the pattern of P_cᵀ.
+	rowPtr, colIdx, dest := CoarsePattern(pt, part)
 	coarse, err := spmat.NewCSR(nb, nb, rowPtr, colIdx, make([]float64, len(colIdx)))
 	if err != nil {
 		return nil, fmt.Errorf("lump: internal: coarse pattern: %w", err)
 	}
 	return &Plan{
-		p:      p,
+		pt:     pt,
 		part:   part,
 		coarse: coarse,
 		dest:   dest,
@@ -175,21 +180,30 @@ func Pattern(rows, cols int, slots []int32, ranges func(r int, visit func(lo, hi
 	return rowPtr, colIdx
 }
 
-// Coarse returns the plan-owned coarse matrix. Update rewrites its values
-// in place; the pointer stays valid across Updates.
-func (pl *Plan) Coarse() *spmat.CSR { return pl.coarse }
+// CoarseT returns the plan-owned coarse transpose P_cᵀ. Update rewrites
+// its values in place; the pointer stays valid across Updates.
+func (pl *Plan) CoarseT() *spmat.CSR { return pl.coarse }
 
 // Weights returns the disaggregation weights computed by the last Update.
 // The slice aliases plan storage and is overwritten by the next Update.
 func (pl *Plan) Weights() []float64 { return pl.w }
 
-// Update recomputes the coarse matrix values for iterate x — the same
-// operator Lump(p, part, x) builds — reusing the plan's pattern and
-// buffers. It also refreshes Weights. No allocation.
+// MemoryBytes counts the plan's destination table, weights and block
+// scratch; the coarse transpose is the next level's, and counted there.
+func (pl *Plan) MemoryBytes() int64 {
+	return int64(len(pl.dest))*4 + int64(len(pl.w)+len(pl.sums)+len(pl.counts))*8
+}
+
+// Update rewrites the coarse transpose's values for iterate x — the
+// transpose of the operator Lump(p, part, x) builds, p the fine matrix —
+// reusing the plan's pattern and buffers, and refreshes Weights. Each
+// stored entry P_ij, read from row j of Pᵀ, adds w_i·P_ij into its coarse
+// entry. Update then checks the coarse chain as CheckStochastic does: no
+// entry below −1e−8 and every row sum (a column sum of P_cᵀ) within 1e−8
+// of 1. No allocation.
 func (pl *Plan) Update(x []float64) error {
 	bo := pl.part.blockOf
-	n := len(bo)
-	if len(x) != n {
+	if len(x) != len(bo) {
 		return errors.New("lump: weight vector length mismatch")
 	}
 	clear(pl.sums)
@@ -206,20 +220,30 @@ func (pl *Plan) Update(x []float64) error {
 	cv := pl.coarse.RawValues()
 	clear(cv)
 	k := 0
-	for i := 0; i < n; i++ {
-		_, vals := pl.p.Row(i)
-		wi := pl.w[i]
-		if wi == 0 {
-			k += len(vals)
-			continue
+	for j := range bo {
+		cols, vals := pl.pt.Row(j)
+		dest := pl.dest[k : k+len(cols)]
+		for q, i := range cols {
+			cv[dest[q]] += pl.w[i] * vals[q]
 		}
-		for _, v := range vals {
-			cv[pl.dest[k]] += wi * v
-			k++
+		k += len(cols)
+	}
+	const tol = 1e-8
+	rowSums := pl.sums
+	clear(rowSums)
+	for J := range pl.part.nBlocks {
+		cols, vals := pl.coarse.Row(J)
+		for q, I := range cols {
+			if vals[q] < -tol {
+				return fmt.Errorf("lump: coarse TPM not stochastic: negative probability %g at (%d,%d)", vals[q], I, J)
+			}
+			rowSums[I] += vals[q]
 		}
 	}
-	if err := pl.coarse.CheckStochastic(1e-8); err != nil {
-		return fmt.Errorf("lump: coarse TPM not stochastic: %w", err)
+	for I, sum := range rowSums {
+		if math.Abs(sum-1) > tol {
+			return fmt.Errorf("lump: coarse TPM not stochastic: row %d sums to %g, want 1±%g", I, sum, tol)
+		}
 	}
 	return nil
 }

@@ -41,17 +41,18 @@ func tripletPlan(t *testing.T, p *spmat.CSR, part *lump.Partition) (*spmat.CSR, 
 	return coarse, dest
 }
 
-// checkPlanMatchesTriplet requires NewPlan's coarse matrix and destinations
-// to equal the oracle's exactly: the same rows, columns and (zero) value
-// bits, and the same destination for every fine entry.
-func checkPlanMatchesTriplet(t *testing.T, name string, p *spmat.CSR, part *lump.Partition) *lump.Plan {
+// checkPlanMatchesTriplet requires the coarse transpose and destinations
+// of NewPlan(pt, part) to equal the oracle's on pt exactly: the same rows,
+// columns and (zero) value bits, and the same destination for every
+// stored entry of pt.
+func checkPlanMatchesTriplet(t *testing.T, name string, pt *spmat.CSR, part *lump.Partition) *lump.Plan {
 	t.Helper()
-	plan, err := lump.NewPlan(p, part)
+	plan, err := lump.NewPlan(pt, part)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	want, wantDest := tripletPlan(t, p, part)
-	got := plan.Coarse()
+	want, wantDest := tripletPlan(t, pt, part)
+	got := plan.CoarseT()
 	if gr, gc := got.Dims(); gr != part.NumBlocks() || gc != part.NumBlocks() || got.NNZ() != want.NNZ() {
 		t.Fatalf("%s: coarse %dx%d with %d entries, oracle %d entries", name, gr, gc, got.NNZ(), want.NNZ())
 	}
@@ -80,9 +81,9 @@ func TestNewPlanMatchesTripletOnHierarchies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := m.P
+		pt := m.P.T()
 		for k, part := range parts {
-			p = checkPlanMatchesTriplet(t, fmt.Sprintf("counter %d level %d", counter, k), p, part).Coarse()
+			pt = checkPlanMatchesTriplet(t, fmt.Sprintf("counter %d level %d", counter, k), pt, part).CoarseT()
 		}
 	}
 }

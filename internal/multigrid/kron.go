@@ -26,8 +26,8 @@ import (
 //     through those links' transposed phase factors. The result is point
 //     Gauss–Seidel on P, up to rounding.
 //   - Restriction accumulates coef·R_mᵀ·diag(w_s)·S_t·R_m, per segment and
-//     term (R_m the within-segment aggregation), into level 1's values at
-//     offsets fixed at construction.
+//     term (R_m the within-segment aggregation), into the values of level
+//     1's transpose at offsets fixed at construction.
 //
 // The per-cycle residual stays on the descriptor's shuffle product. Cycles
 // allocate nothing.
@@ -48,7 +48,8 @@ type implicitLevel struct {
 
 	// loc[t] maps each stored entry of S_t to its entry of R_mᵀ·S_t·R_m,
 	// whose rows locPtr[t] and columns locCol[t] hold; dest lists, link by
-	// link in out order, the level-1 value index of each such entry.
+	// link in out order, the index of each such entry among the values of
+	// level 1's transpose.
 	loc            [][]int32
 	locPtr, locCol [][]int
 	dest           []int32
@@ -76,8 +77,9 @@ type segLink struct {
 // ordinary explicit levels below it (fold = len(parts) solves level 1
 // directly with GTH). The folded partitions must aggregate the states of
 // every segment (the innermost mode) alike, into one segment of level 1,
-// as BuildPairHierarchy's do. Construction holds O(coarse nnz) memory:
-// the global matrix never exists.
+// as BuildPairHierarchy's do, and the coarsest level may hold at most 4096
+// states, as in New. Construction holds O(coarse nnz) memory: the global
+// matrix never exists.
 //
 // Level 0 enters level 1 by the forcing rule, as often as it takes to
 // solve the coarse chain to a tenth of the fine residual (solveCoarse),
@@ -104,11 +106,16 @@ func NewKron(d *kron.Descriptor, fold int, parts []*lump.Partition, cfg Config) 
 	if err != nil {
 		return nil, err
 	}
+	// Level 1 is held only as its transpose: route every destination
+	// through the transpose permutation once, so restrict writes it
+	// directly, each entry summed in the same order as into pc.
+	pt, perm := pc.TransposeWithPerm()
+	for k, v := range im.dest {
+		im.dest[k] = perm[v]
+	}
 	nc := len(im.mass)
 	s.levels = append(s.levels, &mgLevel{size: d.Dim(), xc: make([]float64, nc), imp: im})
-	coarse := &mgLevel{size: nc, p: pc}
-	coarse.pt, coarse.perm = pc.TransposeWithPerm()
-	if err := s.stack(coarse, parts, fold); err != nil {
+	if err := s.stack(&mgLevel{size: nc, pt: pt}, parts, fold); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -241,8 +248,9 @@ func outerLinks(links []segLink, t int, term kron.Term, sizes []int) []segLink {
 
 // coarsePattern builds level 1's matrix with its sparsity fixed, from the
 // links: row (s, I) holds column (s', J) when a link s → s' of a term
-// whose restricted phase factor stores (I, J). It also fills dest. Values
-// start at zero; restrict rewrites them every cycle.
+// whose restricted phase factor stores (I, J). It also fills dest with
+// indices into that matrix's values, which NewKron then maps onto its
+// transpose's. Values start at zero.
 func (im *implicitLevel) coarsePattern() (*spmat.CSR, error) {
 	nc := im.segs * im.mc
 	// A link's slots in dest start out holding the level-1 columns its
@@ -326,15 +334,16 @@ func (im *implicitLevel) smooth(pool *spmat.Pool, x []float64, steps int, omega 
 	}
 }
 
-// restrict rewrites pc's values with the current iterate's aggregation
-// weights — Pc[I][J] = Σ_{i∈I} (x_i/‖x‖_I)·Σ_{j∈J} P_ij — and writes the
-// block masses ‖x‖_I into xc, keeping a copy for prolong. Aggregates that
-// carry no iterate mass fall back to uniform weights so the coarse chain
-// stays stochastic. Per segment and term, the weighted phase factor is
-// restricted once into acc, then added into level 1 for each of the
-// term's links leaving the segment.
-func (im *implicitLevel) restrict(x []float64, pc *spmat.CSR, xc []float64) {
-	vals := pc.RawValues()
+// restrict rewrites the values of pct, level 1's transpose, with the
+// current iterate's aggregation weights — Pc[I][J] = Σ_{i∈I}
+// (x_i/‖x‖_I)·Σ_{j∈J} P_ij — and writes the block masses ‖x‖_I into xc,
+// keeping a copy for prolong. Aggregates that carry no iterate mass fall
+// back to uniform weights so the coarse chain stays stochastic. Per
+// segment and term, the weighted phase factor is restricted once into acc,
+// then added into level 1 for each of the term's links leaving the
+// segment.
+func (im *implicitLevel) restrict(x []float64, pct *spmat.CSR, xc []float64) {
+	vals := pct.RawValues()
 	clear(vals)
 	m, mc := im.m, im.mc
 	clear(im.mass)
@@ -431,7 +440,7 @@ func (s *Solver) solveCoarse(im *implicitLevel, xc []float64) error {
 		if c == im.maxCoarse || math.IsInf(target, 1) || next.plan == nil {
 			return nil
 		}
-		s.pool.VecMulT(next.p, next.pt, im.yc, xc)
+		s.pool.MulVec(next.pt, im.yc, xc)
 		r := 0.0
 		for i, v := range xc {
 			r += math.Abs(im.yc[i] - v)

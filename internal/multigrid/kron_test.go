@@ -163,6 +163,28 @@ func TestKronSolverValidation(t *testing.T) {
 	}
 }
 
+// TestKronSolverRejectsOversizedCoarsest checks that NewKron refuses a
+// chain whose coarsest level is too large for its dense GTH solve: a
+// one-factor random walk whose single fold pairing leaves maxCoarsest+1
+// states.
+func TestKronSolverRejectsOversizedCoarsest(t *testing.T) {
+	n := 2*maxCoarsest + 2
+	d, err := kron.NewDescriptor([]kron.Term{{Coeff: 1, Factors: []*spmat.CSR{randomWalkChain(n, 0.3, 0.2)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := BuildPairHierarchy(n, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewKron(d, 1, parts[:1], Config{}); err == nil {
+		t.Errorf("coarsest level of %d states accepted", parts[0].NumBlocks())
+	}
+	if _, err := NewKron(d, 1, parts[:2], Config{}); err != nil {
+		t.Errorf("coarsest level of %d states rejected: %v", parts[1].NumBlocks(), err)
+	}
+}
+
 // TestKronSolverRejectsMixedSegments checks that NewKron refuses fold
 // partitions the segment kernels cannot run: one that merges states of
 // different segments, and one that aggregates the phase states of odd and
@@ -418,13 +440,12 @@ func TestCoarsestFallbackAllocFree(t *testing.T) {
 	}
 	lv := s.levels[len(s.levels)-1]
 	// A zero coarse matrix is reducible in every state, so GTH fails.
-	clear(lv.p.RawValues())
-	lv.p.RefreshTranspose(lv.pt, lv.perm)
+	clear(lv.pt.RawValues())
 	x := make([]float64, lv.size)
 	for i := range x {
 		x[i] = 1 / float64(len(x))
 	}
-	if _, err := s.gth.StationaryCSR(lv.p); err == nil {
+	if _, err := s.gth.StationaryT(lv.pt); err == nil {
 		t.Fatal("GTH solved a zero chain")
 	}
 	sweeps := func() { s.gaussSeidel(lv.pt, x, s.cfg.CoarsestMaxIter) }
@@ -436,7 +457,7 @@ func TestCoarsestFallbackAllocFree(t *testing.T) {
 		// which race builds make drop Puts at random: its count varies.
 		return
 	}
-	gthAllocs := testing.AllocsPerRun(20, func() { s.gth.StationaryCSR(lv.p) })
+	gthAllocs := testing.AllocsPerRun(20, func() { s.gth.StationaryT(lv.pt) })
 	if allocs := testing.AllocsPerRun(20, func() { s.coarsestSolve(lv, x) }); allocs > gthAllocs {
 		t.Fatalf("fallback allocates %v per call, GTH error alone %v", allocs, gthAllocs)
 	}

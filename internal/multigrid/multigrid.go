@@ -212,16 +212,17 @@ func (r Result) String() string {
 }
 
 // mgLevel is the per-level workspace of the hierarchy: the level's matrix,
-// its transpose (refreshed in place on coarse levels, whose values change
-// every cycle), the restriction down to the next level, and the coarse
-// iterate buffer. Everything is allocated at construction so the cycles
-// run allocation-free. A NewKron solver's level 0 has no matrix: imp
-// smooths, restricts and prolongs through the Kronecker descriptor.
+// held as the transpose its smoother and plan read, the restriction down
+// to the next level, and the coarse iterate buffer. Everything is
+// allocated at construction so the cycles run allocation-free. A level
+// below 0 is held once, as the transpose the level above rewrites every
+// cycle. A NewKron solver's level 0 has no matrix: imp smooths, restricts
+// and prolongs through the Kronecker descriptor.
 type mgLevel struct {
 	size  int             // state count
-	p     *spmat.CSR      // level matrix; level 0 is the caller's, others are plan-owned
-	pt    *spmat.CSR      // transpose of p, used by the Gauss–Seidel smoother
-	perm  []int32         // p→pt value permutation for in-place refresh; nil for a shared transpose
+	p     *spmat.CSR      // the caller's matrix on level 0 of New; nil elsewhere
+	pt    *spmat.CSR      // transpose: p.T(), solver-owned if Refreshable, or the level above's output
+	perm  []int32         // p→pt value permutation for RefreshFine; nil unless Refreshable
 	part  *lump.Partition // restriction onto the next level; nil at the coarsest and on imp
 	chain int             // index of part in the caller's partition chain
 	plan  *lump.Plan      // lumping onto the next level; nil at the coarsest and on imp
@@ -258,14 +259,18 @@ type Solver struct {
 
 // New validates the partition chain against the matrix and returns a
 // solver. parts[k] must partition the state space of level k (level 0 is
-// p itself; level k+1 has parts[k].NumBlocks() states). An empty partition
-// chain degenerates to a smoothed direct solve and is rejected for
-// matrices beyond the coarsest size; supply at least one level for real
-// problems.
+// p itself; level k+1 has parts[k].NumBlocks() states). The last level is
+// solved directly with dense GTH, so a chain whose coarsest level has more
+// than 4096 states is rejected; an empty chain makes p itself the coarsest
+// level.
 //
 // New builds the whole hierarchy structurally — coarse patterns, lumping
-// plans, transposes and iterate buffers — so that Solve's cycles only
-// rewrite values in place: after New, a cycle performs no heap allocation.
+// plans and iterate buffers — so that Solve's cycles only rewrite values
+// in place: after New, a cycle performs no heap allocation. Per partition
+// it allocates a plan (a 32-bit destination per stored entry of the level
+// above, weights and block scratch) and the coarse level's transpose, the
+// only copy of that level. Level 0 reads p.T(), cached on p, unless
+// Config.Refreshable asks for a solver-owned copy.
 func New(p *spmat.CSR, parts []*lump.Partition, cfg Config) (*Solver, error) {
 	n, m := p.Dims()
 	if n != m {
@@ -289,6 +294,15 @@ func New(p *spmat.CSR, parts []*lump.Partition, cfg Config) (*Solver, error) {
 	return s, nil
 }
 
+// maxCoarsest bounds the state count of the coarsest level, which every
+// visit densifies and solves with GTH: 4096 states take a 128 MiB dense
+// workspace and about 2·10¹⁰ multiply-adds per visit. The hierarchies
+// built in this repository end at 72 states or fewer (Figure 5 at counter
+// 32 ends at 32), so a larger coarsest level means a missing or truncated
+// partition chain, which would otherwise surface as a multi-gigabyte
+// allocation in the first cycle.
+const maxCoarsest = 4096
+
 // newSolver validates a partition chain over n fine states and returns a
 // solver with its defaults, worker pool and fine buffer, but no levels.
 func newSolver(n int, parts []*lump.Partition, cfg Config) (*Solver, error) {
@@ -307,6 +321,10 @@ func newSolver(n int, parts []*lump.Partition, cfg Config) (*Solver, error) {
 		}
 		size = part.NumBlocks()
 	}
+	if size > maxCoarsest {
+		return nil, fmt.Errorf("multigrid: coarsest level has %d states, more than the %d a dense GTH solve takes; extend the partition chain",
+			size, maxCoarsest)
+	}
 	s := &Solver{cfg: cfg.withDefaults(), pool: cfg.Pool, rawTrace: cfg.Trace, y: make([]float64, n)}
 	if s.pool == nil {
 		s.pool = spmat.NewPool(cfg.Workers)
@@ -315,22 +333,21 @@ func newSolver(n int, parts []*lump.Partition, cfg Config) (*Solver, error) {
 }
 
 // stack appends lv and, below it, one explicit level per partition from
-// parts[first] on: each level's plan lumps it onto the next, whose
-// transpose is solver-owned because its values change every cycle.
+// parts[first] on: each level's plan lumps its transpose onto the next
+// level's, which the plan owns and rewrites every cycle.
 func (s *Solver) stack(lv *mgLevel, parts []*lump.Partition, first int) error {
 	for k := first; ; k++ {
 		s.levels = append(s.levels, lv)
 		if k == len(parts) {
 			break
 		}
-		plan, err := lump.NewPlan(lv.p, parts[k])
+		plan, err := lump.NewPlan(lv.pt, parts[k])
 		if err != nil {
 			return fmt.Errorf("multigrid: level %d: %w", len(s.levels)-1, err)
 		}
 		lv.part, lv.chain, lv.plan = parts[k], k, plan
 		lv.xc = make([]float64, parts[k].NumBlocks())
-		lv = &mgLevel{size: parts[k].NumBlocks(), p: plan.Coarse()}
-		lv.pt, lv.perm = lv.p.TransposeWithPerm()
+		lv = &mgLevel{size: parts[k].NumBlocks(), pt: plan.CoarseT()}
 	}
 	s.levelVisits = make([]int, len(s.levels))
 	s.levelWorkNS = make([]int64, len(s.levels))
@@ -405,7 +422,7 @@ func (s *Solver) gaussSeidel(pt *spmat.CSR, x []float64, steps int) {
 // Gauss–Seidel sweeps when the weighted coarse chain is numerically
 // reducible. The result is written into x.
 func (s *Solver) coarsestSolve(lv *mgLevel, x []float64) []float64 {
-	pi, err := s.gth.StationaryCSR(lv.p)
+	pi, err := s.gth.StationaryT(lv.pt)
 	if err == nil {
 		copy(x, pi)
 		return x
@@ -415,8 +432,8 @@ func (s *Solver) coarsestSolve(lv *mgLevel, x []float64) []float64 {
 }
 
 // cycle runs one multilevel cycle at the given level and returns the
-// improved iterate. All buffers — coarse matrices, transposes, iterate
-// vectors — live in the per-level workspaces; a cycle allocates nothing.
+// improved iterate. All buffers — coarse transposes, iterate vectors —
+// live in the per-level workspaces; a cycle allocates nothing.
 func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 	lv := s.levels[level]
 	obs.LevelEvent(s.cfg.Trace, "multigrid", s.curCycle, level, lv.size)
@@ -431,10 +448,8 @@ func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 	s.levelWorkNS[level] += time.Since(start).Nanoseconds()
 
 	// Restrict (rewriting the next level's values), correct, prolong.
-	next := s.levels[level+1]
 	if im := lv.imp; im != nil {
-		im.restrict(x, next.p, lv.xc)
-		next.p.RefreshTranspose(next.pt, next.perm)
+		im.restrict(x, s.levels[1].pt, lv.xc)
 		if err := s.solveCoarse(im, lv.xc); err != nil {
 			return nil, err
 		}
@@ -443,7 +458,6 @@ func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 		if err := lv.plan.Update(x); err != nil {
 			return nil, fmt.Errorf("multigrid: level %d: %w", level, err)
 		}
-		next.p.RefreshTranspose(next.pt, next.perm)
 		xc := lv.part.Restrict(lv.xc, x)
 		// Below an implicit level 0 every level recurses once: solveCoarse
 		// already re-enters level 1 as often as the fine residual needs.
@@ -485,19 +499,28 @@ func levelCosts(stats []LevelStat) []cost.LevelCost {
 	return lc
 }
 
-// workspaceBytes estimates the hierarchy's heap footprint beyond the
-// caller's finest matrix or descriptor: coarse matrices, transposes,
-// iterate buffers and the implicit level's vectors.
+// workspaceBytes counts the heap the solver holds beyond the caller's
+// finest matrix or descriptor: the coarse transposes, the plans'
+// destination tables and weights, iterate and product buffers, the
+// implicit level's tables and the coarsest GTH workspace (allocated by
+// the first solve). Level 0's transpose counts only when Refreshable
+// makes it solver-owned; otherwise it is cached on the caller's matrix and
+// outlives the solver.
 func (s *Solver) workspaceBytes() int64 {
-	b := int64(len(s.y)) * 8
+	c := int64(s.levels[len(s.levels)-1].size)
+	b := (int64(len(s.y)) + c*c + c) * 8
+	for _, buf := range s.resBufs {
+		b += int64(len(buf)) * 8
+	}
 	for k, lv := range s.levels {
-		if k > 0 {
-			b += lv.p.MemoryBytes()
-		}
-		if lv.imp != nil {
+		switch {
+		case lv.imp != nil:
 			b += lv.imp.workspaceBytes()
-		} else {
+		case k > 0 || s.cfg.Refreshable:
 			b += lv.pt.MemoryBytes()
+		}
+		if lv.plan != nil {
+			b += lv.plan.MemoryBytes()
 		}
 		b += int64(len(lv.perm))*4 + int64(len(lv.xc))*8
 	}

@@ -69,6 +69,26 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsOversizedCoarsest checks that New refuses a chain whose
+// coarsest level is too large for its dense GTH solve, with or without
+// partitions, and accepts one that coarsens below the bound.
+func TestNewRejectsOversizedCoarsest(t *testing.T) {
+	p := randomWalkChain(2*maxCoarsest+2, 0.3, 0.2)
+	if _, err := New(p, nil, Config{}); err == nil {
+		t.Errorf("%d-state chain with no partitions accepted", 2*maxCoarsest+2)
+	}
+	parts, err := BuildPairHierarchy(2*maxCoarsest+2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(p, parts[:1], Config{}); err == nil {
+		t.Errorf("coarsest level of %d states accepted", parts[0].NumBlocks())
+	}
+	if _, err := New(p, parts[:2], Config{}); err != nil {
+		t.Errorf("coarsest level of %d states rejected: %v", parts[1].NumBlocks(), err)
+	}
+}
+
 func TestBuildPairHierarchy(t *testing.T) {
 	parts, err := BuildPairHierarchy(16, 3, 2)
 	if err != nil {

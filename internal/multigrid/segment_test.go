@@ -95,10 +95,11 @@ func TestSegmentSweepMatchesPointGaussSeidel(t *testing.T) {
 	}
 }
 
-// TestSegmentRestrictMatchesRowIter checks the segment restriction against
-// the row-by-row restriction it replaced: the same level-1 pattern and,
-// entry by entry, the same values to 1e−14 relative.
-func TestSegmentRestrictMatchesRowIter(t *testing.T) {
+// TestSegmentRestrictMatchesMaterializedRows checks the segment
+// restriction against a row-by-row restriction over the rows of the
+// materialized descriptor: the same level-1 pattern and, entry by entry,
+// the same values to 1e−14 relative.
+func TestSegmentRestrictMatchesMaterializedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, c := range segmentCases(t) {
 		for fold := 1; fold <= 2; fold++ {
@@ -108,7 +109,7 @@ func TestSegmentRestrictMatchesRowIter(t *testing.T) {
 			}
 			x := randomIterate(c.d.Dim(), rng)
 			got := s.RestrictFine(x)
-			want := rowRestrict(t, c.d, c.parts[:fold], x)
+			want := rowRestrict(t, c.d, c.parts[:fold], x).Transpose()
 			if !spmat.SamePattern(got, want) {
 				t.Fatalf("%s fold %d: level-1 pattern differs from the row-by-row one", c.name, fold)
 			}
@@ -121,6 +122,36 @@ func TestSegmentRestrictMatchesRowIter(t *testing.T) {
 			t.Logf("%s fold %d: max relative deviation %.2e over %d entries", c.name, fold, worst, want.NNZ())
 			if worst > 1e-14 {
 				t.Errorf("%s fold %d: restriction deviates by %.2e relative", c.name, fold, worst)
+			}
+		}
+	}
+}
+
+// TestSegmentRestrictTransposeBitIdentical checks that restricting
+// straight into level 1's transpose, through destinations routed by its
+// transpose permutation, writes the same bits as restricting into level
+// 1's CSR matrix and refreshing the transpose from it.
+func TestSegmentRestrictTransposeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range segmentCases(t) {
+		for fold := 1; fold <= 2; fold++ {
+			s, err := multigrid.NewKron(c.d, fold, c.parts, multigrid.Config{})
+			if err != nil {
+				t.Fatalf("%s fold %d: %v", c.name, fold, err)
+			}
+			x := randomIterate(c.d.Dim(), rng)
+			got := s.RestrictFine(x)
+			want, err := multigrid.RestrictFineRefreshed(c.d, c.parts[:fold], x)
+			if err != nil {
+				t.Fatalf("%s fold %d: %v", c.name, fold, err)
+			}
+			if !spmat.SamePattern(got, want) {
+				t.Fatalf("%s fold %d: level-1 transpose pattern differs", c.name, fold)
+			}
+			for k, w := range want.RawValues() {
+				if g := got.RawValues()[k]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s fold %d: level-1 transpose value %d = %v, refreshed %v", c.name, fold, k, g, w)
+				}
 			}
 		}
 	}

@@ -75,8 +75,8 @@ type SolveReport struct {
 	// the meter's sample points (solve start, stage boundaries, finish).
 	PeakGoroutines int `json:"peak_goroutines,omitempty"`
 	// States/NNZ/MatrixBytes describe the finest-level matrix;
-	// WorkspaceBytes estimates the solver hierarchy's extra footprint
-	// (coarse matrices, transposes, iterate buffers).
+	// WorkspaceBytes is the heap the solver itself holds beyond it
+	// (coarse transposes, lumping tables, iterate buffers).
 	States         int   `json:"states,omitempty"`
 	NNZ            int   `json:"nnz,omitempty"`
 	MatrixBytes    int64 `json:"matrix_bytes,omitempty"`

@@ -262,11 +262,12 @@ type GTHWorkspace struct {
 	pi []float64
 }
 
-// StationaryCSR densifies p into the workspace and solves it with GTH.
-// The returned vector aliases the workspace and is valid until the next
-// call; callers that keep it must copy it out.
-func (w *GTHWorkspace) StationaryCSR(p *CSR) ([]float64, error) {
-	n, m := p.Dims()
+// StationaryT densifies the TPM whose transpose is pt into the workspace
+// and solves it with GTH. The multigrid hierarchy holds its coarse levels
+// only as transposes. The returned vector aliases the workspace and is
+// valid until the next call; callers that keep it must copy it out.
+func (w *GTHWorkspace) StationaryT(pt *CSR) ([]float64, error) {
+	n, m := pt.Dims()
 	if n != m {
 		return nil, errors.New("spmat: GTH requires a square matrix")
 	}
@@ -279,9 +280,9 @@ func (w *GTHWorkspace) StationaryCSR(p *CSR) ([]float64, error) {
 	} else {
 		clear(w.a.data)
 	}
-	for r := 0; r < n; r++ {
-		for k := p.rowPtr[r]; k < p.rowPtr[r+1]; k++ {
-			w.a.data[r*n+p.colIdx[k]] = p.val[k]
+	for c := 0; c < n; c++ {
+		for k := pt.rowPtr[c]; k < pt.rowPtr[c+1]; k++ {
+			w.a.data[pt.colIdx[k]*n+c] = pt.val[k]
 		}
 	}
 	if err := gthInPlace(w.a, w.pi); err != nil {

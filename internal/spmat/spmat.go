@@ -294,7 +294,8 @@ func (m *CSR) Transpose() *CSR {
 // TransposeWithPerm returns Aᵀ together with the value permutation
 // linking the two: t.val[perm[k]] = m.val[k] for every stored entry k.
 // Solvers that refresh a fixed-pattern matrix's values in place use perm
-// to refresh the transpose in one O(nnz) pass instead of rebuilding it.
+// to refresh the transpose in one O(nnz) pass instead of rebuilding it,
+// or to route writes meant for A's values straight into Aᵀ's.
 // perm stores 32-bit positions, half the memory of the matrix's own
 // indices, so m may hold at most math.MaxInt32 entries.
 func (m *CSR) TransposeWithPerm() (t *CSR, perm []int32) {
@@ -308,9 +309,10 @@ func (m *CSR) TransposeWithPerm() (t *CSR, perm []int32) {
 // T returns Aᵀ, computing and caching it on first use. The cached
 // transpose is what turns the left-multiply x·A (a scatter over rows)
 // into a race-free row-parallel gather for the pool kernels, and is
-// shared by the column-sweep solvers. Only valid on matrices whose
-// values never change; in-place refreshers (RawValues) must manage
-// their own transposes via TransposeWithPerm.
+// shared by the column-sweep solvers; a one-shot multigrid solver's
+// finest level reads it. Only valid on matrices whose values never
+// change; in-place refreshers (RawValues) must manage their own
+// transposes via TransposeWithPerm.
 func (m *CSR) T() *CSR {
 	m.tOnce.Do(func() { m.t = m.Transpose() })
 	return m.t
@@ -357,7 +359,9 @@ func (m *CSR) EntryIndex(i, j int) int {
 
 // RefreshTranspose re-derives t's values from m through the permutation
 // returned by TransposeWithPerm, after m's values were rewritten in place.
-// One O(nnz) pass, no allocation.
+// One O(nnz) pass, no allocation. The multigrid solver calls it only when
+// a sweep refreshes its finest matrix (Solver.RefreshFine): its coarse
+// levels exist only as transposes, which their lumping writes directly.
 func (m *CSR) RefreshTranspose(t *CSR, perm []int32) {
 	if len(perm) != len(m.val) || len(t.val) != len(m.val) {
 		panic("spmat: RefreshTranspose permutation mismatch")
@@ -368,12 +372,14 @@ func (m *CSR) RefreshTranspose(t *CSR, perm []int32) {
 }
 
 // RawValues exposes the backing value slice so that fixed-pattern solvers
-// (repeated iterate-weighted lumping, transpose refresh) can rewrite the
-// stored values in place without reallocating the matrix. The sparsity
-// pattern (rowPtr, colIdx) must never change, values must stay consistent
-// with any invariants the caller relies on (e.g. row-stochasticity), and
-// a transpose already materialized by T is NOT refreshed — in-place
-// mutators must maintain their own transposes via TransposeWithPerm.
+// (repeated iterate-weighted lumping into a coarse transpose, the sweep's
+// refresh of its finest matrix and transpose) can rewrite the stored
+// values in place without reallocating the matrix. The sparsity pattern
+// (rowPtr, colIdx) must never change, values must stay consistent with
+// any invariants the caller relies on (e.g. the stochasticity of the
+// matrix a transpose stands for), and a transpose already materialized
+// by T is NOT refreshed — in-place mutators must maintain their own
+// transposes via TransposeWithPerm.
 func (m *CSR) RawValues() []float64 { return m.val }
 
 // RowSums returns the vector of row sums (all 1 for a stochastic matrix).
