@@ -37,13 +37,17 @@ run_tests() {
 # chaos_stage replays the deterministic fault-injection suite (storms at
 # every seam: solver entry, cache insert/evict, singleflight leader,
 # job dequeue, cycle boundaries) across a fixed seed matrix, under the
-# race detector. Seeds are pinned so a CI failure reproduces locally
-# with the printed CDR_FAULTS_SEED.
+# race detector, together with the solvers' own fault points
+# (markov.sweep, gmres.restart) fired through a run's fault hook. Seeds
+# are pinned so a CI failure reproduces locally with the printed
+# CDR_FAULTS_SEED.
 chaos_stage() {
     echo "== chaos (fault-injection suite, -race, seed matrix) =="
     for seed in 1 7 42; do
         echo "-- CDR_FAULTS_SEED=$seed"
         CDR_FAULTS_SEED="$seed" go test -race -count=1 ./internal/faults
+        CDR_FAULTS_SEED="$seed" run_tests 'TestFaultPointsStopSolvers' \
+            -race -count=1 ./internal/markov
         CDR_FAULTS_SEED="$seed" run_tests \
             'Chaos|CachedLeaderDeath|LeaderPanic|JobsShed|SubmitCloseRace|RequestTimeout' \
             -race -count=1 ./internal/serve
@@ -75,9 +79,17 @@ run_tests 'TestRuntimeCollectorPoll' -count=1 ./internal/obs/cost
 # touched eagerly at tracker construction, so this lint sees them all.
 run_tests 'TestTrackerMetricsSurviveLint' -count=1 ./internal/obs/progress
 
-echo "== cost accounting allocs (zero-alloc kernel hot path, -race) =="
+echo "== cost accounting allocs (zero-alloc kernel hot path under -race, run probe, shared meter) =="
 run_tests 'TestPoolKernelsAllocFree|TestPoolMulVecsAllocFree|TestPoolMulVecsBitIdentical' \
     -race -count=1 ./internal/spmat
+# A solver's per-iteration probe allocates nothing, with no run in its
+# context and with a run holding the flight recorder and a progress
+# handle; a meter shared by two solves of one solver counts its
+# workspace once and sums its per-level work.
+run_tests 'TestDisabledPathAllocations|TestStampFromContextDisabledZeroAlloc' -count=1 ./internal/obs
+run_tests 'TestProbeIterAllocFree' -count=1 ./internal/obs/progress
+run_tests 'TestMeterSharedByTwoSolves|TestMeterAccumulates' -count=1 \
+    ./internal/multigrid ./internal/obs/cost
 
 echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # The matrix-free Kronecker backend must agree with the explicit CSR

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,7 +21,6 @@ import (
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/dist"
 	"cdrstoch/internal/experiments"
-	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 )
 
@@ -61,7 +59,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -backend %q (want explicit or kron)", *backend))
 	}
 	buildDone := obsrv.Registry.Timer("build").Time()
-	endBuild := obs.StartSpan(obsrv.Tracer, "cdranalyze.build")
+	endBuild := obsrv.Run.Span("cdranalyze.build")
 	var model *core.Model
 	if kron {
 		model, err = core.BuildShell(spec)
@@ -103,15 +101,15 @@ func main() {
 
 	panel := &experiments.Panel{Model: model}
 	opt := core.SolveOptions{}
-	opt.Multigrid.Trace = obsrv.Tracer
 	opt.Multigrid.Workers = *workers
 	var meter *cost.Meter
 	if *costRep {
 		meter = cost.NewMeter()
-		opt.Multigrid.Ctx = cost.ContextWith(context.Background(), meter)
+		obsrv.Run.Meter = meter
 	}
+	opt.Multigrid.Ctx = obsrv.Context()
 	solveDone := obsrv.Registry.Timer("solve").Time()
-	endSolve := obs.StartSpan(obsrv.Tracer, "cdranalyze.solve")
+	endSolve := obsrv.Run.Span("cdranalyze.solve")
 	var a *core.Analysis
 	if kron {
 		a, err = model.SolveKron(opt)

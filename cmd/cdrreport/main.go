@@ -28,7 +28,6 @@ import (
 	"cdrstoch/internal/cliutil"
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/experiments"
-	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 )
 
@@ -73,7 +72,7 @@ func main() {
 	section("Figure 4 — stationary phase-error analysis, low vs 4x eye jitter")
 	fig4Done := reg.Timer("section.fig4").Time()
 	for _, high := range []bool{false, true} {
-		endSpan := obs.StartSpan(obsrv.Tracer, fmt.Sprintf("cdrreport.fig4.high=%v", high))
+		endSpan := obsrv.Run.Span(fmt.Sprintf("cdrreport.fig4.high=%v", high))
 		p, err := experiments.RunPanel(experiments.Fig4Spec(high), solveOpt)
 		endSpan()
 		check(err)
@@ -129,7 +128,7 @@ func main() {
 	fmt.Printf("resolving it by simulation to ±10%% needs ≈ %.1e bits.\n", bits)
 	mc, err := bitsim.RunParallel(bitsim.Config{
 		Spec: experiments.Fig4Spec(true), Bits: 1000000, Seed: 1,
-		Trace: obsrv.Tracer, Metrics: reg,
+		Ctx: obsrv.Context(), Metrics: reg,
 	}, 0)
 	check(err)
 	hp, err := experiments.RunPanel(experiments.Fig4Spec(true), solveOpt)

@@ -43,6 +43,7 @@ import (
 	"cdrstoch/internal/buildinfo"
 	"cdrstoch/internal/cliutil"
 	"cdrstoch/internal/faults"
+	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 	"cdrstoch/internal/serve"
 )
@@ -65,7 +66,6 @@ func main() {
 	wdInterval := fs.Duration("watchdog-interval", 0, "watchdog check cadence (0 = default 1s)")
 	divergeChecks := fs.Int("diverge-checks", 0, "consecutive residual-growth checks before a solve is classified diverging (0 = default 3)")
 	cancelOnStall := fs.Bool("cancel-on-stall", false, "let the watchdog cancel stalled/diverging solves so job retry kicks in sooner")
-	wdRing := fs.Int("watchdog-ring", 0, "watchdog event ring size behind /debug/progress (0 = default)")
 	version := fs.Bool("version", false, "print build attribution and exit")
 	app.Parse(os.Args[1:])
 	if *version {
@@ -86,14 +86,14 @@ func main() {
 
 	// Optional JSONL sink for per-solve cost reports; its sticky drop
 	// count surfaces as the cost.log_dropped gauge.
-	var costSink *cost.JSONL
+	var costSink *obs.JSONL
 	if *costLog != "" {
 		f, err := os.OpenFile(*costLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			app.Fatal(err)
 		}
 		defer f.Close()
-		costSink = cost.NewJSONL(f)
+		costSink = obs.NewJSONL(f)
 	}
 
 	// GC/scheduler health gauges (runtime.*) poll on their own cadence;
@@ -122,7 +122,6 @@ func main() {
 		WatchdogInterval: *wdInterval,
 		DivergeChecks:    *divergeChecks,
 		CancelOnStall:    *cancelOnStall,
-		WatchdogRingSize: *wdRing,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -15,7 +15,6 @@ import (
 	"cdrstoch/internal/bitsim"
 	"cdrstoch/internal/cliutil"
 	"cdrstoch/internal/core"
-	"cdrstoch/internal/obs"
 )
 
 func main() {
@@ -50,10 +49,10 @@ func main() {
 		fatal(err)
 	}
 	mcDone := obsrv.Registry.Timer("montecarlo").Time()
-	endMC := obs.StartSpan(obsrv.Tracer, "cdrsim.montecarlo")
+	endMC := obsrv.Run.Span("cdrsim.montecarlo")
 	res, err := bitsim.RunParallel(bitsim.Config{
 		Spec: spec, Bits: *bits, Seed: *seed,
-		Trace: obsrv.Tracer, Metrics: obsrv.Registry,
+		Ctx: obsrv.Context(), Metrics: obsrv.Registry,
 	}, *workers)
 	endMC()
 	mcDone()
@@ -69,10 +68,10 @@ func main() {
 			fatal(err)
 		}
 		opt := core.SolveOptions{}
-		opt.Multigrid.Trace = obsrv.Tracer
+		opt.Multigrid.Ctx = obsrv.Context()
 		opt.Multigrid.Workers = *workers
 		solveDone := obsrv.Registry.Timer("solve").Time()
-		endSolve := obs.StartSpan(obsrv.Tracer, "cdrsim.solve")
+		endSolve := obsrv.Run.Span("cdrsim.solve")
 		a, err := m.Solve(opt)
 		endSolve()
 		solveDone()

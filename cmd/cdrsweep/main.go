@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return fail(err)
 			}
-			endSpan := obs.StartSpan(obsrv.Tracer, fmt.Sprintf("sweep.counter.%d", l))
+			endSpan := obsrv.Run.Span(fmt.Sprintf("sweep.counter.%d", l))
 			pointDone := obsrv.Registry.Timer("sweep.point").Time()
 			p, rep, err := runner.solve(spec)
 			pointDone()
@@ -129,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(err)
 			}
 			spec.EyeJitter = dist.NewGaussian(0, sig)
-			endSpan := obs.StartSpan(obsrv.Tracer, fmt.Sprintf("sweep.noise.%g", sig))
+			endSpan := obsrv.Run.Span(fmt.Sprintf("sweep.noise.%g", sig))
 			pointDone := obsrv.Registry.Timer("sweep.point").Time()
 			p, rep, err := runner.solve(spec)
 			pointDone()
@@ -228,8 +228,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // pointRunner solves sweep points either point-at-a-time (fresh build and
 // cold W-cycles per point, the historical path) or through one
 // warm-started sweep.Session (-batch). Every point runs under its own
-// cost.Meter, so the table's cycles/spmvs/warm columns come from the same
-// accounting the server reports in X-Solve-Cost-* headers.
+// run handle and cost.Meter, so the table's cycles/spmvs/warm columns
+// come from the same accounting the server reports in X-Solve-Cost-*
+// headers.
 type pointRunner struct {
 	batch bool
 	sess  *sweepeng.Session
@@ -248,7 +249,7 @@ func newPointRunner(batch bool, opt core.SolveOptions) *pointRunner {
 // cost report (cycle count, kernel counts, warm-start flag).
 func (r *pointRunner) solve(spec core.Spec) (*experiments.Panel, cost.SolveReport, error) {
 	meter := cost.NewMeter()
-	ctx := cost.ContextWith(context.Background(), meter)
+	ctx := obs.WithRun(context.Background(), &obs.Run{Meter: meter})
 	if r.batch {
 		pt, err := r.sess.Solve(ctx, spec)
 		if err != nil {

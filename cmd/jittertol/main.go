@@ -18,7 +18,6 @@ import (
 	"cdrstoch/internal/cliutil"
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/experiments"
-	"cdrstoch/internal/obs"
 )
 
 func main() {
@@ -70,7 +69,7 @@ func main() {
 				app.Fatal(err)
 			}
 		}
-		endSpan := obs.StartSpan(obsrv.Tracer, fmt.Sprintf("jittertol.counter.%d", label))
+		endSpan := obsrv.Run.Span(fmt.Sprintf("jittertol.counter.%d", label))
 		searchDone := obsrv.Registry.Timer("tolerance.search").Time()
 		base, err := experiments.BERWithSJ(spec, 0, slot, solveOpt)
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 
 	"cdrstoch/internal/cliutil"
 	"cdrstoch/internal/core"
-	"cdrstoch/internal/obs"
 )
 
 func main() {
@@ -33,7 +32,7 @@ func main() {
 		app.Fatal(err)
 	}
 	buildDone := obsrv.Registry.Timer("build").Time()
-	endBuild := obs.StartSpan(obsrv.Tracer, "tpmspy.build")
+	endBuild := obsrv.Run.Span("tpmspy.build")
 	m, err := core.Build(spec)
 	endBuild()
 	buildDone()

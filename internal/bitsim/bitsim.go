@@ -39,10 +39,6 @@ type Config struct {
 	// derived from Spec.EyeJitter (Gaussian and uniform laws are
 	// recognized; other laws must supply a sampler).
 	SampleEye func(*rand.Rand) float64
-	// Trace receives "progress" events (one roughly every 2^17 simulated
-	// bit periods, plus one at completion) carrying WorkerID, the bits
-	// simulated so far and the total. Nil disables tracing at zero cost.
-	Trace obs.Tracer
 	// Metrics, when non-nil, accumulates the counters "bitsim.bits",
 	// "bitsim.errors" and "bitsim.slips" and sets the gauge
 	// "bitsim.bits_per_sec" from the run's wall-clock rate.
@@ -58,7 +54,10 @@ type Config struct {
 	// Ctx, when non-nil, is polled on the progress cadence (every 2^17
 	// simulated bits): a canceled or expired context aborts the run with a
 	// partial-progress error wrapping ctx.Err(). RunParallel additionally
-	// checks it between chunks. Nil never cancels.
+	// checks it between chunks. Its run handle (obs.Run), if any,
+	// receives a "bitsim.run" span and a "progress" event at every poll
+	// and at completion, carrying WorkerID, the bits simulated so far and
+	// the total. Nil never cancels.
 	Ctx context.Context
 }
 
@@ -131,7 +130,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Bits <= 0 {
 		return nil, errors.New("bitsim: Bits must be positive")
 	}
-	cfg.Trace = obs.StampFromContext(cfg.Ctx, cfg.Trace)
 	warm := cfg.WarmupBits
 	if warm <= 0 {
 		warm = cfg.Bits / 20
@@ -179,19 +177,14 @@ func Run(cfg Config) (*Result, error) {
 	// Progress cadence: cheap power-of-two stride so the check is a mask.
 	const progressStride = 1 << 17
 	start := time.Now()
-	endSpan := obs.StartSpan(cfg.Trace, "bitsim.run")
-	defer endSpan()
+	probe := obs.Begin(cfg.Ctx, "bitsim.run", obs.Sweeps, "", nil)
+	defer probe.End(obs.Work{})
 
 	total := warm + cfg.Bits
 	for k := int64(0); k < total; k++ {
 		if (k+1)&(progressStride-1) == 0 {
-			if cfg.Trace != nil {
-				obs.ProgressEvent(cfg.Trace, "bitsim", cfg.WorkerID, k+1, total)
-			}
-			if cfg.Ctx != nil {
-				if err := cfg.Ctx.Err(); err != nil {
-					return nil, fmt.Errorf("bitsim: run stopped after %d of %d bits: %w", k+1, total, err)
-				}
+			if err := probe.Progress("bitsim", cfg.WorkerID, k+1, total); err != nil {
+				return nil, fmt.Errorf("bitsim: run stopped after %d of %d bits: %w", k+1, total, err)
 			}
 		}
 		measuring := k >= warm
@@ -267,7 +260,8 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		res.MeanTimeBetweenSlips = math.Inf(1)
 	}
-	obs.ProgressEvent(cfg.Trace, "bitsim", cfg.WorkerID, total, total)
+	// The run is complete: a cancellation now has nothing left to stop.
+	_ = probe.Progress("bitsim", cfg.WorkerID, total, total)
 	if cfg.Metrics != nil {
 		cfg.Metrics.Counter("bitsim.bits").Add(res.Bits)
 		cfg.Metrics.Counter("bitsim.errors").Add(res.Errors)

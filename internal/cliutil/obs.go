@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -43,14 +44,22 @@ func BindObs(fs *flag.FlagSet) *ObsFlags {
 const progressPrintEvery = 500 * time.Millisecond
 
 // Obs bundles the configured observability sinks of one command run.
-// Tracer is nil when -trace is unset, so passing it straight into solver
-// options preserves the zero-cost disabled path.
+// Tracer is nil when neither -trace nor -progress is set; Run is the
+// command's run handle, whose sink is Tracer. Solves run under Context,
+// and a command's own spans go through Run.Span, so with both flags
+// unset every probe takes the zero-cost disabled path.
 type Obs struct {
 	Registry *obs.Registry
 	Tracer   obs.Tracer
+	Run      *obs.Run
 	file     *os.File
 	jsonl    *obs.JSONL
 	metrics  bool
+}
+
+// Context returns a context carrying the command's run handle.
+func (o *Obs) Context() context.Context {
+	return obs.WithRun(context.Background(), o.Run)
 }
 
 // Setup opens the trace sink and starts the pprof server as requested by
@@ -81,6 +90,7 @@ func (f *ObsFlags) Setup() (*Obs, error) {
 		// lines. Tol 0 selects the printer's default ETA target.
 		o.Tracer = obs.Tee(progress.NewPrinter(os.Stderr, progressPrintEvery, 0), o.Tracer)
 	}
+	o.Run = &obs.Run{Sink: o.Tracer}
 	if *f.Pprof != "" {
 		addr := *f.Pprof
 		go func() {

@@ -49,9 +49,12 @@ func TestObsTraceSinkWritesJSONLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := obs.StartSpan(o.Tracer, "test.op")
-	obs.IterEvent(o.Tracer, "power", 1, 0.5)
-	done()
+	// A solver under the command's run reports a span and an iteration.
+	p := obs.Begin(o.Context(), "power", obs.Sweeps, "", nil)
+	if err := p.Iter(1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	p.End(obs.Work{})
 	o.Registry.Counter("solver.iterations").Add(3)
 
 	var buf bytes.Buffer
@@ -101,7 +104,7 @@ func TestObsProgressComposesWithTraceSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.IterEvent(o.Tracer, "power", 1, 0.5)
+	o.Run.Emit(obs.Event{Kind: "iter", Name: "power", Iter: 1, Residual: 0.5})
 	var buf bytes.Buffer
 	if err := o.Close(&buf); err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -193,8 +194,9 @@ type SolverRow struct {
 // CompareSolvers runs the classical iterations and the multilevel solver
 // on one model at the given tolerance and returns the comparison table —
 // the quantitative form of the paper's Numerical Methods section. Each
-// solver runs under its own residual-trajectory collector (forwarded to
-// trace when non-nil), from which the per-solver decay slope is fitted.
+// solver runs under its own run, whose sink is a residual-trajectory
+// collector (forwarded to trace when non-nil) from which the per-solver
+// decay slope is fitted.
 func CompareSolvers(m *core.Model, tol float64, maxSweeps int, trace obs.Tracer) ([]SolverRow, error) {
 	ch, err := m.Chain()
 	if err != nil {
@@ -210,33 +212,36 @@ func CompareSolvers(m *core.Model, tol float64, maxSweeps int, trace obs.Tracer)
 		})
 	}
 
-	col := obs.NewCollector(trace)
+	// collect starts a fresh collector and returns a context whose run
+	// sinks into it.
+	var col *obs.Collector
+	collect := func() context.Context {
+		col = obs.NewCollector(trace)
+		return obs.WithRun(context.Background(), &obs.Run{Sink: col})
+	}
 	start := time.Now()
-	pw, err := ch.StationaryPower(markov.Options{Tol: tol, MaxIter: maxSweeps, Damping: 0.95, Trace: col})
+	pw, err := ch.StationaryPower(markov.Options{Tol: tol, MaxIter: maxSweeps, Damping: 0.95, Ctx: collect()})
 	if err != nil {
 		return nil, err
 	}
 	add("power(0.95)", pw.Iterations, pw.Iterations, pw.Residual, pw.Converged, time.Since(start), col, "power")
 
-	col = obs.NewCollector(trace)
 	start = time.Now()
-	ja, err := ch.StationaryJacobi(markov.Options{Tol: tol, MaxIter: maxSweeps, Damping: 0.8, Trace: col})
+	ja, err := ch.StationaryJacobi(markov.Options{Tol: tol, MaxIter: maxSweeps, Damping: 0.8, Ctx: collect()})
 	if err != nil {
 		return nil, err
 	}
 	add("jacobi(0.8)", ja.Iterations, ja.Iterations, ja.Residual, ja.Converged, time.Since(start), col, "jacobi")
 
-	col = obs.NewCollector(trace)
 	start = time.Now()
-	gs, err := ch.StationaryGaussSeidel(markov.Options{Tol: tol, MaxIter: maxSweeps, Trace: col})
+	gs, err := ch.StationaryGaussSeidel(markov.Options{Tol: tol, MaxIter: maxSweeps, Ctx: collect()})
 	if err != nil {
 		return nil, err
 	}
 	add("gauss-seidel", gs.Iterations, gs.Iterations, gs.Residual, gs.Converged, time.Since(start), col, "gauss-seidel")
 
-	col = obs.NewCollector(trace)
 	start = time.Now()
-	gm, err := ch.StationaryGMRES(markov.GMRESOptions{Tol: tol, Restart: 30, MaxIter: maxSweeps, Trace: col})
+	gm, err := ch.StationaryGMRES(markov.GMRESOptions{Tol: tol, Restart: 30, MaxIter: maxSweeps, Ctx: collect()})
 	if err != nil {
 		return nil, err
 	}
@@ -253,8 +258,7 @@ func CompareSolvers(m *core.Model, tol float64, maxSweeps int, trace obs.Tracer)
 		if err != nil {
 			return nil, err
 		}
-		col = obs.NewCollector(trace)
-		mg.cfg.Trace = col
+		mg.cfg.Ctx = collect()
 		solver, err := multigrid.New(m.P, parts, mg.cfg)
 		if err != nil {
 			return nil, err

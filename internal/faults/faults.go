@@ -1,9 +1,11 @@
 // Package faults is the deterministic fault-injection layer of the
 // repository: named injection points threaded through the service and
 // solver seams (engine solve entry, cache insert/evict, singleflight
-// leader handoff, job-queue dequeue, multigrid/GMRES cycle boundaries)
-// that can be armed to return errors, panic, or delay — reproducibly,
-// from a seed.
+// leader handoff, job-queue dequeue, solver iteration boundaries) that
+// can be armed to return errors, panic, or delay — reproducibly, from a
+// seed. The solvers never import this package: the service puts
+// Injector.FireCtx in each solve's run handle (obs.Run.Fault), and the
+// solvers' probes fire their point through it.
 //
 // The package follows the same zero-cost-when-disabled contract as
 // internal/obs: a nil *Injector is valid and disables every point at the
@@ -20,9 +22,9 @@
 //	cache.evict          serve result-cache eviction, before each removal
 //	singleflight.leader  the moment a caller becomes the flight leader
 //	jobs.dequeue         async job dequeue, before the job runs
-//	multigrid.cycle      every multigrid cycle boundary
-//	gmres.restart        every GMRES restart boundary
-//	markov.sweep         every power/Jacobi/Gauss–Seidel sweep boundary
+//	multigrid.cycle      after every multigrid cycle
+//	gmres.restart        after every GMRES restart
+//	markov.sweep         after every power/Jacobi/Gauss–Seidel sweep
 //
 // Spec grammar (CDR_FAULTS or Parse):
 //

@@ -33,7 +33,7 @@ func (c *cancelAtIter) Emit(e obs.Event) {
 // TestStationaryCancellationCadence checks every stationary solver loop
 // observes ctx.Done() within one outer iteration: after the iteration
 // that saw the cancellation, no further "iter" event may appear — the
-// very next boundary check must stop the solve.
+// probe that reported it must stop the solve.
 func TestStationaryCancellationCadence(t *testing.T) {
 	// A two-step lazy ring stepping BACKWARD: a forward Gauss–Seidel
 	// sweep then only reads not-yet-updated states (state i's mass comes
@@ -60,18 +60,18 @@ func TestStationaryCancellationCadence(t *testing.T) {
 	for i := range x0 {
 		x0[i] = float64(i + 1) // strictly positive, far from uniform
 	}
-	solvers := map[string]func(ctx context.Context, tr obs.Tracer) (Result, error){
-		"power": func(ctx context.Context, tr obs.Tracer) (Result, error) {
-			return ch.StationaryPower(Options{Ctx: ctx, Trace: tr, X0: x0, Tol: 1e-300, MaxIter: 500})
+	solvers := map[string]func(ctx context.Context) (Result, error){
+		"power": func(ctx context.Context) (Result, error) {
+			return ch.StationaryPower(Options{Ctx: ctx, X0: x0, Tol: 1e-300, MaxIter: 500})
 		},
-		"jacobi": func(ctx context.Context, tr obs.Tracer) (Result, error) {
-			return ch.StationaryJacobi(Options{Ctx: ctx, Trace: tr, X0: x0, Tol: 1e-300, MaxIter: 500})
+		"jacobi": func(ctx context.Context) (Result, error) {
+			return ch.StationaryJacobi(Options{Ctx: ctx, X0: x0, Tol: 1e-300, MaxIter: 500})
 		},
-		"gauss-seidel": func(ctx context.Context, tr obs.Tracer) (Result, error) {
-			return ch.StationaryGaussSeidel(Options{Ctx: ctx, Trace: tr, X0: x0, Tol: 1e-300, MaxIter: 500})
+		"gauss-seidel": func(ctx context.Context) (Result, error) {
+			return ch.StationaryGaussSeidel(Options{Ctx: ctx, X0: x0, Tol: 1e-300, MaxIter: 500})
 		},
-		"gmres": func(ctx context.Context, tr obs.Tracer) (Result, error) {
-			return ch.StationaryGMRES(GMRESOptions{Ctx: ctx, Trace: tr, X0: x0, Tol: 1e-300, MaxIter: 500, Restart: 10})
+		"gmres": func(ctx context.Context) (Result, error) {
+			return ch.StationaryGMRES(GMRESOptions{Ctx: ctx, X0: x0, Tol: 1e-300, MaxIter: 500, Restart: 10})
 		},
 	}
 	for name, solve := range solvers {
@@ -79,7 +79,7 @@ func TestStationaryCancellationCadence(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			tr := &cancelAtIter{Collector: obs.NewCollector(nil), cancel: cancel, trigger: 3}
-			res, err := solve(ctx, tr)
+			res, err := solve(obs.WithRun(ctx, &obs.Run{Sink: tr}))
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
 			}

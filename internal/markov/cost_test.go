@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 )
 
@@ -18,7 +19,7 @@ func TestStationarySolversFeedMeter(t *testing.T) {
 		"gauss-seidel": c.StationaryGaussSeidel,
 	} {
 		meter := cost.NewMeter()
-		res, err := solve(Options{Tol: 1e-12, Ctx: cost.ContextWith(context.Background(), meter)})
+		res, err := solve(Options{Tol: 1e-12, Ctx: obs.WithRun(context.Background(), &obs.Run{Meter: meter})})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -41,7 +42,7 @@ func TestGMRESFeedsMeterRestarts(t *testing.T) {
 	c := twoState(t, 0.3, 0.1)
 	meter := cost.NewMeter()
 	res, err := c.StationaryGMRES(GMRESOptions{Tol: 1e-13,
-		Ctx: cost.ContextWith(context.Background(), meter)})
+		Ctx: obs.WithRun(context.Background(), &obs.Run{Meter: meter})})
 	if err != nil {
 		t.Fatal(err)
 	}

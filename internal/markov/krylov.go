@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 
-	"cdrstoch/internal/faults"
 	"cdrstoch/internal/obs"
-	"cdrstoch/internal/obs/cost"
 )
 
 // Krylov-subspace stationary solver. The paper lists Krylov methods among
@@ -30,13 +28,14 @@ type GMRESOptions struct {
 	MaxIter int
 	// X0 is the initial distribution; uniform when nil.
 	X0 []float64
-	// Trace receives a span around the solve and one "iter" event per
-	// restart cycle (Iter = cumulative matrix–vector products) with the
-	// stationarity defect of the normalized iterate. Nil disables tracing.
-	Trace obs.Tracer
-	// Ctx, when non-nil, is checked at every restart boundary: a canceled
-	// or expired context stops the solve with a partial-progress error
-	// wrapping ctx.Err(). Nil never cancels.
+	// Ctx, when non-nil, is checked after every restart: a canceled or
+	// expired context stops the solve with a partial-progress error
+	// wrapping ctx.Err(). Its run handle (obs.Run), if any, receives a
+	// span around the solve and one "iter" event per restart (Iter =
+	// cumulative matrix–vector products) with the stationarity defect of
+	// the normalized iterate, is charged the products, restarts and
+	// kernel work, and fires the gmres.restart fault point. Nil never
+	// cancels.
 	Ctx context.Context
 	// Workers is the parallel team width for the sparse products (see
 	// Options.Workers): 0 = GOMAXPROCS, 1 = serial. Ignored when Ws
@@ -45,14 +44,9 @@ type GMRESOptions struct {
 	// Ws supplies reusable solve buffers and the worker team; nil uses a
 	// private workspace.
 	Ws *Workspace
-	// Faults arms the gmres.restart injection point, hit at every restart
-	// boundary alongside the Ctx check. Nil (the default) disables
-	// injection at the cost of one branch per restart.
-	Faults *faults.Injector
 }
 
 func (o GMRESOptions) withDefaults() GMRESOptions {
-	o.Trace = obs.StampFromContext(o.Ctx, o.Trace)
 	if o.Tol <= 0 {
 		o.Tol = 1e-12
 	}
@@ -130,25 +124,13 @@ func (c *Chain) StationaryGMRES(opt GMRESOptions) (Result, error) {
 	res := Result{}
 
 	matvecs := 0
-	endSpan := obs.StartSpan(opt.Trace, "gmres")
-	defer endSpan()
-	// Sweeps here are matrix–vector products; each restart additionally
-	// records its defect so the report shows per-restart convergence.
-	defer meterSolve(opt.Ctx, pool, &res)()
-	meter := cost.FromContext(opt.Ctx)
+	probe := obs.Begin(opt.Ctx, "gmres", obs.Restarts, "gmres.restart", pool)
+	defer probe.End(obs.Work{})
+	stop := func(err error) error {
+		return fmt.Errorf("markov: gmres solve stopped after %d matvecs (residual %.3e): %w",
+			matvecs, res.Residual, err)
+	}
 	for matvecs < opt.MaxIter {
-		if opt.Ctx != nil {
-			if err := opt.Ctx.Err(); err != nil {
-				res.Pi = x
-				return res, fmt.Errorf("markov: gmres solve stopped after %d matvecs (residual %.3e): %w",
-					matvecs, res.Residual, err)
-			}
-		}
-		if err := opt.Faults.FireCtx(opt.Ctx, "gmres.restart"); err != nil {
-			res.Pi = x
-			return res, fmt.Errorf("markov: gmres solve stopped after %d matvecs (residual %.3e): %w",
-				matvecs, res.Residual, err)
-		}
 		// r = b − A·x
 		apply(w, x)
 		matvecs++
@@ -173,9 +155,11 @@ func (c *Chain) StationaryGMRES(opt GMRESOptions) (Result, error) {
 			}
 			res.Iterations = matvecs
 			res.Residual = c.residualInto(pool, ws.r, x)
-			res.Converged = res.Residual <= opt.Tol
-			obs.IterEvent(opt.Trace, "gmres", matvecs, res.Residual)
 			res.Pi = x
+			if err := probe.Iter(matvecs, res.Residual); err != nil {
+				return res, stop(err)
+			}
+			res.Converged = res.Residual <= opt.Tol
 			return res, nil
 		}
 		inv := 1 / beta
@@ -268,9 +252,10 @@ func (c *Chain) StationaryGMRES(opt GMRESOptions) (Result, error) {
 		}
 		res.Iterations = matvecs
 		res.Residual = c.residualInto(pool, ws.r, xn)
-		obs.IterEvent(opt.Trace, "gmres", matvecs, res.Residual)
-		meter.AddRestarts(1)
-		meter.AddResidual(res.Residual)
+		if err := probe.Iter(matvecs, res.Residual); err != nil {
+			res.Pi = x
+			return res, stop(err)
+		}
 		if res.Residual <= opt.Tol {
 			res.Converged = true
 			// Clip the tiny negative entries GMRES can leave in deep

@@ -16,36 +16,9 @@ import (
 	"fmt"
 	"math"
 
-	"cdrstoch/internal/faults"
 	"cdrstoch/internal/obs"
-	"cdrstoch/internal/obs/cost"
 	"cdrstoch/internal/spmat"
 )
-
-// meterSolve hooks one iterative solve into the cost meter the context
-// carries (if any): it snapshots the pool's kernel counters up front and
-// returns a finish function that attributes sweep count, final residual,
-// and the kernel delta to the meter. Usage in every solver:
-//
-//	defer meterSolve(opt.Ctx, pool, &res)()
-//
-// The meter lookup happens once per solve; an unmetered context returns
-// a no-op closure, so the sweep loops never branch on accounting.
-func meterSolve(ctx context.Context, pool *spmat.Pool, res *Result) func() {
-	meter := cost.FromContext(ctx)
-	if meter == nil {
-		return func() {}
-	}
-	stats0 := pool.Stats()
-	meter.SampleGoroutines()
-	return func() {
-		meter.AddSweeps(int64(res.Iterations))
-		if res.Iterations > 0 {
-			meter.AddResidual(res.Residual)
-		}
-		meter.AddPoolDelta(stats0, pool.Stats())
-	}
-}
 
 // Chain is a finite discrete-time Markov chain over an abstract
 // transition operator: explicit CSR chains (New) carry the matrix and
@@ -195,13 +168,12 @@ type Options struct {
 	Damping float64
 	// Omega is the SOR relaxation factor; 1 (Gauss–Seidel) by default.
 	Omega float64
-	// Trace receives a span around the solve and one "iter" event per
-	// sweep with the running residual. The nil default keeps the
-	// iteration loop free of observability overhead.
-	Trace obs.Tracer
-	// Ctx, when non-nil, is checked at every sweep boundary: a canceled or
+	// Ctx, when non-nil, is checked after every sweep: a canceled or
 	// expired context stops the solve and the solver returns a
-	// partial-progress error wrapping ctx.Err(). Nil never cancels.
+	// partial-progress error wrapping ctx.Err(). Its run handle
+	// (obs.Run), if any, receives a span around the solve and one "iter"
+	// event per sweep, is charged the sweeps and kernel work, and fires
+	// the markov.sweep fault point. Nil never cancels.
 	Ctx context.Context
 	// Workers is the width of the parallel worker team for the sparse
 	// products of the sweep: 0 selects runtime.GOMAXPROCS, 1 forces
@@ -212,10 +184,6 @@ type Options struct {
 	// Workspace to consecutive solves removes the per-solve buffer and
 	// team setup; nil uses a private workspace.
 	Ws *Workspace
-	// Faults arms the markov.sweep injection point, hit at every sweep
-	// boundary alongside the Ctx check. Nil (the default) disables
-	// injection at the cost of one branch per sweep.
-	Faults *faults.Injector
 }
 
 // workspace returns the caller-supplied workspace or a private one,
@@ -229,27 +197,14 @@ func (o Options) workspace(n int) *Workspace {
 	return ws
 }
 
-// ctxErr reports the context error or injected fault to surface at a
-// sweep boundary, nil when the solve should continue. name and progress
-// label the partial result in the returned error.
-func (o Options) ctxErr(name string, iterations int, residual float64) error {
-	if o.Ctx != nil {
-		if err := o.Ctx.Err(); err != nil {
-			return fmt.Errorf("markov: %s solve stopped after %d sweeps (residual %.3e): %w",
-				name, iterations, residual, err)
-		}
-	}
-	if err := o.Faults.FireCtx(o.Ctx, "markov.sweep"); err != nil {
-		return fmt.Errorf("markov: %s solve stopped after %d sweeps (residual %.3e): %w",
-			name, iterations, residual, err)
-	}
-	return nil
+// stopped wraps the error a sweep's probe returned with the solve's
+// partial progress.
+func stopped(name string, res Result, err error) error {
+	return fmt.Errorf("markov: %s solve stopped after %d sweeps (residual %.3e): %w",
+		name, res.Iterations, res.Residual, err)
 }
 
 func (o Options) withDefaults(n int) Options {
-	// Tie the solver's events to the request that initiated it: when the
-	// context carries a trace ID, every span/iter event is stamped with it.
-	o.Trace = obs.StampFromContext(o.Ctx, o.Trace)
 	if o.Tol <= 0 {
 		o.Tol = 1e-12
 	}
@@ -309,14 +264,9 @@ func (c *Chain) StationaryPower(opt Options) (Result, error) {
 	}
 	y := ws.y
 	res := Result{}
-	endSpan := obs.StartSpan(opt.Trace, "power")
-	defer endSpan()
-	defer meterSolve(opt.Ctx, pool, &res)()
+	probe := obs.Begin(opt.Ctx, "power", obs.Sweeps, "markov.sweep", pool)
+	defer probe.End(obs.Work{})
 	for it := 1; it <= opt.MaxIter; it++ {
-		if err := opt.ctxErr("power", res.Iterations, res.Residual); err != nil {
-			res.Pi = x
-			return res, err
-		}
 		c.vecMul(pool, y, x)
 		r := 0.0
 		a := opt.Damping
@@ -329,7 +279,10 @@ func (c *Chain) StationaryPower(opt Options) (Result, error) {
 		}
 		res.Iterations = it
 		res.Residual = r
-		obs.IterEvent(opt.Trace, "power", it, r)
+		if err := probe.Iter(it, r); err != nil {
+			res.Pi = x
+			return res, stopped("power", res, err)
+		}
 		if r <= opt.Tol {
 			res.Converged = true
 			break
@@ -371,14 +324,9 @@ func (c *Chain) StationaryJacobi(opt Options) (Result, error) {
 	// the sweep loop then allocates nothing.
 	kern := &jacobiSweep{pt: pt, diag: diag, a: opt.Damping}
 	sweep := kern.rows
-	endSpan := obs.StartSpan(opt.Trace, "jacobi")
-	defer endSpan()
-	defer meterSolve(opt.Ctx, pool, &res)()
+	probe := obs.Begin(opt.Ctx, "jacobi", obs.Sweeps, "markov.sweep", pool)
+	defer probe.End(obs.Work{})
 	for it := 1; it <= opt.MaxIter; it++ {
-		if err := opt.ctxErr("jacobi", res.Iterations, res.Residual); err != nil {
-			res.Pi = x
-			return res, err
-		}
 		kern.x, kern.y = x, y
 		pool.RunRows(pt, sweep)
 		x, y = y, x
@@ -387,7 +335,10 @@ func (c *Chain) StationaryJacobi(opt Options) (Result, error) {
 		}
 		res.Iterations = it
 		res.Residual = c.residualInto(pool, ws.r, x)
-		obs.IterEvent(opt.Trace, "jacobi", it, res.Residual)
+		if err := probe.Iter(it, res.Residual); err != nil {
+			res.Pi = x
+			return res, stopped("jacobi", res, err)
+		}
 		if res.Residual <= opt.Tol {
 			res.Converged = true
 			break
@@ -442,14 +393,9 @@ func (c *Chain) stationaryJacobiOp(opt Options, diag []float64) (Result, error) 
 	y := ws.y
 	res := Result{}
 	a := opt.Damping
-	endSpan := obs.StartSpan(opt.Trace, "jacobi")
-	defer endSpan()
-	defer meterSolve(opt.Ctx, pool, &res)()
+	probe := obs.Begin(opt.Ctx, "jacobi", obs.Sweeps, "markov.sweep", pool)
+	defer probe.End(obs.Work{})
 	for it := 1; it <= opt.MaxIter; it++ {
-		if err := opt.ctxErr("jacobi", res.Iterations, res.Residual); err != nil {
-			res.Pi = x
-			return res, err
-		}
 		c.vecMul(pool, y, x)
 		for i := range x {
 			x[i] = a*(y[i]-diag[i]*x[i])/(1-diag[i]) + (1-a)*x[i]
@@ -459,7 +405,10 @@ func (c *Chain) stationaryJacobiOp(opt Options, diag []float64) (Result, error) 
 		}
 		res.Iterations = it
 		res.Residual = c.residualInto(pool, ws.r, x)
-		obs.IterEvent(opt.Trace, "jacobi", it, res.Residual)
+		if err := probe.Iter(it, res.Residual); err != nil {
+			res.Pi = x
+			return res, stopped("jacobi", res, err)
+		}
 		if res.Residual <= opt.Tol {
 			res.Converged = true
 			break
@@ -493,14 +442,9 @@ func (c *Chain) StationaryGaussSeidel(opt Options) (Result, error) {
 	res := Result{}
 	omega := opt.Omega
 	n := c.N()
-	endSpan := obs.StartSpan(opt.Trace, "gauss-seidel")
-	defer endSpan()
-	defer meterSolve(opt.Ctx, pool, &res)()
+	probe := obs.Begin(opt.Ctx, "gauss-seidel", obs.Sweeps, "markov.sweep", pool)
+	defer probe.End(obs.Work{})
 	for it := 1; it <= opt.MaxIter; it++ {
-		if err := opt.ctxErr("gauss-seidel", res.Iterations, res.Residual); err != nil {
-			res.Pi = x
-			return res, err
-		}
 		for i := 0; i < n; i++ {
 			cols, vals := pt.Row(i)
 			s := 0.0
@@ -517,7 +461,10 @@ func (c *Chain) StationaryGaussSeidel(opt Options) (Result, error) {
 		}
 		res.Iterations = it
 		res.Residual = c.residualInto(pool, ws.r, x)
-		obs.IterEvent(opt.Trace, "gauss-seidel", it, res.Residual)
+		if err := probe.Iter(it, res.Residual); err != nil {
+			res.Pi = x
+			return res, stopped("gauss-seidel", res, err)
+		}
 		if res.Residual <= opt.Tol {
 			res.Converged = true
 			break

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cdrstoch/internal/kron"
+	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 	"cdrstoch/internal/spmat"
 )
@@ -155,7 +156,7 @@ func TestOperatorChainCostAccounting(t *testing.T) {
 	}
 	ws := &Workspace{Pool: spmat.NewPool(1)}
 	meter := cost.NewMeter()
-	ctx := cost.ContextWith(context.Background(), meter)
+	ctx := obs.WithRun(context.Background(), &obs.Run{Meter: meter})
 	res, err := ch.StationaryPower(Options{Tol: 1e-12, Damping: 0.9, Ws: ws, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 )
 
@@ -19,7 +20,7 @@ func TestSolveLevelStatsAndMeter(t *testing.T) {
 		t.Fatal(err)
 	}
 	meter := cost.NewMeter()
-	s, err := New(p, parts, Config{Tol: 1e-13, Ctx: cost.ContextWith(context.Background(), meter)})
+	s, err := New(p, parts, Config{Tol: 1e-13, Ctx: obs.WithRun(context.Background(), &obs.Run{Meter: meter})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +66,51 @@ func TestSolveLevelStatsAndMeter(t *testing.T) {
 	}
 	if rep.WorkspaceBytes <= 0 {
 		t.Errorf("workspace bytes = %d", rep.WorkspaceBytes)
+	}
+}
+
+// TestMeterSharedByTwoSolves pins the accounting of one solver solving
+// twice under one meter — the sweep session's continuation fallback
+// re-solves cold on the same solver and context. The workspace is the
+// solver's, held once, not once per solve; the per-level visits and
+// smoothing time add up across both solves, like the cycles do.
+func TestMeterSharedByTwoSolves(t *testing.T) {
+	n := 64
+	p := randomWalkChain(n, 0.3, 0.25)
+	parts, err := BuildPairHierarchy(n, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter := cost.NewMeter()
+	s, err := New(p, parts, Config{Tol: 1e-13, Ctx: obs.WithRun(context.Background(), &obs.Run{Meter: meter})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results [2]Result
+	for i := range results {
+		if results[i], err = s.Solve(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := meter.Finish()
+	if want := s.workspaceBytes(); rep.WorkspaceBytes != want {
+		t.Errorf("workspace bytes = %d, want the solver's %d", rep.WorkspaceBytes, want)
+	}
+	if want := int64(results[0].Cycles + results[1].Cycles); rep.Cycles != want {
+		t.Errorf("cycles = %d, want %d", rep.Cycles, want)
+	}
+	if len(rep.Levels) != len(results[0].LevelStats) {
+		t.Fatalf("meter levels = %d, want %d", len(rep.Levels), len(results[0].LevelStats))
+	}
+	for k, l := range rep.Levels {
+		a, b := results[0].LevelStats[k], results[1].LevelStats[k]
+		if l.Visits != a.Visits+b.Visits || l.SmoothNS != a.SmoothNS+b.SmoothNS || l.Size != a.Size {
+			t.Errorf("level %d: meter %+v, solves %+v and %+v", k, l, a, b)
+		}
+	}
+	// A V-cycle enters the finest level once per cycle.
+	if rep.Levels[0].Visits != int(rep.Cycles) {
+		t.Errorf("%d level-0 visits beside %d cycles", rep.Levels[0].Visits, rep.Cycles)
 	}
 }
 

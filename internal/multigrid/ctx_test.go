@@ -32,7 +32,7 @@ func TestSolveCanceledStopsWithinOneCycle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tr := &cancelAfterIter{Collector: obs.NewCollector(nil), cancel: cancel, cycle: 2}
-	s, err := New(p, parts, Config{Tol: 1e-300, MaxCycles: 50, Trace: tr, Ctx: ctx})
+	s, err := New(p, parts, Config{Tol: 1e-300, MaxCycles: 50, Ctx: obs.WithRun(ctx, &obs.Run{Sink: tr})})
 	if err != nil {
 		t.Fatal(err)
 	}

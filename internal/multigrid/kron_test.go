@@ -232,7 +232,7 @@ func TestKronSolverCancellation(t *testing.T) {
 func TestKronSolverCostAccounting(t *testing.T) {
 	d := kronTestDescriptor(t, 26, 8)
 	meter := cost.NewMeter()
-	ctx := cost.ContextWith(context.Background(), meter)
+	ctx := obs.WithRun(context.Background(), &obs.Run{Meter: meter})
 	s, err := NewKron(d, 2, kronTestChain(t, d, 8, 2), Config{Tol: 1e-12, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestKronSolverLevelStatsAlign(t *testing.T) {
 	d := kronTestDescriptor(t, 27, 16)
 	parts := kronTestChain(t, d, 16, 1)
 	meter := cost.NewMeter()
-	ctx := cost.ContextWith(context.Background(), meter)
+	ctx := obs.WithRun(context.Background(), &obs.Run{Meter: meter})
 	s, err := NewKron(d, 2, parts, Config{Tol: 1e-12, Cycle: WCycle, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestTraceLevelEventsMatchVisits(t *testing.T) {
 	}
 	for _, b := range backends {
 		col := obs.NewCollector(nil)
-		cfg.Trace = col
+		cfg.Ctx = obs.WithRun(context.Background(), &obs.Run{Sink: col})
 		s, err := b.make(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -26,10 +26,8 @@ import (
 	"math"
 	"time"
 
-	"cdrstoch/internal/faults"
 	"cdrstoch/internal/lump"
 	"cdrstoch/internal/obs"
-	"cdrstoch/internal/obs/cost"
 	"cdrstoch/internal/spmat"
 )
 
@@ -81,14 +79,14 @@ type Config struct {
 	// coarsest solve fails (e.g. the weighted coarse chain is reducible).
 	// Default 500.
 	CoarsestMaxIter int
-	// Trace receives a span around the solve, one "iter" event per cycle
-	// with the fine-level residual, and one "level" event per level visit
-	// (smoothing or coarsest solve) within each cycle. Nil disables
-	// tracing at zero cost.
-	Trace obs.Tracer
-	// Ctx, when non-nil, is checked at every cycle boundary: a canceled or
-	// expired context stops the solve within one cycle and Solve returns a
-	// partial-progress error wrapping ctx.Err(). Nil never cancels.
+	// Ctx, when non-nil, is checked after every cycle: a canceled or
+	// expired context stops the solve within one cycle and Solve returns
+	// a partial-progress error wrapping ctx.Err(). Its run handle
+	// (obs.Run), if any, receives a span around the solve, one "iter"
+	// event per cycle with the fine-level residual and one "level" event
+	// per level visit (smoothing or coarsest solve) within each cycle; it
+	// is charged the cycles, kernel work, workspace and per-level work,
+	// and fires the multigrid.cycle fault point. Nil never cancels.
 	Ctx context.Context
 	// Workers is the width of the parallel team used for the sparse
 	// products the cycle performs (the per-cycle residual on the finest
@@ -102,10 +100,6 @@ type Config struct {
 	// solves do not oversubscribe the machine). The solver never closes
 	// a caller-supplied pool.
 	Pool *spmat.Pool
-	// Faults arms the multigrid.cycle injection point, hit at every cycle
-	// boundary alongside the Ctx check. Nil (the default) disables
-	// injection at the cost of one branch per cycle.
-	Faults *faults.Injector
 	// Refreshable prepares the solver for in-place value refreshes of the
 	// finest matrix (RefreshFine): level 0 keeps a solver-owned transpose
 	// with a refresh permutation instead of sharing the matrix's lazily
@@ -116,9 +110,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	// Stamp the request's trace identity (when Ctx carries one) onto every
-	// span, iter, and level event the cycle emits.
-	c.Trace = obs.StampFromContext(c.Ctx, c.Trace)
 	if c.PreSmooth <= 0 {
 		c.PreSmooth = 1
 	}
@@ -190,20 +181,7 @@ type Result struct {
 	// LevelStats attributes the solve's work per level, finest first:
 	// visit counts across all cycles and wall time inside the level's
 	// smoother (or coarsest direct solve).
-	LevelStats []LevelStat
-}
-
-// LevelStat is the per-level work record of one solve.
-type LevelStat struct {
-	// Level is the hierarchy depth, 0 = finest.
-	Level int `json:"level"`
-	// Size is the level's state count.
-	Size int `json:"size"`
-	// Visits counts how often the cycle entered the level.
-	Visits int `json:"visits"`
-	// SmoothNS is wall time in the level's smoothing (finest/middle) or
-	// direct GTH solve (coarsest).
-	SmoothNS int64 `json:"smooth_ns"`
+	LevelStats []obs.LevelStat
 }
 
 func (r Result) String() string {
@@ -242,10 +220,8 @@ type Solver struct {
 	// fineRes is the fine residual of the previous cycle (+Inf before the
 	// first); it sets how far an implicit level 0 solves level 1.
 	fineRes float64
-
-	// rawTrace is the caller's tracer before trace-identity stamping, kept
-	// so SetSolveContext can restamp per-solve contexts on a reused solver.
-	rawTrace obs.Tracer
+	// probe reports the running Solve to the run its context carries.
+	probe obs.Probe
 
 	// Per-level work attribution, preallocated at construction and reset
 	// per Solve so the cycles stay allocation-free.
@@ -325,7 +301,7 @@ func newSolver(n int, parts []*lump.Partition, cfg Config) (*Solver, error) {
 		return nil, fmt.Errorf("multigrid: coarsest level has %d states, more than the %d a dense GTH solve takes; extend the partition chain",
 			size, maxCoarsest)
 	}
-	s := &Solver{cfg: cfg.withDefaults(), pool: cfg.Pool, rawTrace: cfg.Trace, y: make([]float64, n)}
+	s := &Solver{cfg: cfg.withDefaults(), pool: cfg.Pool, y: make([]float64, n)}
 	if s.pool == nil {
 		s.pool = spmat.NewPool(cfg.Workers)
 	}
@@ -436,7 +412,7 @@ func (s *Solver) coarsestSolve(lv *mgLevel, x []float64) []float64 {
 // live in the per-level workspaces; a cycle allocates nothing.
 func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 	lv := s.levels[level]
-	obs.LevelEvent(s.cfg.Trace, "multigrid", s.curCycle, level, lv.size)
+	s.probe.Level(s.curCycle, level, lv.size)
 	s.levelVisits[level]++
 	start := time.Now()
 	if level == len(s.levels)-1 {
@@ -480,23 +456,14 @@ func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 	return x, nil
 }
 
-// levelStats pairs per-level sizes with the visit and work tallies
-// accumulated since the last reset, finest first.
-func levelStats(sizes, visits []int, workNS []int64) []LevelStat {
-	stats := make([]LevelStat, len(sizes))
-	for k, size := range sizes {
-		stats[k] = LevelStat{Level: k, Size: size, Visits: visits[k], SmoothNS: workNS[k]}
+// levelStats pairs the level sizes with the visit and work tallies
+// accumulated since the current Solve began, finest first.
+func (s *Solver) levelStats() []obs.LevelStat {
+	stats := make([]obs.LevelStat, len(s.levels))
+	for k, lv := range s.levels {
+		stats[k] = obs.LevelStat{Level: k, Size: lv.size, Visits: s.levelVisits[k], SmoothNS: s.levelWorkNS[k]}
 	}
 	return stats
-}
-
-// levelCosts converts level stats into the cost meter's level records.
-func levelCosts(stats []LevelStat) []cost.LevelCost {
-	lc := make([]cost.LevelCost, len(stats))
-	for i, st := range stats {
-		lc[i] = cost.LevelCost{Level: st.Level, Size: st.Size, Visits: st.Visits, SmoothNS: st.SmoothNS}
-	}
-	return lc
 }
 
 // workspaceBytes counts the heap the solver holds beyond the caller's
@@ -561,37 +528,17 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 		ResidualHistory: make([]float64, 0, s.cfg.MaxCycles),
 	}
 	var err error
-	endSpan := obs.StartSpan(s.cfg.Trace, "multigrid")
-	defer endSpan()
-	// Cost accounting: one meter lookup per solve, never per cycle. The
-	// deferred attribution also covers the error returns, so a canceled
-	// or faulted solve still reports the work it did.
 	clear(s.levelVisits)
 	clear(s.levelWorkNS)
-	meter := cost.FromContext(s.cfg.Ctx)
-	if meter != nil {
-		stats0 := s.pool.Stats()
-		meter.SampleGoroutines()
-		defer func() {
-			meter.AddCycles(int64(res.Cycles))
-			meter.AddPoolDelta(stats0, s.pool.Stats())
-			meter.AddWorkspaceBytes(s.workspaceBytes())
-			meter.SetLevels(levelCosts(levelStats(res.LevelSizes, s.levelVisits, s.levelWorkNS)))
-			meter.SampleGoroutines()
-		}()
-	}
+	// The deferred report also covers the error returns, so a canceled or
+	// faulted solve still charges the work it did.
+	s.probe = obs.Begin(s.cfg.Ctx, "multigrid", obs.Cycles, "multigrid.cycle", s.pool)
+	defer func() {
+		s.probe.End(obs.Work{Workspace: s.workspaceBytes(), Levels: s.levelStats()})
+		s.probe = obs.Probe{}
+	}()
 	s.fineRes = math.Inf(1)
 	for c := 1; c <= s.cfg.MaxCycles; c++ {
-		if s.cfg.Ctx != nil {
-			if cerr := s.cfg.Ctx.Err(); cerr != nil {
-				return Result{}, fmt.Errorf("multigrid: solve stopped after %d of %d cycles (residual %.3e): %w",
-					res.Cycles, s.cfg.MaxCycles, res.Residual, cerr)
-			}
-		}
-		if ferr := s.cfg.Faults.FireCtx(s.cfg.Ctx, "multigrid.cycle"); ferr != nil {
-			return Result{}, fmt.Errorf("multigrid: solve stopped after %d of %d cycles (residual %.3e): %w",
-				res.Cycles, s.cfg.MaxCycles, res.Residual, ferr)
-		}
 		s.curCycle = c
 		x, err = s.cycle(0, x)
 		if err != nil {
@@ -606,15 +553,17 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 		res.Cycles = c
 		res.Residual = r
 		res.ResidualHistory = append(res.ResidualHistory, r)
-		obs.IterEvent(s.cfg.Trace, "multigrid", c, r)
-		meter.AddResidual(r)
+		if perr := s.probe.Iter(c, r); perr != nil {
+			return Result{}, fmt.Errorf("multigrid: solve stopped after %d of %d cycles (residual %.3e): %w",
+				c, s.cfg.MaxCycles, r, perr)
+		}
 		if r <= s.cfg.Tol {
 			res.Converged = true
 			break
 		}
 	}
 	res.Pi = x
-	res.LevelStats = levelStats(res.LevelSizes, s.levelVisits, s.levelWorkNS)
+	res.LevelStats = s.levelStats()
 	return res, nil
 }
 
@@ -659,14 +608,11 @@ func (s *Solver) fineProduct(y, x []float64) {
 // solver ignores the cycle kind.
 func (s *Solver) SetCycle(k CycleKind) { s.cfg.Cycle = k }
 
-// SetSolveContext rebinds the context consulted at every cycle boundary —
-// cancellation, cost metering, fault injection — and restamps the trace
-// identity, so one long-lived solver can serve a sequence of per-request
-// solves. Call between Solves, never during one.
-func (s *Solver) SetSolveContext(ctx context.Context) {
-	s.cfg.Ctx = ctx
-	s.cfg.Trace = obs.StampFromContext(ctx, s.rawTrace)
-}
+// SetSolveContext rebinds the context the next Solve runs under — its
+// cancellation and its run handle (events, cost, fault hook) — so one
+// long-lived solver can serve a sequence of per-request solves. Call
+// between Solves, never during one.
+func (s *Solver) SetSolveContext(ctx context.Context) { s.cfg.Ctx = ctx }
 
 // Residuals evaluates ‖xP − x‖₁ for several candidate vectors in one
 // blocked traversal of the fine matrix (Pool.MulVecs over the level-0

@@ -1,44 +1,32 @@
 // Package cost is the per-solve cost accounting and convergence audit
 // layer: every solve — a synchronous HTTP handler, an async job, one
-// point of a sweep, or a CLI run — carries a Meter through its context
-// and ends with a structured SolveReport stating what the solve actually
-// cost (wall and CPU time, solver cycles and sweeps, sparse-kernel
-// operation counts and effective bandwidth, per-level multigrid work,
-// residual history, workspace bytes, peak goroutines).
+// point of a sweep, or a CLI run — may carry a Meter in its run handle
+// (obs.Run) and ends with a structured SolveReport stating what the
+// solve actually cost (wall and CPU time, solver cycles and sweeps,
+// sparse-kernel operation counts and effective bandwidth, per-level
+// multigrid work, residual history, workspace bytes, peak goroutines).
 //
 // The package follows internal/obs's zero-cost-when-disabled contract: a
-// nil *Meter is a valid no-op, every method tolerates it, and solvers
-// fetch the meter from their context once per solve — never inside an
-// iteration loop — so unmetered runs pay one context lookup and nothing
-// else. Reports flow four ways in the service: X-Solve-Cost-* response
-// headers and the async JobView; the bounded Ring behind GET
-// /debug/solves; per-endpoint histograms in the obs Registry (and thus
-// /metrics, JSON and Prometheus); and an optional JSONL sink for offline
-// analysis.
+// nil *Meter is a valid no-op and every method tolerates it. Solvers
+// never call the meter directly: their probes feed it one residual per
+// iteration and one obs.Work when they end. Reports flow four ways in
+// the service: X-Solve-Cost-* response headers and the async JobView;
+// the bounded Ring behind GET /debug/solves; per-endpoint histograms in
+// the obs Registry (and thus /metrics, JSON and Prometheus); and an
+// optional obs.JSONL sink for offline analysis.
 package cost
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cdrstoch/internal/spmat"
+	"cdrstoch/internal/obs"
 )
 
-// LevelCost is the per-level work attribution of one multigrid solve:
-// how many times the level was visited across all cycles and how long
-// its smoothing (or coarsest-level direct) work took.
-type LevelCost struct {
-	Level    int   `json:"level"`
-	Size     int   `json:"size"`
-	Visits   int   `json:"visits"`
-	SmoothNS int64 `json:"smooth_ns"`
-}
-
-// PoolCost is the sparse-kernel operation count of one solve, deltas of
-// spmat.PoolStats between solve start and end.
+// PoolCost is the sparse-kernel operation count of one solve: the sum of
+// its probes' spmat.PoolStats deltas.
 type PoolCost struct {
 	// SpMVs counts sparse matrix–vector products (MulVec and VecMul).
 	SpMVs int64 `json:"spmvs"`
@@ -76,7 +64,8 @@ type SolveReport struct {
 	PeakGoroutines int `json:"peak_goroutines,omitempty"`
 	// States/NNZ/MatrixBytes describe the finest-level matrix;
 	// WorkspaceBytes is the heap the solver itself holds beyond it
-	// (coarse transposes, lumping tables, iterate buffers).
+	// (coarse transposes, lumping tables, iterate buffers), the largest
+	// any of the solve's probes reported.
 	States         int   `json:"states,omitempty"`
 	NNZ            int   `json:"nnz,omitempty"`
 	MatrixBytes    int64 `json:"matrix_bytes,omitempty"`
@@ -88,12 +77,12 @@ type SolveReport struct {
 	Sweeps   int64 `json:"sweeps,omitempty"`
 	Restarts int64 `json:"restarts,omitempty"`
 	// FinalResidual is the last recorded convergence measure;
-	// ResidualTail the most recent per-cycle (or per-restart) residuals,
-	// oldest first, capped at ResidualTailMax.
+	// ResidualTail the most recent per-iteration residuals (one per
+	// cycle, sweep or restart), oldest first, capped at ResidualTailMax.
 	FinalResidual float64   `json:"final_residual,omitempty"`
 	ResidualTail  []float64 `json:"residual_tail,omitempty"`
 	// Levels attributes multigrid work per level, finest first.
-	Levels []LevelCost `json:"levels,omitempty"`
+	Levels []obs.LevelStat `json:"levels,omitempty"`
 	// Pool is the sparse-kernel operation delta; SpMVGBps the effective
 	// kernel bandwidth estimate derived from it (16 bytes per stored
 	// entry: the value and its column index).
@@ -124,28 +113,27 @@ func (r SolveReport) CPUMS() float64 { return float64(r.CPUNS) / 1e6 }
 // ResidualTailMax bounds the residual history retained per report.
 const ResidualTailMax = 16
 
-// Meter accumulates the cost of one solve. Construct with NewMeter,
-// carry through the solve's context (ContextWith / FromContext), and
-// call Finish once to produce the SolveReport. All recording methods are
-// safe for concurrent use (sweep fan-outs share one request meter) and
-// tolerate a nil receiver, so solver code records unconditionally.
+// Meter accumulates the cost of one solve. Construct with NewMeter, put
+// it in the solve's obs.Run, and call Finish once to produce the
+// SolveReport. All recording methods are safe for concurrent use and
+// tolerate a nil receiver.
 type Meter struct {
 	start time.Time
 	cpu0  time.Duration
 
-	peakG    atomic.Int64
-	cycles   atomic.Int64
-	sweeps   atomic.Int64
-	restarts atomic.Int64
-	wsBytes  atomic.Int64
-	warm     atomic.Bool
+	peakG atomic.Int64
+	warm  atomic.Bool
 
 	mu       sync.Mutex
+	cycles   int64
+	sweeps   int64
+	restarts int64
+	wsBytes  int64
 	finalRes float64
 	hasRes   bool
 	tail     [ResidualTailMax]float64
 	tailN    uint64 // total residuals ever recorded (ring write cursor)
-	levels   []LevelCost
+	levels   []obs.LevelStat
 	pool     PoolCost
 }
 
@@ -172,38 +160,6 @@ func (m *Meter) SampleGoroutines() {
 	}
 }
 
-// AddCycles adds multigrid cycles.
-func (m *Meter) AddCycles(n int64) {
-	if m == nil {
-		return
-	}
-	m.cycles.Add(n)
-}
-
-// AddSweeps adds fixed-point solver sweeps.
-func (m *Meter) AddSweeps(n int64) {
-	if m == nil {
-		return
-	}
-	m.sweeps.Add(n)
-}
-
-// AddRestarts adds GMRES restarts.
-func (m *Meter) AddRestarts(n int64) {
-	if m == nil {
-		return
-	}
-	m.restarts.Add(n)
-}
-
-// AddWorkspaceBytes adds to the solver-workspace footprint estimate.
-func (m *Meter) AddWorkspaceBytes(n int64) {
-	if m == nil {
-		return
-	}
-	m.wsBytes.Add(n)
-}
-
 // MarkWarmStarted flags the solve as warm-started (non-uniform initial
 // iterate from a neighboring sweep point).
 func (m *Meter) MarkWarmStarted() {
@@ -227,31 +183,34 @@ func (m *Meter) AddResidual(r float64) {
 	m.mu.Unlock()
 }
 
-// SetLevels records the per-level multigrid attribution (copied).
-func (m *Meter) SetLevels(levels []LevelCost) {
+// AddWork adds one probe's tally: its iterations and kernel delta are
+// summed, its per-level visits and smoothing time summed level by
+// level, and its workspace kept only if it is the largest yet — a
+// solver that solves twice under one meter holds its workspace once.
+func (m *Meter) AddWork(w obs.Work) {
 	if m == nil {
 		return
 	}
-	cp := make([]LevelCost, len(levels))
-	copy(cp, levels)
+	m.SampleGoroutines()
 	m.mu.Lock()
-	m.levels = cp
-	m.mu.Unlock()
-}
-
-// AddPoolDelta accumulates the kernel-stat delta after − before of one
-// solver stage's worker team.
-func (m *Meter) AddPoolDelta(before, after spmat.PoolStats) {
-	if m == nil {
-		return
+	defer m.mu.Unlock()
+	m.cycles += w.Cycles
+	m.sweeps += w.Sweeps
+	m.restarts += w.Restarts
+	m.wsBytes = max(m.wsBytes, w.Workspace)
+	m.pool.SpMVs += w.Pool.SpMVs
+	m.pool.RowSweeps += w.Pool.RowSweeps
+	m.pool.NNZ += w.Pool.NNZ
+	m.pool.KernelNS += w.Pool.KernelNS
+	for _, l := range w.Levels {
+		for len(m.levels) <= l.Level {
+			m.levels = append(m.levels, obs.LevelStat{Level: len(m.levels)})
+		}
+		acc := &m.levels[l.Level]
+		acc.Size = l.Size
+		acc.Visits += l.Visits
+		acc.SmoothNS += l.SmoothNS
 	}
-	d := after.Sub(before)
-	m.mu.Lock()
-	m.pool.SpMVs += d.SpMVs
-	m.pool.RowSweeps += d.RowSweeps
-	m.pool.NNZ += d.NNZ
-	m.pool.KernelNS += d.KernelNS
-	m.mu.Unlock()
 }
 
 // spmvBytesPerNNZ is the traffic estimate per stored entry of a sparse
@@ -279,13 +238,13 @@ func (m *Meter) Finish() SolveReport {
 		WallNS:         wall.Nanoseconds(),
 		CPUNS:          cpu.Nanoseconds(),
 		PeakGoroutines: int(m.peakG.Load()),
-		WorkspaceBytes: m.wsBytes.Load(),
-		Cycles:         m.cycles.Load(),
-		Sweeps:         m.sweeps.Load(),
-		Restarts:       m.restarts.Load(),
+		WorkspaceBytes: m.wsBytes,
+		Cycles:         m.cycles,
+		Sweeps:         m.sweeps,
+		Restarts:       m.restarts,
 		WarmStarted:    m.warm.Load(),
 		Pool:           m.pool,
-		Levels:         m.levels,
+		Levels:         append([]obs.LevelStat(nil), m.levels...),
 	}
 	if m.hasRes {
 		rep.FinalResidual = m.finalRes
@@ -302,29 +261,4 @@ func (m *Meter) Finish() SolveReport {
 		rep.SpMVGBps = float64(m.pool.NNZ) * spmvBytesPerNNZ / float64(m.pool.KernelNS)
 	}
 	return rep
-}
-
-// meterKey carries the solve's meter through its context.
-type meterKey struct{}
-
-// ContextWith returns a context carrying the meter; solver entry points
-// read it back with FromContext. A nil meter returns ctx unchanged.
-func ContextWith(ctx context.Context, m *Meter) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if m == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, meterKey{}, m)
-}
-
-// FromContext returns the meter carried by ctx, or nil (the valid no-op
-// meter) when the context carries none or is nil.
-func FromContext(ctx context.Context) *Meter {
-	if ctx == nil {
-		return nil
-	}
-	m, _ := ctx.Value(meterKey{}).(*Meter)
-	return m
 }

@@ -15,30 +15,28 @@ import (
 func TestMeterNilIsNoOp(t *testing.T) {
 	var m *Meter
 	m.SampleGoroutines()
-	m.AddCycles(3)
-	m.AddSweeps(5)
-	m.AddRestarts(1)
-	m.AddWorkspaceBytes(64)
+	m.MarkWarmStarted()
 	m.AddResidual(1e-9)
-	m.SetLevels([]LevelCost{{Level: 0}})
-	m.AddPoolDelta(spmat.PoolStats{}, spmat.PoolStats{SpMVs: 3})
+	m.AddWork(obs.Work{Cycles: 3, Sweeps: 5, Restarts: 1, Workspace: 64,
+		Pool: spmat.PoolStats{SpMVs: 3}, Levels: []obs.LevelStat{{Level: 0}}})
 	rep := m.Finish()
 	if rep.Cycles != 0 || rep.Sweeps != 0 || rep.Pool.SpMVs != 0 {
 		t.Errorf("nil meter produced non-zero report: %+v", rep)
 	}
 }
 
+// TestMeterAccumulates checks how two probes' work combines: counts,
+// kernel deltas and per-level visits and smoothing time add up, while
+// the workspace is the largest reported, not the sum — the second probe
+// may be the same solver solving again.
 func TestMeterAccumulates(t *testing.T) {
 	m := NewMeter()
-	m.AddCycles(7)
-	m.AddSweeps(40)
-	m.AddRestarts(2)
-	m.AddWorkspaceBytes(1024)
-	m.AddPoolDelta(
-		spmat.PoolStats{SpMVs: 2, NNZ: 100, KernelNS: 50},
-		spmat.PoolStats{SpMVs: 12, RowSweeps: 4, NNZ: 1100, KernelNS: 1050},
-	)
-	m.SetLevels([]LevelCost{{Level: 0, Size: 64, Visits: 7, SmoothNS: 123}})
+	m.AddWork(obs.Work{Cycles: 4, Sweeps: 30, Restarts: 1, Workspace: 1024,
+		Pool:   spmat.PoolStats{SpMVs: 4, RowSweeps: 1, NNZ: 400, KernelNS: 400},
+		Levels: []obs.LevelStat{{Level: 0, Size: 64, Visits: 4, SmoothNS: 100}, {Level: 1, Size: 8, Visits: 8, SmoothNS: 20}}})
+	m.AddWork(obs.Work{Cycles: 3, Sweeps: 10, Restarts: 1, Workspace: 512,
+		Pool:   spmat.PoolStats{SpMVs: 6, RowSweeps: 3, NNZ: 600, KernelNS: 600},
+		Levels: []obs.LevelStat{{Level: 0, Size: 64, Visits: 3, SmoothNS: 23}}})
 	for i := 0; i < 5; i++ {
 		m.AddResidual(1.0 / float64(i+1))
 	}
@@ -47,7 +45,7 @@ func TestMeterAccumulates(t *testing.T) {
 		t.Errorf("cycles/sweeps/restarts = %d/%d/%d", rep.Cycles, rep.Sweeps, rep.Restarts)
 	}
 	if rep.WorkspaceBytes != 1024 {
-		t.Errorf("workspace = %d", rep.WorkspaceBytes)
+		t.Errorf("workspace = %d, want the peak 1024", rep.WorkspaceBytes)
 	}
 	if rep.Pool.SpMVs != 10 || rep.Pool.RowSweeps != 4 || rep.Pool.NNZ != 1000 || rep.Pool.KernelNS != 1000 {
 		t.Errorf("pool delta = %+v", rep.Pool)
@@ -62,7 +60,8 @@ func TestMeterAccumulates(t *testing.T) {
 	if len(rep.ResidualTail) != 5 || rep.ResidualTail[0] != 1.0 || rep.ResidualTail[4] != 0.2 {
 		t.Errorf("residual tail = %v", rep.ResidualTail)
 	}
-	if len(rep.Levels) != 1 || rep.Levels[0].Visits != 7 {
+	if len(rep.Levels) != 2 || rep.Levels[0] != (obs.LevelStat{Level: 0, Size: 64, Visits: 7, SmoothNS: 123}) ||
+		rep.Levels[1] != (obs.LevelStat{Level: 1, Size: 8, Visits: 8, SmoothNS: 20}) {
 		t.Errorf("levels = %+v", rep.Levels)
 	}
 	if rep.WallNS <= 0 {
@@ -95,24 +94,21 @@ func TestMeterResidualTailBounded(t *testing.T) {
 	}
 }
 
+// TestMeterContextRoundTrip checks that a meter rides a solve's context
+// inside its run handle and is charged through the run's probes.
 func TestMeterContextRoundTrip(t *testing.T) {
 	m := NewMeter()
-	ctx := ContextWith(context.Background(), m)
-	if got := FromContext(ctx); got != m {
-		t.Error("meter did not round-trip through context")
+	ctx := obs.WithRun(context.Background(), &obs.Run{Meter: m})
+	if got := obs.RunFrom(ctx).Meter; got != obs.Meter(m) {
+		t.Fatal("meter did not round-trip through the run")
 	}
-	if FromContext(context.Background()) != nil {
-		t.Error("empty context yielded a meter")
-	}
-	if FromContext(nil) != nil {
-		t.Error("nil context yielded a meter")
-	}
-	// Nil meter leaves ctx untouched; nil ctx is upgraded.
-	if ContextWith(ctx, nil) != ctx {
-		t.Error("nil meter should return ctx unchanged")
-	}
-	if FromContext(ContextWith(nil, m)) != m {
-		t.Error("nil ctx with meter lost the meter")
+	p := obs.Begin(ctx, "power", obs.Sweeps, "", nil)
+	_ = p.Iter(1, 0.5)
+	_ = p.Iter(2, 0.25)
+	p.End(obs.Work{})
+	rep := m.Finish()
+	if rep.Sweeps != 2 || rep.FinalResidual != 0.25 || len(rep.ResidualTail) != 2 {
+		t.Errorf("report after two probed sweeps: %+v", rep)
 	}
 }
 
@@ -218,32 +214,34 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestJSONLStickyError checks the -cost-log path: reports written through
+// the shared JSON-lines sink decode back line by line, and once a write
+// fails the error sticks and every later report is dropped and counted.
 func TestJSONLStickyError(t *testing.T) {
 	var sb strings.Builder
-	s := NewJSONL(&sb)
-	s.Write(SolveReport{Trace: "t1"})
+	s := obs.NewJSONL(&sb)
+	s.Encode(SolveReport{Trace: "t1", Cycles: 3})
+	s.Encode(SolveReport{Trace: "t2"})
 	if s.Err() != nil || s.Dropped() != 0 {
 		t.Fatalf("healthy sink: err=%v dropped=%d", s.Err(), s.Dropped())
 	}
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("wrote %d lines:\n%s", len(lines), sb.String())
+	}
 	var rep SolveReport
-	if err := json.Unmarshal([]byte(sb.String()), &rep); err != nil || rep.Trace != "t1" {
-		t.Fatalf("line = %q: %v", sb.String(), err)
+	if err := json.Unmarshal([]byte(lines[0]), &rep); err != nil || rep.Trace != "t1" || rep.Cycles != 3 {
+		t.Fatalf("line = %q: %v", lines[0], err)
 	}
 
-	broken := NewJSONL(&failAfter{})
-	broken.Write(SolveReport{})
-	broken.Write(SolveReport{})
+	broken := obs.NewJSONL(&failAfter{})
+	broken.Encode(SolveReport{})
+	broken.Encode(SolveReport{})
 	if broken.Err() == nil {
 		t.Error("write error did not stick")
 	}
 	if broken.Dropped() != 2 {
 		t.Errorf("dropped = %d, want 2", broken.Dropped())
-	}
-
-	var nilSink *JSONL
-	nilSink.Write(SolveReport{})
-	if nilSink.Err() != nil || nilSink.Dropped() != 0 {
-		t.Error("nil sink misbehaved")
 	}
 }
 

@@ -88,13 +88,18 @@ func (f *FlightRecorder) Tail(n int) []Event {
 // given trace ID, oldest first — the per-request postmortem view. n < 0
 // removes the cap. An empty traceID matches nothing.
 func (f *FlightRecorder) TailFor(traceID string, n int) []Event {
-	if f == nil || traceID == "" {
+	if traceID == "" {
 		return nil
 	}
-	all := f.Tail(-1)
+	return f.TailWhere(n, func(e *Event) bool { return e.Trace == traceID })
+}
+
+// TailWhere returns up to n of the most recent events keep accepts,
+// oldest first. n < 0 removes the cap.
+func (f *FlightRecorder) TailWhere(n int, keep func(*Event) bool) []Event {
 	var out []Event
-	for _, e := range all {
-		if e.Trace == traceID {
+	for _, e := range f.Tail(-1) {
+		if keep(&e) {
 			out = append(out, e)
 		}
 	}

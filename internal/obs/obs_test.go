@@ -2,7 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"errors"
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -61,17 +61,20 @@ func TestNilRegistryAndMetricsAreNoops(t *testing.T) {
 }
 
 // TestDisabledPathAllocations pins the zero-cost-when-disabled contract:
-// the per-iteration emit helpers must not allocate (nor call time.Now)
-// when the tracer is nil, and nil-registry metric updates must not
-// allocate either.
+// a probe whose context carries no run must not allocate, whole solve
+// included, and nil-registry metric updates must not allocate either.
+// TestStampFromContextDisabledZeroAlloc pins a run with only a trace
+// identity.
 func TestDisabledPathAllocations(t *testing.T) {
-	var tr Tracer // nil: the disabled default in every option struct
+	ctx := context.Background()
 	if n := testing.AllocsPerRun(1000, func() {
-		IterEvent(tr, "power", 7, 1e-9)
-		LevelEvent(tr, "multigrid", 1, 2, 64)
-		ProgressEvent(tr, "bitsim", 0, 100, 1000)
+		p := Begin(ctx, "multigrid", Cycles, "multigrid.cycle", nil)
+		p.Level(1, 2, 64)
+		_ = p.Iter(7, 1e-9)
+		_ = p.Progress("bitsim", 0, 100, 1000)
+		p.End(Work{})
 	}); n != 0 {
-		t.Errorf("nil-tracer emit helpers allocate %.1f/op", n)
+		t.Errorf("probe without a run allocates %.1f/op", n)
 	}
 	var reg *Registry
 	if n := testing.AllocsPerRun(1000, func() {
@@ -79,12 +82,6 @@ func TestDisabledPathAllocations(t *testing.T) {
 		reg.Gauge("rate").Set(1)
 	}); n != 0 {
 		t.Errorf("nil-registry updates allocate %.1f/op", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		done := StartSpan(tr, "solve")
-		done()
-	}); n != 0 {
-		t.Errorf("nil-tracer StartSpan allocates %.1f/op", n)
 	}
 	var reg2 *Registry
 	if n := testing.AllocsPerRun(1000, func() {
@@ -100,45 +97,6 @@ func TestDisabledPathAllocations(t *testing.T) {
 	}
 }
 
-// failAfterWriter errors on every write past the first n bytes.
-type failAfterWriter struct {
-	n       int
-	written int
-	err     error
-}
-
-func (w *failAfterWriter) Write(p []byte) (int, error) {
-	if w.written+len(p) > w.n {
-		return 0, w.err
-	}
-	w.written += len(p)
-	return len(p), nil
-}
-
-// TestJSONLStickyError pins the failure contract: the first write error
-// is retained by Err, later events are dropped (not written, not
-// panicking), and Dropped counts every loss including the failing event.
-func TestJSONLStickyError(t *testing.T) {
-	wantErr := errors.New("disk full")
-	sink := NewJSONL(&failAfterWriter{n: 1, err: wantErr}) // first event already fails
-	IterEvent(sink, "power", 1, 0.5)
-	IterEvent(sink, "power", 2, 0.25)
-	IterEvent(sink, "power", 3, 0.125)
-	if err := sink.Err(); !errors.Is(err, wantErr) {
-		t.Errorf("Err() = %v, want %v", err, wantErr)
-	}
-	if d := sink.Dropped(); d != 3 {
-		t.Errorf("Dropped() = %d, want 3", d)
-	}
-	// A healthy sink reports no drops.
-	var buf bytes.Buffer
-	ok := NewJSONL(&buf)
-	IterEvent(ok, "power", 1, 0.5)
-	if ok.Err() != nil || ok.Dropped() != 0 {
-		t.Errorf("healthy sink: err=%v dropped=%d", ok.Err(), ok.Dropped())
-	}
-}
-
 // TestCollectorConcurrentAccess exercises Emit, Events and Reset racing —
 // run under -race this pins the Collector's locking discipline.
 func TestCollectorConcurrentAccess(t *testing.T) {
@@ -149,7 +107,7 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				IterEvent(col, "gs", i, 0.5)
+				col.Emit(Event{Kind: "iter", Name: "gs", Iter: i, Residual: 0.5})
 				if i%100 == 0 {
 					for _, e := range col.Events() {
 						_ = e.Iter
@@ -167,22 +125,15 @@ func TestCollectorConcurrentAccess(t *testing.T) {
 	col.Events()
 }
 
-func TestDiscardTracerDropsEvents(t *testing.T) {
-	// Must simply not panic and accept anything.
-	Discard.Emit(Event{Kind: "iter", Name: "x", Iter: 1, Residual: 0.5})
-	done := StartSpan(Discard, "span")
-	done()
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
-	done := StartSpan(sink, "solve")
-	IterEvent(sink, "power", 1, 0.25)
-	IterEvent(sink, "power", 2, 0.0625)
-	LevelEvent(sink, "multigrid", 3, 1, 128)
-	ProgressEvent(sink, "bitsim", 2, 500, 1000)
-	done()
+	p := Begin(WithRun(context.Background(), &Run{Sink: sink}), "power", Sweeps, "", nil)
+	_ = p.Iter(1, 0.25)
+	_ = p.Iter(2, 0.0625)
+	p.Level(3, 1, 128)
+	_ = p.Progress("bitsim", 2, 500, 1000)
+	p.End(Work{})
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,16 +145,16 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if len(events) != 6 {
 		t.Fatalf("round-tripped %d events, want 6", len(events))
 	}
-	if events[0].Kind != "span_start" || events[0].Name != "solve" {
+	if events[0].Kind != "span_start" || events[0].Name != "power" {
 		t.Errorf("first event = %+v", events[0])
 	}
 	if e := events[1]; e.Kind != "iter" || e.Name != "power" || e.Iter != 1 || e.Residual != 0.25 {
 		t.Errorf("iter event = %+v", e)
 	}
-	if e := events[3]; e.Kind != "level" || e.Level != 1 || e.Size != 128 || e.Iter != 3 {
+	if e := events[3]; e.Kind != "level" || e.Name != "power" || e.Level != 1 || e.Size != 128 || e.Iter != 3 {
 		t.Errorf("level event = %+v", e)
 	}
-	if e := events[4]; e.Kind != "progress" || e.Worker != 2 || e.Done != 500 || e.Total != 1000 {
+	if e := events[4]; e.Kind != "progress" || e.Name != "bitsim" || e.Worker != 2 || e.Done != 500 || e.Total != 1000 {
 		t.Errorf("progress event = %+v", e)
 	}
 	last := events[5]
@@ -217,9 +168,9 @@ func TestCollectorAndDecaySlope(t *testing.T) {
 	col := NewCollector(NewJSONL(&buf))
 	// Exact decade-per-iteration decay: slope must be -1.
 	for i := 1; i <= 5; i++ {
-		IterEvent(col, "gs", i, math.Pow(10, -float64(i)))
+		col.Emit(Event{Kind: "iter", Name: "gs", Iter: i, Residual: math.Pow(10, -float64(i))})
 	}
-	IterEvent(col, "other", 1, 0.5) // different name: excluded from the fit
+	col.Emit(Event{Kind: "iter", Name: "other", Iter: 1, Residual: 0.5}) // different name: excluded from the fit
 	slope, n := DecaySlope(col.Events(), "gs")
 	if n != 5 {
 		t.Fatalf("fit used %d points, want 5", n)

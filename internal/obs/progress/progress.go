@@ -1,8 +1,9 @@
 // Package progress is the live view of in-flight solves: a Tracker keeps
 // one record per registered solve (phase, iteration, current residual,
-// geometric-decay ETA) fed by the existing tracer probe points — the
-// per-cycle multigrid residuals, the per-sweep stationary iterations, the
-// engine spans — with no new instrumentation in the solver loops. On top
+// geometric-decay ETA) fed by the solve's run — its Handle is one of the
+// run's event sinks, so the per-cycle multigrid residuals, the per-sweep
+// stationary iterations and the engine spans reach it with no
+// instrumentation of its own in the solver loops. On top
 // of the records sits a watchdog (watchdog.go) that classifies each solve
 // as progressing, stalled, or diverging and can optionally cancel
 // hopeless ones.
@@ -37,10 +38,10 @@ const (
 type Config struct {
 	// Registry receives the progress.* and watchdog.* metrics. May be nil.
 	Registry *obs.Registry
-	// Out receives the watchdog's typed events in addition to the
-	// tracker's own ring — the server passes its flight recorder, so
-	// stall/divergence verdicts land in the same postmortem trail as the
-	// solver events that led to them. May be nil.
+	// Out receives the watchdog's typed events. The server passes its
+	// flight recorder, so stall/divergence verdicts land in the same
+	// postmortem trail as the solver events that led to them, and
+	// /debug/progress reads its watchdog tail from there. May be nil.
 	Out obs.Tracer
 	// Tol is the residual the ETA extrapolates to. Default 1e-12 (the
 	// multigrid default tolerance).
@@ -59,8 +60,6 @@ type Config struct {
 	// kicks in without waiting for the request deadline. Off by default —
 	// see DESIGN.md §13 for why detection and action are separated.
 	CancelOnStall bool
-	// RingSize bounds the watchdog event ring. Default 1024.
-	RingSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -76,18 +75,14 @@ func (c Config) withDefaults() Config {
 	if c.DivergeChecks <= 0 {
 		c.DivergeChecks = 3
 	}
-	if c.RingSize <= 0 {
-		c.RingSize = 1024
-	}
 	return c
 }
 
 // Tracker is the per-solve live progress registry. All methods are safe
 // for concurrent use, and every method on a nil *Tracker is a no-op.
 type Tracker struct {
-	cfg  Config
-	reg  *obs.Registry
-	ring *obs.FlightRecorder
+	cfg Config
+	reg *obs.Registry
 
 	mu     sync.Mutex
 	seq    uint64
@@ -107,7 +102,6 @@ func New(cfg Config) *Tracker {
 	t := &Tracker{
 		cfg:    cfg,
 		reg:    cfg.Registry,
-		ring:   obs.NewFlightRecorder(cfg.RingSize),
 		solves: make(map[uint64]*solveState),
 		subs:   make(map[string]map[*Sub]struct{}),
 		stop:   make(chan struct{}),
@@ -118,7 +112,6 @@ func New(cfg Config) *Tracker {
 	t.reg.GaugeFunc("progress.solves_inflight", func() float64 { return float64(t.inflight()) })
 	t.reg.GaugeFunc("progress.solves_stalled", func() float64 { return float64(t.countState(StateStalled)) })
 	t.reg.GaugeFunc("progress.subscribers", func() float64 { return float64(t.nsubs.Load()) })
-	t.reg.GaugeFunc("watchdog.ring_dropped", func() float64 { return float64(t.ring.Dropped()) })
 	for _, name := range []string{
 		"progress.solves_started", "progress.solves_finished",
 		"progress.solves_stalled_total", "progress.events_dropped",
@@ -128,14 +121,6 @@ func New(cfg Config) *Tracker {
 		t.reg.Counter(name)
 	}
 	return t
-}
-
-// Ring exposes the watchdog event ring (for /debug handlers and tests).
-func (t *Tracker) Ring() *obs.FlightRecorder {
-	if t == nil {
-		return nil
-	}
-	return t.ring
 }
 
 // solveState is one registered solve's live record. Its own mutex keeps
@@ -153,6 +138,7 @@ type solveState struct {
 	lastEvent   time.Time
 	lastImprove time.Time
 	phase       string
+	solver      string // name of the solver whose iterations are being fitted
 	iter        int
 	residual    float64
 	best        float64 // lowest residual seen; +Inf until the first one
@@ -168,8 +154,8 @@ type solveState struct {
 	done      bool
 }
 
-// Handle is one solve's registration: an obs.Tracer the engine tees into
-// the solve's event chain, so the events that update this record are
+// Handle is one solve's registration: an obs.Tracer the engine puts in
+// the solve's run sink, so the events that update this record are
 // attributed by construction — no trace-matching, which would misattribute
 // concurrent solves sharing a request trace (sweep fan-out). A nil
 // *Handle is a valid no-op.
@@ -228,6 +214,17 @@ func (h *Handle) Emit(e obs.Event) {
 	case "span_start":
 		s.phase = e.Name
 	case "iter":
+		if e.Name != s.solver {
+			// A second solver within one solve (the slip endpoint's
+			// quasi-stationary refinement after multigrid) restarts the
+			// decay fit and the watchdog's residual bookkeeping: its
+			// residuals say nothing about the previous solver's.
+			s.solver = e.Name
+			s.est = estimator{}
+			s.best = math.Inf(1)
+			s.lastImprove = now
+			s.haveCheck, s.grow = false, 0
+		}
 		s.phase = e.Name
 		s.iter = e.Iter
 		s.residual = e.Residual

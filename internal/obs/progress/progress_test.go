@@ -34,9 +34,6 @@ func TestNilTrackerIsNoOp(t *testing.T) {
 	if sub := tr.Subscribe("x", 1); sub != nil {
 		t.Fatalf("nil tracker Subscribe returned non-nil")
 	}
-	if tr.Ring() != nil {
-		t.Fatalf("nil tracker Ring returned non-nil")
-	}
 }
 
 // TestHandleEmitAllocFree pins the enabled-but-unwatched hot path: with
@@ -55,6 +52,60 @@ func TestHandleEmitAllocFree(t *testing.T) {
 	allocs = testing.AllocsPerRun(200, func() { nilH.Emit(e) })
 	if allocs != 0 {
 		t.Fatalf("nil Handle.Emit allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestProbeIterAllocFree pins a solver's per-iteration cost through its
+// run probe: zero allocations with no run in the context, and zero with a
+// run whose sink is the server's composition — the flight recorder tee'd
+// with a progress handle — and which carries a fault hook.
+func TestProbeIterAllocFree(t *testing.T) {
+	tr := New(Config{Registry: obs.NewRegistry()})
+	ctx := tracedCtx("tA")
+	h := tr.Begin(ctx, "analyze", "key", nil)
+	defer h.End(nil)
+	run := &obs.Run{
+		Sink:  obs.Tee(obs.NewFlightRecorder(64), h),
+		Fault: func(context.Context, string) error { return nil },
+	}
+	for name, ctx := range map[string]context.Context{
+		"no run":            context.Background(),
+		"flight + progress": obs.WithRun(ctx, run),
+	} {
+		p := obs.Begin(ctx, "multigrid", obs.Cycles, "multigrid.cycle", nil)
+		it := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			it++
+			p.Level(it, 1, 64)
+			if err := p.Iter(it, 1e-5); err != nil {
+				t.Fatal(err)
+			}
+		})
+		p.End(obs.Work{})
+		if allocs != 0 {
+			t.Errorf("%s: probe iteration allocated %.1f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestHandleRestartsFitOnNewSolver checks that a second solver within one
+// solve (the slip endpoint's quasi-stationary refinement after multigrid)
+// starts a fresh decay fit and residual history: its first residual is
+// far above the previous solver's last and must read neither as a
+// stalled best nor as growth.
+func TestHandleRestartsFitOnNewSolver(t *testing.T) {
+	tr := New(Config{Registry: obs.NewRegistry(), StallWindow: time.Hour, DivergeChecks: 1})
+	h := tr.Begin(tracedCtx("tQ"), "slip", "k", nil)
+	defer h.End(nil)
+	for k := 1; k <= 4; k++ {
+		h.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: k, Residual: math.Pow(10, -3*float64(k))})
+	}
+	tr.check(time.Now())
+	h.Emit(obs.Event{Kind: "iter", Name: "quasi-stationary", Iter: 1, Residual: 0.5})
+	tr.check(time.Now())
+	p, _ := tr.LatestByTrace("tQ")
+	if p.State != StateProgressing || p.BestResidual != 0.5 || p.SlopePerIter != 0 {
+		t.Fatalf("after the solver switch: %+v", p)
 	}
 }
 
@@ -153,7 +204,8 @@ func TestSnapshotAndLatestByTrace(t *testing.T) {
 
 func TestWatchdogStallAndRecovery(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := New(Config{Registry: reg, StallWindow: 50 * time.Millisecond, DivergeChecks: 3})
+	out := obs.NewFlightRecorder(16)
+	tr := New(Config{Registry: reg, Out: out, StallWindow: 50 * time.Millisecond, DivergeChecks: 3})
 	h := tr.Begin(tracedCtx("tS"), "analyze", "k", nil)
 	h.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: 1, Residual: 1e-3, Trace: "tS"})
 
@@ -171,9 +223,9 @@ func TestWatchdogStallAndRecovery(t *testing.T) {
 	if got := reg.Counter("progress.solves_stalled_total").Value(); got != 1 {
 		t.Fatalf("solves_stalled_total = %d, want 1", got)
 	}
-	events := tr.Ring().Tail(-1)
+	events := out.Tail(-1)
 	if len(events) == 0 {
-		t.Fatalf("watchdog ring empty after stall")
+		t.Fatalf("no watchdog event reached Out after stall")
 	}
 	last := events[len(events)-1]
 	if last.Kind != "watchdog" || last.Name != StateStalled || last.Trace != "tS" || last.Reason == "" {
@@ -347,7 +399,7 @@ func TestTrackerMetricsSurviveLint(t *testing.T) {
 		t.Fatalf("metrics lint: %v", problems)
 	}
 	for _, name := range []string{
-		"progress.solves_inflight", "progress.subscribers", "watchdog.ring_dropped",
+		"progress.solves_inflight", "progress.subscribers",
 	} {
 		if _, ok := snap.Gauges[name]; !ok {
 			t.Fatalf("gauge %q missing from snapshot", name)

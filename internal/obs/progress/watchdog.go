@@ -113,16 +113,14 @@ func (t *Tracker) check(now time.Time) {
 	}
 }
 
-// emitWatchdog fans one typed watchdog event out to the watchdog ring,
-// the configured Out tracer (the server's flight recorder), and any
-// per-trace subscribers.
+// emitWatchdog fans one typed watchdog event out to the configured Out
+// tracer (the server's flight recorder) and any per-trace subscribers.
 func (t *Tracker) emitWatchdog(name, reason, trace, parent string, iter int, residual float64) {
 	e := obs.Event{
 		T: time.Now().UnixNano(), Kind: "watchdog", Name: name,
 		Iter: iter, Residual: residual,
 		Trace: trace, Parent: parent, Reason: reason,
 	}
-	t.ring.Emit(e)
 	if t.cfg.Out != nil {
 		t.cfg.Out.Emit(e)
 	}

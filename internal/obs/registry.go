@@ -3,16 +3,18 @@
 // with snapshot APIs (aligned text, JSON, Prometheus text exposition), a
 // Tracer interface with a JSON-lines sink for structured solver events
 // (spans, per-iteration residuals, multigrid level visits, Monte Carlo
-// worker progress), request-scoped trace IDs propagated through contexts
-// and stamped onto events, and an always-on FlightRecorder ring holding
-// the most recent events for postmortem dumps.
+// worker progress), an always-on FlightRecorder ring holding the most
+// recent events for postmortem dumps, and the Run: the one per-solve
+// handle, carried in the solve's context, that stamps the request's
+// trace identity onto events and routes a solver's reports to the event
+// sink, the cost meter and the fault hook.
 //
-// The package is built around a zero-cost-when-disabled contract: every
-// emit helper tolerates a nil Tracer, and every registry accessor
-// tolerates a nil *Registry, so instrumented hot paths pay only a nil
-// check (no time.Now call, no allocation) when observability is off.
-// Solver loops therefore carry their probes unconditionally; callers
-// enable them by supplying a sink.
+// The package is built around a zero-cost-when-disabled contract: a
+// solver's Probe without a run only checks its context, and every
+// registry accessor tolerates a nil *Registry, so instrumented hot paths
+// pay a nil check (no time.Now call, no allocation) when observability
+// is off. Solver loops therefore carry their probes unconditionally;
+// owners enable them by putting a Run in the context.
 package obs
 
 import (

@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"sync"
-	"time"
 )
 
 // Event is one structured observability record. Kind discriminates the
@@ -46,8 +45,8 @@ type Event struct {
 	DurNS int64 `json:"dur_ns,omitempty"`
 	// Trace is the request-scoped trace ID the event belongs to; Parent
 	// is the root span ID of the request or job that initiated the solve.
-	// Both are stamped by WithTrace/StampFromContext wrappers and stay
-	// empty (and absent from the JSON encoding) outside traced requests.
+	// The emitting Run stamps both; they stay empty (and absent from the
+	// JSON encoding) outside traced requests.
 	Trace  string `json:"trace,omitempty"`
 	Parent string `json:"parent,omitempty"`
 	// Reason explains watchdog transitions and solve_end failures
@@ -56,60 +55,10 @@ type Event struct {
 }
 
 // Tracer is the sink for structured events. Implementations must be safe
-// for concurrent use. Production code passes Tracer values through
-// optional fields whose nil default disables tracing; use the package
-// emit helpers, which tolerate nil, rather than calling Emit directly.
+// for concurrent use. Solvers never hold one: they report through the
+// Probe of the Run their context carries, whose Sink is a Tracer.
 type Tracer interface {
 	Emit(e Event)
-}
-
-type noop struct{}
-
-func (noop) Emit(Event) {}
-
-// Discard is a Tracer that drops every event. Prefer a nil Tracer in
-// option structs (it skips event construction entirely); Discard exists
-// for call sites that require a non-nil sink.
-var Discard Tracer = noop{}
-
-// StartSpan emits a span_start event and returns a function that emits
-// the matching span_end with the elapsed duration. With a nil tracer it
-// does nothing and returns a no-op function.
-func StartSpan(t Tracer, name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	t.Emit(Event{T: start.UnixNano(), Kind: "span_start", Name: name})
-	return func() {
-		end := time.Now()
-		t.Emit(Event{T: end.UnixNano(), Kind: "span_end", Name: name, DurNS: int64(end.Sub(start))})
-	}
-}
-
-// IterEvent emits one per-iteration residual event; nil tracers cost one
-// branch and nothing else.
-func IterEvent(t Tracer, name string, iter int, residual float64) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{T: time.Now().UnixNano(), Kind: "iter", Name: name, Iter: iter, Residual: residual})
-}
-
-// LevelEvent emits one multigrid level-visit event for the given cycle.
-func LevelEvent(t Tracer, name string, cycle, level, size int) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{T: time.Now().UnixNano(), Kind: "level", Name: name, Iter: cycle, Level: level, Size: size})
-}
-
-// ProgressEvent emits one worker-progress event.
-func ProgressEvent(t Tracer, name string, worker int, done, total int64) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{T: time.Now().UnixNano(), Kind: "progress", Name: name, Worker: worker, Done: done, Total: total})
 }
 
 // Collector is a Tracer that records events in memory, optionally

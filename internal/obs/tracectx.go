@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -21,73 +20,6 @@ func NewTraceID() string {
 		binary.BigEndian.PutUint64(b[:], fallbackSeq.Add(1)|1<<63)
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// traceKey is the context key carrying a request's trace identity.
-type traceKey struct{}
-
-type traceInfo struct {
-	trace, span string
-}
-
-// ContextWithTrace returns a context carrying the given trace ID and the
-// root span ID of the emitting request/job. Solver entry points read it
-// back with StampFromContext so every event they emit carries the IDs.
-func ContextWithTrace(ctx context.Context, traceID, spanID string) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, traceKey{}, traceInfo{trace: traceID, span: spanID})
-}
-
-// TraceFromContext returns the trace and root-span IDs carried by ctx,
-// or empty strings when the context carries none (or is nil).
-func TraceFromContext(ctx context.Context) (traceID, spanID string) {
-	if ctx == nil {
-		return "", ""
-	}
-	info, _ := ctx.Value(traceKey{}).(traceInfo)
-	return info.trace, info.span
-}
-
-// stamped decorates a sink by filling the Trace and Parent fields of
-// every event that does not already carry them.
-type stamped struct {
-	next   Tracer
-	trace  string
-	parent string
-}
-
-func (s stamped) Emit(e Event) {
-	if e.Trace == "" {
-		e.Trace = s.trace
-	}
-	if e.Parent == "" {
-		e.Parent = s.parent
-	}
-	s.next.Emit(e)
-}
-
-// WithTrace returns a Tracer that stamps trace/parent IDs onto events
-// before forwarding them to next. A nil next or empty traceID returns
-// next unchanged, preserving the zero-cost disabled path.
-func WithTrace(next Tracer, traceID, parent string) Tracer {
-	if next == nil || traceID == "" {
-		return next
-	}
-	return stamped{next: next, trace: traceID, parent: parent}
-}
-
-// StampFromContext wraps next so events carry the trace identity of ctx.
-// It is the one-line hook every solver entry point calls on its
-// configured tracer: nil tracers and trace-less contexts pass through
-// untouched (and unallocated), so the disabled path stays free.
-func StampFromContext(ctx context.Context, next Tracer) Tracer {
-	if next == nil || ctx == nil {
-		return next
-	}
-	traceID, spanID := TraceFromContext(ctx)
-	return WithTrace(next, traceID, spanID)
 }
 
 // tee fans every event out to multiple sinks in order.

@@ -37,58 +37,81 @@ func TestContextTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWithTraceStampsEvents checks that a run stamps its own trace
+// identity onto every event it emits, spans included, overwriting
+// whatever identity the event carried, and that a nil run or a run
+// without a sink drops events without complaint.
 func TestWithTraceStampsEvents(t *testing.T) {
 	col := NewCollector(nil)
-	tr := WithTrace(col, "trace1", "span1")
-	tr.Emit(Event{Kind: "iter", Iter: 1})
-	tr.Emit(Event{Kind: "iter", Iter: 2, Trace: "preset", Parent: "presetspan"})
+	run := &Run{Trace: "trace1", Parent: "span1", Sink: col}
+	run.Emit(Event{Kind: "iter", Iter: 1})
+	run.Emit(Event{Kind: "iter", Iter: 2, Trace: "other", Parent: "otherspan"})
+	run.Span("solve")()
 	got := col.Events()
-	if len(got) != 2 {
-		t.Fatalf("%d events", len(got))
+	if len(got) != 4 {
+		t.Fatalf("%d events, want 4", len(got))
 	}
-	if got[0].Trace != "trace1" || got[0].Parent != "span1" {
-		t.Errorf("unstamped event = %+v", got[0])
+	for _, e := range got {
+		if e.Trace != "trace1" || e.Parent != "span1" {
+			t.Errorf("unstamped event %+v", e)
+		}
 	}
-	// Pre-existing IDs win: nested solvers keep their own attribution.
-	if got[1].Trace != "preset" || got[1].Parent != "presetspan" {
-		t.Errorf("pre-stamped event overwritten: %+v", got[1])
+	if got[2].Kind != "span_start" || got[3].Kind != "span_end" || got[3].Name != "solve" {
+		t.Errorf("span events = %+v", got[2:])
 	}
-
-	if got := WithTrace(nil, "t", "s"); got != nil {
-		t.Error("WithTrace(nil, ...) must stay nil")
-	}
-	if got := WithTrace(col, "", "s"); got != Tracer(col) {
-		t.Error("empty trace ID must return the sink unchanged")
-	}
+	var none *Run
+	none.Emit(Event{Kind: "iter"})
+	none.Span("x")()
+	(&Run{Trace: "t"}).Emit(Event{Kind: "iter"})
 }
 
+// TestStampFromContext checks that a run built under a traced context
+// inherits its trace and root span and stamps them onto its events, that
+// an explicit identity wins over the context's, and that a bare or nil
+// context carries no run.
 func TestStampFromContext(t *testing.T) {
 	col := NewCollector(nil)
-	ctx := ContextWithTrace(context.Background(), "trace9", "span9")
-	StampFromContext(ctx, col).Emit(Event{Kind: "iter"})
+	ctx := WithRun(ContextWithTrace(context.Background(), "trace9", "span9"), &Run{Sink: col})
+	run := RunFrom(ctx)
+	if run.Trace != "trace9" || run.Parent != "span9" {
+		t.Fatalf("run identity = %q/%q", run.Trace, run.Parent)
+	}
+	if trace, span := TraceFromContext(ctx); trace != "trace9" || span != "span9" {
+		t.Errorf("context identity = %q/%q", trace, span)
+	}
+	run.Emit(Event{Kind: "iter"})
 	if got := col.Events(); len(got) != 1 || got[0].Trace != "trace9" || got[0].Parent != "span9" {
 		t.Errorf("events = %+v", got)
 	}
-	// The disabled paths pass through untouched.
-	if got := StampFromContext(ctx, nil); got != nil {
-		t.Error("nil tracer must stay nil")
+	own := WithRun(ctx, &Run{Trace: "mine"})
+	if trace, span := TraceFromContext(own); trace != "mine" || span != "" {
+		t.Errorf("explicit identity = %q/%q", trace, span)
 	}
-	if got := StampFromContext(context.Background(), col); got != Tracer(col) {
-		t.Error("trace-less context must return the sink unchanged")
+	// A trace-less context leaves the run unstamped.
+	if r := RunFrom(WithRun(nil, &Run{Sink: col})); r.Trace != "" || r.Parent != "" {
+		t.Errorf("identity from a bare context = %q/%q", r.Trace, r.Parent)
 	}
-	if got := StampFromContext(nil, col); got != Tracer(col) {
-		t.Error("nil context must return the sink unchanged")
+	if RunFrom(nil) != nil || RunFrom(context.Background()) != nil {
+		t.Error("bare context carries a run")
 	}
 }
 
 // TestStampFromContextDisabledZeroAlloc extends the zero-cost-when-
-// disabled contract to the trace-stamping hook solvers call in
-// withDefaults: with a nil tracer it must not allocate.
+// disabled contract to a traced context whose run has no sink, meter or
+// fault hook: looking the run up, stamping and a whole probed solve must
+// not allocate.
 func TestStampFromContextDisabledZeroAlloc(t *testing.T) {
 	ctx := ContextWithTrace(context.Background(), "t", "s")
 	if n := testing.AllocsPerRun(1000, func() {
-		_ = StampFromContext(ctx, nil)
+		run := RunFrom(ctx)
+		run.Emit(Event{Kind: "iter", Iter: 1})
+		run.Span("solve")()
+		p := Begin(ctx, "multigrid", Cycles, "multigrid.cycle", nil)
+		p.Level(1, 2, 64)
+		_ = p.Iter(7, 1e-9)
+		_ = p.Progress("bitsim", 0, 100, 1000)
+		p.End(Work{})
 	}); n != 0 {
-		t.Errorf("nil-tracer StampFromContext allocates %.1f/op", n)
+		t.Errorf("identity-only run allocates %.1f/op", n)
 	}
 }

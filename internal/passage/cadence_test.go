@@ -48,7 +48,7 @@ func TestHittingTimesCancellationCadence(t *testing.T) {
 	defer cancel()
 	col := &cancelAtSweep{Collector: obs.NewCollector(nil), cancel: cancel, trigger: 3}
 	_, ok, err := HittingTimesIterative(p, target, IterOptions{
-		Ctx: ctx, Trace: col, Tol: 1e-300, MaxIter: 500,
+		Ctx: obs.WithRun(ctx, &obs.Run{Sink: col}), Tol: 1e-300, MaxIter: 500,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)

@@ -87,18 +87,16 @@ type IterOptions struct {
 	// contraction rate is ≈ 1 − 1/E[T], so rare-event sets need either
 	// the dense solver or the flux estimate instead.
 	MaxIter int
-	// Trace receives a span around the solve and one "iter" event per
-	// sweep whose Residual field carries the max relative update. Nil
-	// disables tracing at zero cost.
-	Trace obs.Tracer
-	// Ctx, when non-nil, is checked at every sweep boundary: a canceled or
+	// Ctx, when non-nil, is checked after every sweep: a canceled or
 	// expired context stops the solve with a partial-progress error
-	// wrapping ctx.Err(). Nil never cancels.
+	// wrapping ctx.Err(). Its run handle (obs.Run), if any, receives a
+	// span around the solve and one "iter" event per sweep whose
+	// Residual field carries the max relative update, and is charged the
+	// sweeps. Nil never cancels.
 	Ctx context.Context
 }
 
 func (o IterOptions) withDefaults() IterOptions {
-	o.Trace = obs.StampFromContext(o.Ctx, o.Trace)
 	if o.Tol <= 0 {
 		o.Tol = 1e-10
 	}
@@ -130,14 +128,9 @@ func HittingTimesIterative(p *spmat.CSR, target []bool, opt IterOptions) ([]floa
 		return nil, false, errors.New("passage: empty target set")
 	}
 	t := make([]float64, n)
-	endSpan := obs.StartSpan(opt.Trace, "hitting-gs")
-	defer endSpan()
+	probe := obs.Begin(opt.Ctx, "hitting-gs", obs.Sweeps, "", nil)
+	defer probe.End(obs.Work{})
 	for it := 0; it < opt.MaxIter; it++ {
-		if opt.Ctx != nil {
-			if err := opt.Ctx.Err(); err != nil {
-				return t, false, fmt.Errorf("passage: hitting-time solve stopped after %d sweeps: %w", it, err)
-			}
-		}
 		maxRel := 0.0
 		for i := 0; i < n; i++ {
 			if target[i] {
@@ -171,7 +164,9 @@ func HittingTimesIterative(p *spmat.CSR, target []bool, opt IterOptions) ([]floa
 			}
 			t[i] = next
 		}
-		obs.IterEvent(opt.Trace, "hitting-gs", it+1, maxRel)
+		if err := probe.Iter(it+1, maxRel); err != nil {
+			return t, false, fmt.Errorf("passage: hitting-time solve stopped after %d sweeps: %w", it+1, err)
+		}
 		if maxRel <= opt.Tol {
 			return t, true, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 	"cdrstoch/internal/spmat"
 )
@@ -29,7 +30,7 @@ func TestQuasiStationaryFeedsMeter(t *testing.T) {
 	p, target := trapChain(0.3, 0.2, 0.01)
 	meter := cost.NewMeter()
 	res, err := QuasiStationaryOpt(p, target, QSOptions{Tol: 1e-13, MaxIter: 100000,
-		Ctx: cost.ContextWith(context.Background(), meter)})
+		Ctx: obs.WithRun(context.Background(), &obs.Run{Meter: meter})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestQuasiStationaryHonorsContext(t *testing.T) {
 	cancel()
 	meter := cost.NewMeter()
 	res, err := QuasiStationaryOpt(p, target, QSOptions{Tol: 1e-13,
-		Ctx: cost.ContextWith(ctx, meter)})
+		Ctx: obs.WithRun(ctx, &obs.Run{Meter: meter})})
 	if err == nil {
 		t.Fatal("canceled solve returned nil error")
 	}

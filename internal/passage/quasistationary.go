@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 
-	"cdrstoch/internal/obs/cost"
+	"cdrstoch/internal/obs"
 	"cdrstoch/internal/spmat"
 )
 
@@ -52,10 +52,12 @@ type QSOptions struct {
 	// Pool optionally supplies an externally owned worker team; it is
 	// never closed by the solver.
 	Pool *spmat.Pool
-	// Ctx, when non-nil, is checked at every sweep boundary: a canceled
-	// or expired context stops the solve with a partial-progress error
-	// wrapping ctx.Err(). It also carries the cost meter, when the caller
-	// accounts the solve. Nil never cancels.
+	// Ctx, when non-nil, is checked after every sweep: a canceled or
+	// expired context stops the solve with a partial-progress error
+	// wrapping ctx.Err(). Its run handle (obs.Run), if any, receives a
+	// span around the solve and one "iter" event per sweep with the
+	// eigenvector residual, and is charged the sweeps and kernel work.
+	// Nil never cancels.
 	Ctx context.Context
 }
 
@@ -116,26 +118,9 @@ func QuasiStationaryOpt(p *spmat.CSR, target []bool, opt QSOptions) (QuasiStatio
 	}
 	y := make([]float64, n)
 	res := QuasiStationaryResult{}
-	// Cost accounting: one meter lookup per solve; the deferred
-	// attribution also covers the cancellation return.
-	meter := cost.FromContext(opt.Ctx)
-	if meter != nil {
-		stats0 := pool.Stats()
-		meter.SampleGoroutines()
-		defer func() {
-			meter.AddSweeps(int64(res.Iterations))
-			meter.AddPoolDelta(stats0, pool.Stats())
-		}()
-	}
+	probe := obs.Begin(opt.Ctx, "quasi-stationary", obs.Sweeps, "", pool)
+	defer probe.End(obs.Work{})
 	for it := 1; it <= maxIter; it++ {
-		if opt.Ctx != nil {
-			if err := opt.Ctx.Err(); err != nil {
-				res.Nu = x
-				res.HazardPerStep = 1 - res.Lambda
-				return res, fmt.Errorf("passage: quasi-stationary solve stopped after %d sweeps: %w",
-					res.Iterations, err)
-			}
-		}
 		// y = x·Q: propagate through P, then zero the target states.
 		pool.VecMul(p, y, x)
 		lambda := 0.0
@@ -158,13 +143,15 @@ func QuasiStationaryOpt(p *spmat.CSR, target []bool, opt QSOptions) (QuasiStatio
 		x, y = y, x
 		res.Iterations = it
 		res.Lambda = lambda
+		if err := probe.Iter(it, resid); err != nil {
+			res.Nu = x
+			res.HazardPerStep = 1 - res.Lambda
+			return res, fmt.Errorf("passage: quasi-stationary solve stopped after %d sweeps: %w",
+				res.Iterations, err)
+		}
 		if resid <= tol {
 			res.Converged = true
-			meter.AddResidual(resid)
 			break
-		}
-		if it == maxIter {
-			meter.AddResidual(resid)
 		}
 	}
 	res.Nu = x

@@ -367,7 +367,7 @@ func TestServerDropCountersExported(t *testing.T) {
 	var sink strings.Builder
 	s, ts, reg := newTestServer(t, ServerConfig{
 		CostRingSize: 1,
-		CostLog:      cost.NewJSONL(&sink),
+		CostLog:      obs.NewJSONL(&sink),
 	})
 	for _, spec := range testSpecVariants(t)[:2] {
 		postJSON(t, ts.URL+"/v1/analyze", solveRequest{Spec: spec})
@@ -388,5 +388,45 @@ func TestServerDropCountersExported(t *testing.T) {
 	// The healthy sink received one JSONL line per solve.
 	if n := strings.Count(sink.String(), "\n"); n < 2 {
 		t.Errorf("JSONL sink lines = %d, want >= 2", n)
+	}
+}
+
+// TestSlipRefinementRunsInSlot pins where /v1/slip's quasi-stationary
+// refinement runs: inside the solve's slot and under its run handle, so
+// its sweeps reach the job's trace as iter events stamped with the job's
+// trace ID, and its sweeps and kernel work are charged to the job's cost
+// report next to the multigrid cycles.
+func TestSlipRefinementRunsInSlot(t *testing.T) {
+	_, ts, _ := newTestServer(t, ServerConfig{})
+	const trace = "slip-trace-000001"
+	resp, body := postJSONTraced(t, ts.URL+"/v1/slip", trace, solveRequest{Spec: testSpec(t), Async: true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async slip: %d %s", resp.StatusCode, body)
+	}
+	var job JobView
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	if v := pollJob(t, ts.URL, job.ID); v.Status != StatusDone {
+		t.Fatalf("slip job ended %s: %s", v.Status, v.Error)
+	} else if v.Cost == nil || v.Cost.Cycles == 0 || v.Cost.Sweeps == 0 {
+		t.Errorf("slip cost report lacks the solve or its refinement: %+v", v.Cost)
+	}
+	_, body = getJSON(t, ts.URL+"/v1/jobs/"+job.ID+"/trace")
+	var jt jobTraceBody
+	if err := json.Unmarshal(body, &jt); err != nil {
+		t.Fatal(err)
+	}
+	sweeps := 0
+	for _, e := range jt.Events {
+		if e.Kind == "iter" && e.Name == "quasi-stationary" {
+			if e.Trace != trace {
+				t.Fatalf("refinement event stamped %q, want %q", e.Trace, trace)
+			}
+			sweeps++
+		}
+	}
+	if sweeps == 0 {
+		t.Fatalf("job trace carries no refinement iter events (%d events)", len(jt.Events))
 	}
 }

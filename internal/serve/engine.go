@@ -46,7 +46,7 @@ type EngineConfig struct {
 	// solves.
 	SolveWorkers int
 	// Multigrid overrides the stationary solver configuration; its Ctx and
-	// Trace fields are overwritten per request. The zero value selects
+	// Pool fields are overwritten per request. The zero value selects
 	// core.SolveOptions' robust defaults.
 	Multigrid multigrid.Config
 	// Registry receives the serve.* metrics. May be nil (no-op).
@@ -56,12 +56,12 @@ type EngineConfig struct {
 	// that silence is the observable proof a response came from the cache.
 	Tracer obs.Tracer
 	// Faults arms the engine's injection points (engine.solve, cache.put,
-	// cache.evict, singleflight.leader) and is threaded into the solver
-	// (multigrid.cycle). Nil (the default) disables injection at zero
-	// cost.
+	// cache.evict, singleflight.leader) and is every solve's run fault
+	// hook (multigrid.cycle). Nil (the default) disables injection at
+	// zero cost.
 	Faults *faults.Injector
 	// Progress registers every cache-miss solve with the live progress
-	// tracker: the solve's tracer events additionally feed a per-solve
+	// tracker: the solve's run events additionally feed a per-solve
 	// record (phase, iteration, residual, ETA) that the watchdog
 	// classifies and /debug/progress serves. Nil (the default) disables
 	// tracking at zero cost.
@@ -72,7 +72,7 @@ type EngineConfig struct {
 	Costs *cost.Ring
 	// CostLog optionally mirrors every SolveReport to a JSONL sink for
 	// offline analysis. Nil disables the sink.
-	CostLog *cost.JSONL
+	CostLog *obs.JSONL
 }
 
 // Engine maps specs to immutable response bodies: content-addressed cache
@@ -252,23 +252,44 @@ func shortKey(key string) string {
 	return key
 }
 
-// trackProgress registers one solve with the live progress tracker. The
-// returned context is cancelable by the watchdog (armed only under
-// cancel-on-stall), the returned tracer tees the solve's events into its
-// tracker handle — per-solve attribution by construction, so concurrent
-// solves sharing a request trace (sweep fan-out) never mix records — and
-// the returned func closes the registration with the solve's disposition.
-// With no tracker configured everything passes through untouched.
-func (e *Engine) trackProgress(ctx context.Context, endpoint, key string) (context.Context, obs.Tracer, func(error)) {
-	if e.cfg.Progress == nil {
-		return ctx, e.cfg.Tracer, func(error) {}
+// solve runs one cache-miss solve under its own run handle: it takes a
+// solve slot, registers the solve with the progress tracker, and runs
+// body with a context carrying the run — the engine's event sink tee'd
+// with the solve's progress handle, meter, and the fault hook. That
+// context is cancelable by the watchdog (armed only under
+// cancel-on-stall). Everything body does, refinements included, thus
+// runs inside the slot and is watched, metered and canceled as one
+// solve. body returns the model it built (nil if it failed before), for
+// the cost report filed when the solve ends.
+func (e *Engine) solve(ctx context.Context, endpoint, key string,
+	body func(ctx context.Context, run *obs.Run) (*core.Model, []byte, error)) (out []byte, err error) {
+	meter := cost.NewMeter()
+	var m *core.Model
+	defer func() { e.recordCost(ctx, meter, endpoint, key, m, err) }()
+	if err := e.acquire(ctx); err != nil {
+		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	h := e.cfg.Progress.Begin(ctx, endpoint, shortKey(key), cancel)
-	return ctx, obs.Tee(e.cfg.Tracer, h), func(err error) {
-		h.End(err)
-		cancel()
+	defer e.release()
+	run := &obs.Run{Sink: e.cfg.Tracer, Meter: meter, Fault: e.cfg.Faults.FireCtx}
+	sctx := ctx
+	if e.cfg.Progress != nil {
+		var cancel context.CancelFunc
+		sctx, cancel = context.WithCancel(ctx)
+		h := e.cfg.Progress.Begin(sctx, endpoint, shortKey(key), cancel)
+		run.Sink = obs.Tee(e.cfg.Tracer, h)
+		defer func() {
+			h.End(err)
+			cancel()
+		}()
 	}
+	sctx = obs.WithRun(sctx, run)
+	if ferr := e.cfg.Faults.FireCtx(sctx, "engine.solve"); ferr != nil {
+		return nil, fmt.Errorf("serve: solve %s: %w", shortKey(key), ferr)
+	}
+	defer e.reg.Timer("serve.solve").Time()()
+	e.reg.Counter("serve.solves").Inc()
+	m, out, err = body(sctx, run)
+	return out, err
 }
 
 // Solve backends selectable in the request envelope. The empty string
@@ -289,33 +310,20 @@ func validBackend(backend string) error {
 	return badRequestf("unknown backend %q (want %q or %q)", backend, backendExplicit, backendKron)
 }
 
-// solve builds the model and runs the stationary analysis under ctx.
-// backend selects the transition representation: explicit CSR (the
-// default) or the matrix-free Kronecker descriptor, which never
-// assembles the product matrix — the build stage then runs BuildShell
-// and the solve stage the implicit-fine-level multigrid.
-// Both stages record latency histograms (serve.build_ms, serve.solve_ms)
-// and emit trace-stamped spans, so per-request traces and the flight
-// recorder see the engine stages alongside the solver's own events. The
-// stages additionally run under pprof labels (endpoint, spec, stage), so
-// CPU profiles of a busy server attribute samples to the spec being
-// solved, not just to "the solver".
-func (e *Engine) solve(ctx context.Context, spec core.Spec, key, endpoint, backend string) (m *core.Model, a *core.Analysis, err error) {
-	if err := e.acquire(ctx); err != nil {
-		return nil, nil, err
-	}
-	defer e.release()
-	ctx, sink, endTrack := e.trackProgress(ctx, endpoint, key)
-	defer func() { endTrack(err) }()
-	if ferr := e.cfg.Faults.FireCtx(ctx, "engine.solve"); ferr != nil {
-		return nil, nil, fmt.Errorf("serve: solve %s: %w", shortKey(key), ferr)
-	}
-	defer e.reg.Timer("serve.solve").Time()()
-	e.reg.Counter("serve.solves").Inc()
-	tr := obs.StampFromContext(ctx, sink)
-
+// analyze builds the model and runs the stationary analysis under ctx's
+// run, on the given worker team. backend selects the transition
+// representation: explicit CSR (the default) or the matrix-free Kronecker
+// descriptor, which never assembles the product matrix — the build stage
+// then runs BuildShell and the solve stage the implicit-fine-level
+// multigrid. Both stages record latency histograms (serve.build_ms,
+// serve.solve_ms) and emit spans through the run, so per-request traces
+// and the flight recorder see the engine stages alongside the solver's
+// own events. The stages additionally run under pprof labels (endpoint,
+// spec, stage), so CPU profiles of a busy server attribute samples to the
+// spec being solved, not just to "the solver".
+func (e *Engine) analyze(ctx context.Context, run *obs.Run, team *spmat.Pool, spec core.Spec, key, endpoint, backend string) (m *core.Model, a *core.Analysis, err error) {
 	buildStart := time.Now()
-	endBuild := obs.StartSpan(tr, "serve.build")
+	endBuild := run.Span("serve.build")
 	pprof.Do(ctx, pprof.Labels("endpoint", endpoint, "spec", shortKey(key), "stage", "build"), func(ctx context.Context) {
 		if backend == backendKron {
 			m, err = core.BuildShell(spec)
@@ -328,16 +336,12 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, key, endpoint, backe
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: build %s: %w", shortKey(key), err)
 	}
-	team := e.teams.Get().(*spmat.Pool)
-	defer e.teams.Put(team)
 	mg := e.cfg.Multigrid
-	mg.Trace = sink
 	mg.Pool = team
-	mg.Faults = e.cfg.Faults
 	solveStart := time.Now()
-	endSolve := obs.StartSpan(tr, "serve.solve")
+	endSolve := run.Span("serve.solve")
 	pprof.Do(ctx, pprof.Labels("endpoint", endpoint, "spec", shortKey(key), "stage", "solve"), func(ctx context.Context) {
-		mg.Ctx = ctx // the labeled ctx still carries trace ID and meter
+		mg.Ctx = ctx // the labeled ctx still carries the run
 		if backend == backendKron {
 			a, err = m.SolveKron(core.SolveOptions{Multigrid: mg})
 		} else {
@@ -387,7 +391,7 @@ func (e *Engine) recordCost(ctx context.Context, meter *cost.Meter, endpoint, ke
 	}
 	e.cfg.Costs.Add(rep)
 	cost.Aggregate(e.reg, rep)
-	e.cfg.CostLog.Write(rep)
+	e.cfg.CostLog.Encode(rep)
 }
 
 // Costs exposes the engine's report ring (for the HTTP layer).
@@ -462,14 +466,16 @@ func (e *Engine) AnalyzeBackend(ctx context.Context, spec core.Spec, backend str
 	}
 	return e.cached(ctx, key, func(ctx context.Context) ([]byte, error) {
 		start := time.Now()
-		meter := cost.NewMeter()
-		ctx = cost.ContextWith(ctx, meter)
-		m, a, err := e.solve(ctx, spec, h, "analyze", backend)
-		defer func() { e.recordCost(ctx, meter, "analyze", h, m, err) }()
-		if err != nil {
-			return nil, err
-		}
-		return analyzeBodyJSON(h, m, a, start)
+		return e.solve(ctx, "analyze", h, func(ctx context.Context, run *obs.Run) (*core.Model, []byte, error) {
+			team := e.teams.Get().(*spmat.Pool)
+			defer e.teams.Put(team)
+			m, a, err := e.analyze(ctx, run, team, spec, h, "analyze", backend)
+			if err != nil {
+				return m, nil, err
+			}
+			body, err := analyzeBodyJSON(h, m, a, start)
+			return m, body, err
+		})
 	})
 }
 
@@ -492,27 +498,30 @@ func (e *Engine) Slip(ctx context.Context, spec core.Spec) ([]byte, bool, error)
 		return nil, false, err
 	}
 	return e.cached(ctx, "slip:"+h, func(ctx context.Context) ([]byte, error) {
-		meter := cost.NewMeter()
-		ctx = cost.ContextWith(ctx, meter)
-		m, a, err := e.solve(ctx, spec, h, "slip", "")
-		defer func() { e.recordCost(ctx, meter, "slip", h, m, err) }()
-		if err != nil {
-			return nil, err
-		}
-		slip, err := slipBody(m, a)
-		if err != nil {
-			return nil, err
-		}
-		body := SlipResponse{SpecKey: h, States: m.NumStates(), Slip: slip}
-		// The quasi-stationary refinement only exists when the slip set is
-		// nonempty and reachable; degrade gracefully when it is not. It
-		// runs under the metered ctx so its sweeps are attributed (and
-		// canceled) with the rest of the request.
-		if qs, qerr := m.SlipQuasiStationaryOpt(passage.QSOptions{Ctx: ctx, Workers: e.cfg.SolveWorkers}); qerr == nil {
-			body.HazardPerBit = fptr(qs.HazardPerStep)
-			body.ConditionedBER = fptr(m.BER(qs.Nu))
-		}
-		return json.Marshal(body)
+		return e.solve(ctx, "slip", h, func(ctx context.Context, run *obs.Run) (*core.Model, []byte, error) {
+			team := e.teams.Get().(*spmat.Pool)
+			defer e.teams.Put(team)
+			m, a, err := e.analyze(ctx, run, team, spec, h, "slip", "")
+			if err != nil {
+				return m, nil, err
+			}
+			slip, err := slipBody(m, a)
+			if err != nil {
+				return m, nil, err
+			}
+			body := SlipResponse{SpecKey: h, States: m.NumStates(), Slip: slip}
+			// The quasi-stationary refinement only exists when the slip set
+			// is nonempty and reachable; degrade gracefully when it is not.
+			// It runs in the solve's slot, on its team and under its run,
+			// so its sweeps are watched, attributed and canceled with the
+			// rest of the solve.
+			if qs, qerr := m.SlipQuasiStationaryOpt(passage.QSOptions{Ctx: ctx, Pool: team}); qerr == nil {
+				body.HazardPerBit = fptr(qs.HazardPerStep)
+				body.ConditionedBER = fptr(m.BER(qs.Nu))
+			}
+			out, err := json.Marshal(body)
+			return m, out, err
+		})
 	})
 }
 
@@ -621,57 +630,15 @@ func (e *Engine) Sweep(ctx context.Context, base core.Spec, param string, values
 	return json.Marshal(SweepBody{Param: param, Points: points})
 }
 
-// swapTracer is an obs.Tracer whose target can be swapped between
-// solves. The batch sweep bakes one tracer into its long-lived session's
-// solver; the swap lets each point re-route the solver's events through
-// that point's progress handle without rebuilding the hierarchy.
-type swapTracer struct {
-	mu sync.RWMutex
-	t  obs.Tracer
-}
-
-func (s *swapTracer) set(t obs.Tracer) {
-	s.mu.Lock()
-	s.t = t
-	s.mu.Unlock()
-}
-
-func (s *swapTracer) Emit(e obs.Event) {
-	s.mu.RLock()
-	t := s.t
-	s.mu.RUnlock()
-	if t != nil {
-		t.Emit(e)
-	}
-}
-
 // sessionSolve runs one batch sweep point through the shared Session
-// under a solve slot, with the same metrics, fault point, pprof labels,
-// and trace spans as the point-at-a-time path. The slot is held only for
-// the point's own solve — never while waiting on another request's
-// flight — so a batch cannot deadlock a MaxConcurrent=1 engine. hold is
-// the session solver's swappable event sink (nil in tests that call this
-// directly); for the point's duration it routes through the progress
-// handle.
-func (e *Engine) sessionSolve(ctx context.Context, sess *sweep.Session, spec core.Spec, key string, hold *swapTracer) (pt *sweep.Point, err error) {
-	if err := e.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer e.release()
-	ctx, sink, endTrack := e.trackProgress(ctx, "sweep", key)
-	defer func() { endTrack(err) }()
-	if hold != nil {
-		hold.set(sink)
-		defer hold.set(e.cfg.Tracer)
-	}
-	if ferr := e.cfg.Faults.FireCtx(ctx, "engine.solve"); ferr != nil {
-		return nil, fmt.Errorf("serve: solve %s: %w", shortKey(key), ferr)
-	}
-	defer e.reg.Timer("serve.solve").Time()()
-	e.reg.Counter("serve.solves").Inc()
-	tr := obs.StampFromContext(ctx, sink)
+// under the point's run, with the same metrics, pprof labels and trace
+// span as the point-at-a-time path. It runs inside Engine.solve, so the
+// slot is held only for the point's own solve — never while waiting on
+// another request's flight — and a batch cannot deadlock a
+// MaxConcurrent=1 engine.
+func (e *Engine) sessionSolve(ctx context.Context, run *obs.Run, sess *sweep.Session, spec core.Spec, key string) (pt *sweep.Point, err error) {
 	solveStart := time.Now()
-	endSolve := obs.StartSpan(tr, "serve.sweep_point")
+	endSolve := run.Span("serve.sweep_point")
 	pprof.Do(ctx, pprof.Labels("endpoint", "sweep", "spec", shortKey(key), "stage", "solve"), func(ctx context.Context) {
 		pt, err = sess.Solve(ctx, spec)
 	})
@@ -709,11 +676,8 @@ func (e *Engine) SweepBatch(ctx context.Context, base core.Spec, param string, v
 	}
 	team := e.teams.Get().(*spmat.Pool)
 	defer e.teams.Put(team)
-	hold := &swapTracer{t: e.cfg.Tracer}
 	mg := e.cfg.Multigrid
-	mg.Trace = hold
 	mg.Pool = team
-	mg.Faults = e.cfg.Faults
 	sess := sweep.New(sweep.Options{Solve: core.SolveOptions{Multigrid: mg}})
 	points := make([]SweepPoint, len(values))
 	for i, v := range values {
@@ -733,21 +697,15 @@ func (e *Engine) SweepBatch(ctx context.Context, base core.Spec, param string, v
 			var pt *sweep.Point
 			body, cached, err := e.cached(ctx, "analyze:"+h, func(ctx context.Context) ([]byte, error) {
 				start := time.Now()
-				meter := cost.NewMeter()
-				ctx = cost.ContextWith(ctx, meter)
-				p, err := e.sessionSolve(ctx, sess, spec, h, hold)
-				defer func() {
-					var m *core.Model
-					if p != nil {
-						m = p.Model
+				return e.solve(ctx, "sweep", h, func(ctx context.Context, run *obs.Run) (*core.Model, []byte, error) {
+					p, err := e.sessionSolve(ctx, run, sess, spec, h)
+					if err != nil {
+						return nil, nil, err
 					}
-					e.recordCost(ctx, meter, "sweep", h, m, err)
-				}()
-				if err != nil {
-					return nil, err
-				}
-				pt = p
-				return analyzeBodyJSON(h, p.Model, p.Analysis, start)
+					pt = p
+					body, err := analyzeBodyJSON(h, p.Model, p.Analysis, start)
+					return p.Model, body, err
+				})
 			})
 			if err != nil {
 				return err

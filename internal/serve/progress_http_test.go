@@ -207,20 +207,30 @@ func TestWatchdogStallInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The stall verdict must land in the watchdog ring, stamped with the
-	// job's trace, within a couple of windows.
+	// The stall verdict must reach /debug/progress's watchdog tail, which
+	// reads the flight recorder, stamped with the job's trace, within a
+	// couple of windows.
 	var verdict obs.Event
+	var pb progressBody
 	deadline := time.Now().Add(5 * time.Second)
 	for verdict.Kind == "" {
-		for _, e := range s.Progress().Ring().Tail(-1) {
+		resp, err := http.Get(url + "/debug/progress")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&pb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range pb.Watchdog {
 			if e.Kind == "watchdog" && e.Name == progress.StateStalled && e.Trace == view.TraceID {
 				verdict = e
 				break
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no stalled verdict for trace %s in watchdog ring: %+v",
-				view.TraceID, s.Progress().Ring().Tail(-1))
+			t.Fatalf("no stalled verdict for trace %s in the watchdog tail: %+v", view.TraceID, pb.Watchdog)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -52,8 +52,9 @@ type ServerConfig struct {
 	// still rides the error response).
 	ErrorLog *log.Logger
 	// Faults arms the fault-injection points across the service (engine,
-	// cache, singleflight, jobs, solver cycles). Nil disables injection
-	// at zero cost. cdrserved arms it from CDR_FAULTS.
+	// cache, singleflight, jobs) and is every solve's run fault hook
+	// (solver cycles). Nil disables injection at zero cost. cdrserved
+	// arms it from CDR_FAULTS.
 	Faults *faults.Injector
 	// JobRetries bounds the transient-failure re-runs an async job gets
 	// beyond its first attempt. Default 2; negative disables retry.
@@ -66,7 +67,7 @@ type ServerConfig struct {
 	CostRingSize int
 	// CostLog optionally mirrors every SolveReport to a JSONL sink for
 	// offline analysis; its drop counter is exported as cost.log_dropped.
-	CostLog *cost.JSONL
+	CostLog *obs.JSONL
 	// StallWindow is the watchdog's staleness window: a solve with no
 	// events or no residual improvement for this long is classified
 	// stalled. Default 10s.
@@ -81,9 +82,6 @@ type ServerConfig struct {
 	// Off by default: a false positive under CPU starvation would kill a
 	// solve that was still making (slow) progress.
 	CancelOnStall bool
-	// WatchdogRingSize bounds the watchdog event ring behind
-	// /debug/progress. Default 1024.
-	WatchdogRingSize int
 	// EventsHeartbeat is the SSE keep-alive comment cadence on
 	// /v1/jobs/{id}/events. Default 5s.
 	EventsHeartbeat time.Duration
@@ -147,9 +145,10 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg.Engine.CostLog = cfg.CostLog
 	}
 	// The progress tracker watches every cache-miss solve; its watchdog
-	// events land in the flight recorder (for postmortems) and its own
-	// ring (for /debug/progress). It must exist before the engine so the
-	// engine can tee per-solve handles into its tracer chain.
+	// events land in the flight recorder, the postmortem trail that
+	// /debug/progress also reads its watchdog tail from. It must exist
+	// before the engine so the engine can put per-solve handles in each
+	// solve's run sink.
 	prog := progress.New(progress.Config{
 		Registry:      cfg.Registry,
 		Out:           flight,
@@ -158,7 +157,6 @@ func NewServer(cfg ServerConfig) *Server {
 		Interval:      cfg.WatchdogInterval,
 		DivergeChecks: cfg.DivergeChecks,
 		CancelOnStall: cfg.CancelOnStall,
-		RingSize:      cfg.WatchdogRingSize,
 	})
 	cfg.Engine.Progress = prog
 	s := &Server{
@@ -732,7 +730,7 @@ func (s *Server) handleSolves(w http.ResponseWriter, r *http.Request) {
 
 // progressBody is the /debug/progress JSON response: the in-flight
 // solves (live phase/iteration/residual/ETA, watchdog state) plus the
-// recent watchdog events the ring retains.
+// recent watchdog events the flight recorder retains.
 type progressBody struct {
 	Count    int                      `json:"count"`
 	Solves   []progress.SolveProgress `json:"solves"`
@@ -755,7 +753,8 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	if solves == nil {
 		solves = []progress.SolveProgress{}
 	}
-	wd := s.progress.Ring().Tail(queryLimit(r, solvesLimitDefault, solvesLimitMax))
+	wd := s.flight.TailWhere(queryLimit(r, solvesLimitDefault, solvesLimitMax),
+		func(e *obs.Event) bool { return e.Kind == "watchdog" })
 	if wd == nil {
 		wd = []obs.Event{}
 	}

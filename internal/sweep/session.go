@@ -41,7 +41,7 @@ import (
 
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/multigrid"
-	"cdrstoch/internal/obs/cost"
+	"cdrstoch/internal/obs"
 	"cdrstoch/internal/spmat"
 )
 
@@ -135,9 +135,10 @@ func (s *Session) coldConfig(segLen int) (multigrid.Config, int) {
 }
 
 // Solve assembles and solves one sweep point, reusing the previous
-// point's symbolic setup and solution where valid. ctx is consulted at
-// every cycle boundary and may carry a cost.Meter; the meter receives the
-// point's cycles, kernel counts, and warm-start flag.
+// point's symbolic setup and solution where valid. ctx is consulted after
+// every cycle, and its run handle (obs.Run), if any, receives the
+// point's events and is charged its cycles, kernel counts and warm-start
+// flag.
 func (s *Session) Solve(ctx context.Context, spec core.Spec) (*Point, error) {
 	m, err := core.Build(spec)
 	if err != nil {
@@ -167,7 +168,6 @@ func (s *Session) Solve(ctx context.Context, spec core.Spec) (*Point, error) {
 		s.prev, s.prev2, s.prev3 = nil, nil, nil
 	}
 
-	meter := cost.FromContext(ctx)
 	seed, seedRes := s.chooseSeed(n)
 	s.solver.SetSolveContext(ctx)
 	kind := cfg.Cycle
@@ -177,7 +177,9 @@ func (s *Session) Solve(ctx context.Context, spec core.Spec) (*Point, error) {
 		kind = multigrid.VCycle
 		pt.WarmStarted = true
 		pt.Continuation = true
-		meter.MarkWarmStarted()
+		if run := obs.RunFrom(ctx); run != nil && run.Meter != nil {
+			run.Meter.MarkWarmStarted()
+		}
 	}
 	pt.SeedResidual = seedRes
 	s.solver.SetCycle(kind)

@@ -7,6 +7,7 @@ import (
 
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/dist"
+	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 )
 
@@ -120,7 +121,7 @@ func TestSessionWarmStartAccuracyAndCost(t *testing.T) {
 	var coldCycles, warmCycles int64
 	for i, sigma := range sigmaSweep() {
 		meter := cost.NewMeter()
-		ctx := cost.ContextWith(context.Background(), meter)
+		ctx := obs.WithRun(context.Background(), &obs.Run{Meter: meter})
 		spec := testSpec(t, sigma, 3)
 		got, err := sess.Solve(ctx, spec)
 		if err != nil {
