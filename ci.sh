@@ -99,7 +99,8 @@ echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # the operator-backed markov solvers, the implicit-fine-level multigrid
 # (including its trace, level for level, against the explicit one, its
 # segment smoother and restriction against point Gauss–Seidel and a
-# row-by-row restriction over the materialized matrix, and its level 1,
+# row-by-row restriction over the materialized matrix, its link product
+# against the shuffle product and the materialized matrix, and its level 1,
 # written straight into its transpose, bit for bit against the restriction
 # into a CSR matrix whose transpose is refreshed), the core analysis, the
 # FSM synchronous product, and the HTTP backend selector end to end. The
@@ -113,7 +114,7 @@ run_tests 'TestParallelShuffleMatchesSerial|TestShuffleMatchesFullSlab|TestStruc
     -race -count=1 ./internal/kron
 run_tests 'TestOperatorChain' -race -count=1 ./internal/markov
 run_tests 'TestPlanMatchesLump' -race -count=1 ./internal/lump
-run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits|TestSegmentSweepMatchesPointGaussSeidel|TestSegmentRestrictMatchesMaterializedRows|TestSegmentRestrictTransposeBitIdentical' \
+run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits|TestSegmentSweepMatchesPointGaussSeidel|TestSegmentProductMatchesDescriptor|TestSegmentRestrictMatchesMaterializedRows|TestSegmentRestrictTransposeBitIdentical' \
     -race -count=1 ./internal/multigrid
 run_tests 'TestSolveKron|TestBuildShell|TestQuickDescriptorEquivalence' -race -count=1 ./internal/core
 run_tests 'TestBuildMatchesDirectAssembly' -race -count=1 ./internal/regime ./internal/freqloop

@@ -51,6 +51,7 @@ func main() {
 	reg := obsrv.Registry
 	solveOpt := core.SolveOptions{}
 	solveOpt.Multigrid.Workers = *workers
+	solveOpt.Multigrid.Ctx = obsrv.Context()
 	start := time.Now()
 
 	fmt.Println("Stochastic Modeling and Performance Evaluation for Digital CDR Circuits")

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	solveOpt.Multigrid.Workers = *app.Workers
 
 	unconverged := 0
-	runner := newPointRunner(*batch, solveOpt)
+	runner := newPointRunner(*batch, solveOpt, obsrv.Run)
 	switch *sweep {
 	case "counter":
 		lengths := []int{1, 2, 4, 8, 16, 32}
@@ -228,17 +228,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 // pointRunner solves sweep points either point-at-a-time (fresh build and
 // cold W-cycles per point, the historical path) or through one
 // warm-started sweep.Session (-batch). Every point runs under its own
-// run handle and cost.Meter, so the table's cycles/spmvs/warm columns
-// come from the same accounting the server reports in X-Solve-Cost-*
-// headers.
+// run handle: the command's, with a cost.Meter of the point's own. Its
+// solver events reach the command's -trace and -progress sinks, and the
+// table's cycles/spmvs/warm columns come from the same accounting the
+// server reports in X-Solve-Cost-* headers.
 type pointRunner struct {
 	batch bool
 	sess  *sweepeng.Session
 	opt   core.SolveOptions
+	run   *obs.Run // the command's run handle
 }
 
-func newPointRunner(batch bool, opt core.SolveOptions) *pointRunner {
-	r := &pointRunner{batch: batch, opt: opt}
+func newPointRunner(batch bool, opt core.SolveOptions, run *obs.Run) *pointRunner {
+	r := &pointRunner{batch: batch, opt: opt, run: run}
 	if batch {
 		r.sess = sweepeng.New(sweepeng.Options{Solve: opt})
 	}
@@ -249,7 +251,9 @@ func newPointRunner(batch bool, opt core.SolveOptions) *pointRunner {
 // cost report (cycle count, kernel counts, warm-start flag).
 func (r *pointRunner) solve(spec core.Spec) (*experiments.Panel, cost.SolveReport, error) {
 	meter := cost.NewMeter()
-	ctx := obs.WithRun(context.Background(), &obs.Run{Meter: meter})
+	run := *r.run
+	run.Meter = meter
+	ctx := obs.WithRun(context.Background(), &run)
 	if r.batch {
 		pt, err := r.sess.Solve(ctx, spec)
 		if err != nil {

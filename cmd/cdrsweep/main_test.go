@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -68,6 +72,54 @@ func TestRunCounterSweepBatch(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "counter") || !strings.Contains(stdout.String(), "batch:") {
 		t.Errorf("output:\n%s", stdout.String())
+	}
+}
+
+// TestTraceCarriesEveryPointsIterations checks that every sweep point
+// solves under the command's run handle: the -trace file holds multigrid
+// iter events inside each point's span, point-at-a-time and -batch alike.
+func TestTraceCarriesEveryPointsIterations(t *testing.T) {
+	for _, mode := range []string{"point", "batch"} {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		args := append([]string{"-sweep", "counter", "-values", "2,3", "-trace", path}, smallSpecArgs...)
+		if mode == "batch" {
+			args = append(args, "-batch")
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d, stderr:\n%s", mode, code, stderr.String())
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iters := map[string]int{} // span name → multigrid iter events inside it
+		open := ""
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			var e struct{ Kind, Name string }
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Fatalf("%s: bad trace line %q: %v", mode, sc.Text(), err)
+			}
+			switch {
+			case e.Kind == "span_start" && strings.HasPrefix(e.Name, "sweep.counter."):
+				open = e.Name
+				iters[open] += 0
+			case e.Kind == "span_end" && e.Name == open:
+				open = ""
+			case e.Kind == "iter" && e.Name == "multigrid" && open != "":
+				iters[open]++
+			}
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for _, point := range []string{"sweep.counter.2", "sweep.counter.3"} {
+			if n, ok := iters[point]; !ok || n == 0 {
+				t.Errorf("%s: point %s traced %d multigrid iter events (span seen: %v)", mode, point, n, ok)
+			}
+		}
 	}
 }
 

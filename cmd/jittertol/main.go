@@ -34,6 +34,7 @@ func main() {
 	obsrv := app.Setup()
 	solveOpt := core.SolveOptions{}
 	solveOpt.Multigrid.Workers = *app.Workers
+	solveOpt.Multigrid.Ctx = obsrv.Context()
 
 	var slot experiments.SJSlot
 	switch *slotName {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"cdrstoch/internal/dist"
@@ -88,6 +89,30 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsUnindexableSpecs checks that Validate prices the
+// frame before anything is built. A 1/65,536 UI grid at counter 4,096
+// frames 4 × 8,191 × 98,305 = 3.2·10⁹ states, and a 1e−300 UI grid
+// overflows an int conversion of its phase-grid size: both are rejected
+// for their state count, and the default spec still passes.
+func TestValidateRejectsUnindexableSpecs(t *testing.T) {
+	fine, tiny := DefaultSpec(), DefaultSpec()
+	fine.GridStep, fine.CounterLen = 1.0/65536, 4096
+	tiny.GridStep = 1e-300
+	for _, s := range []Spec{fine, tiny} {
+		drift := *s.Drift
+		drift.Step = s.GridStep
+		s.Drift = &drift
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), "states exceed") {
+			t.Errorf("GridStep %g, CounterLen %d: Validate returned %v, want a state-count rejection",
+				s.GridStep, s.CounterLen, err)
+		}
+	}
+	if err := DefaultSpec().Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -174,6 +174,13 @@ func (s Spec) Validate() error {
 	if s.PDDeadZone < 0 || s.PDDeadZone >= s.Threshold {
 		return fmt.Errorf("core: PDDeadZone %g outside [0, Threshold)", s.PDDeadZone)
 	}
+	// The solvers' plan destinations and transpose permutations are 32-bit.
+	// Counted in float64, a grid too fine for Frame's int conversion is
+	// rejected rather than wrapped.
+	if d, c, m := s.frame(); d*c*m > math.MaxInt32 {
+		return fmt.Errorf("core: %.6g × %.6g × %.6g = %.4g states exceed the %d a solver can index",
+			d, c, m, d*c*m, math.MaxInt32)
+	}
 	return nil
 }
 
@@ -212,12 +219,18 @@ func (s Spec) correctionSteps() int { return int(s.CorrectionStep/s.GridStep + 0
 // ±PhaseMax in the saturating model, exactly one UI in the wrap model —
 // and mid, the grid index of Φ = 0.
 func (s Spec) Frame() (d, c, m, mid int) {
-	d = max(s.MaxRunLength, 1)
-	c = 2*s.CounterLen - 1
+	fd, fc, fm := s.frame()
+	d, c, m = int(fd), int(fc), int(fm)
+	return d, c, m, m / 2
+}
+
+// frame is Frame's dimensions in float64: exact for every spec Validate
+// accepts, and never wrapped round for one too large to index.
+func (s Spec) frame() (d, c, m float64) {
+	d = float64(max(s.MaxRunLength, 1))
+	c = 2*float64(s.CounterLen) - 1
 	if s.WrapPhase {
-		m = int(math.Round(1 / s.GridStep))
-		return d, c, m, m / 2
+		return d, c, math.Round(1 / s.GridStep)
 	}
-	half := int(math.Round(s.PhaseMax / s.GridStep))
-	return d, c, 2*half + 1, half
+	return d, c, 2*math.Round(s.PhaseMax/s.GridStep) + 1
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -76,6 +77,29 @@ func TestFig5Shape(t *testing.T) {
 	}
 	if ber[32]/ber[8] < 2 {
 		t.Errorf("long-counter penalty only %.2fx", ber[32]/ber[8])
+	}
+}
+
+// TestSlipHazardMatchesFlux checks the quasi-stationary slip hazard at
+// Figure 5 counter 2, where slips come about 2e−26 per bit: 1 − λ is
+// rounding noise there, but the mass ν·P sends into the slip set must be
+// positive and within 5 % of the stationary slip flux.
+func TestSlipHazardMatchesFlux(t *testing.T) {
+	p, err := RunPanel(Fig5Spec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := p.Model.SlipQuasiStationary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !qs.Converged {
+		t.Fatalf("quasi-stationary solve did not converge in %d sweeps", qs.Iterations)
+	}
+	flux := p.Slip.Flux
+	t.Logf("hazard %.4g per bit, flux %.4g (1 − λ = %.2g)", qs.HazardPerStep, flux, 1-qs.Lambda)
+	if qs.HazardPerStep <= 0 || math.Abs(qs.HazardPerStep/flux-1) > 0.05 {
+		t.Errorf("hazard %g per bit, want positive and within 5%% of the flux %g", qs.HazardPerStep, flux)
 	}
 }
 

@@ -21,6 +21,9 @@ func KronTestDescriptor(t *testing.T, seed int64, phase int) *kron.Descriptor {
 // SmoothFine runs one smoothing sweep of level 0 on x.
 func (s *Solver) SmoothFine(x []float64) { s.smooth(s.levels[0], x, 1) }
 
+// MulFine sets y = x·P through level 0: the per-cycle residual's product.
+func (s *Solver) MulFine(y, x []float64) { s.fineProduct(y, x) }
+
 // PointSweep runs one relaxed point Gauss–Seidel sweep over pt, the
 // transpose of a TPM, on x.
 func (s *Solver) PointSweep(pt *spmat.CSR, x []float64) { s.gaussSeidel(pt, x, 1) }

@@ -20,21 +20,22 @@ import (
 // S_t[i,j]. NewKron expands the outer factors once into links
 // (s → s', term, coefficient), and the level runs segment by segment:
 //
+//   - A segment's product gathers coef·x_{s'}·S_t over its links one term
+//     at a time: it sums z = Σ coef·x_{s'} over the term's links, a
+//     vector add per link, then applies S_t once, y += z·S_t.
 //   - Smoothing is Gauss–Seidel over the segments in index order. A
-//     segment gathers coef·x_{s'}·S_t over its links from other segments;
-//     where a link maps it onto itself, it then sweeps its states in order
-//     through those links' transposed phase factors. The result is point
+//     segment runs the gather over its links from other segments; where a
+//     link maps it onto itself, it then sweeps its states in order through
+//     those links' transposed phase factors. The result is point
 //     Gauss–Seidel on P, up to rounding.
+//   - The per-cycle residual's product x·P runs the gather over every
+//     link of every segment, self links included.
 //   - Restriction accumulates coef·R_mᵀ·diag(w_s)·S_t·R_m, per segment and
 //     term (R_m the within-segment aggregation), into the values of level
 //     1's transpose at offsets fixed at construction.
 //
-// The per-cycle residual stays on the descriptor's shuffle product. Cycles
-// allocate nothing.
+// Cycles allocate nothing.
 type implicitLevel struct {
-	d  *kron.Descriptor
-	ws kron.Workspace
-
 	segs   int          // segments, alike on level 0 and level 1
 	m, mc  int          // states per segment on level 0 and on level 1
 	agg    []int        // state i of a segment → state agg[i] of its level-1 segment
@@ -42,9 +43,9 @@ type implicitLevel struct {
 	phase  []*spmat.CSR // per term: the phase factor S_t
 	phaseT []*spmat.CSR // per term: S_tᵀ when the term maps a segment onto itself, else nil
 
-	out, in       []segLink // the links by source (then term), and by target with self links last
-	outPtr, inPtr []int     // per segment: its range in out and in
-	sweepOps      int       // multiply-adds of one sweep
+	out, in          []segLink // the links by source (then term), and by target with self links last (then term, source)
+	outPtr, inPtr    []int     // per segment: its range in out and in
+	sweepOps, mulOps int       // multiply-adds of one sweep and of one product
 
 	// loc[t] maps each stored entry of S_t to its entry of R_mᵀ·S_t·R_m,
 	// whose rows locPtr[t] and columns locCol[t] hold; dest lists, link by
@@ -54,10 +55,10 @@ type implicitLevel struct {
 	locPtr, locCol [][]int
 	dest           []int32
 
-	y, w []float64 // per-segment gather and aggregation-weight scratch
-	acc  []float64 // one term's restricted phase factor
-	mass []float64 // block masses of the restricted iterate (pre-correction)
-	yc   []float64 // level-1 product buffer for the coarse residual
+	y, z, w []float64 // per-segment gather, summed-source and aggregation-weight scratch
+	acc     []float64 // one term's restricted phase factor
+	mass    []float64 // block masses of the restricted iterate (pre-correction)
+	yc      []float64 // level-1 product buffer for the coarse residual
 
 	maxCoarse int // bound on level-1 cycles per coarse solve
 }
@@ -138,7 +139,7 @@ func newImplicitLevel(d *kron.Descriptor, fold []*lump.Partition) (*implicitLeve
 	if nc%segs != 0 {
 		return nil, mixed
 	}
-	im := &implicitLevel{d: d, segs: segs, m: m, mc: nc / segs, agg: make([]int, m)}
+	im := &implicitLevel{segs: segs, m: m, mc: nc / segs, agg: make([]int, m)}
 	for i := range im.agg {
 		im.agg[i] = aggregate(i)
 	}
@@ -179,7 +180,8 @@ func newImplicitLevel(d *kron.Descriptor, fold []*lump.Partition) (*implicitLeve
 		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.term, b.term), cmp.Compare(a.dst, b.dst))
 	})
 	// The smoother gathers from a segment's other links first, then sweeps
-	// through its self links: order those last.
+	// through its self links: order those last. The gather applies each
+	// term's phase factor once per run of its links: order by term next.
 	selfLast := func(l segLink) int {
 		if l.src == l.dst {
 			return 1
@@ -189,7 +191,7 @@ func newImplicitLevel(d *kron.Descriptor, fold []*lump.Partition) (*implicitLeve
 	im.in = slices.Clone(im.out)
 	slices.SortFunc(im.in, func(a, b segLink) int {
 		return cmp.Or(cmp.Compare(a.dst, b.dst), cmp.Compare(selfLast(a), selfLast(b)),
-			cmp.Compare(a.src, b.src), cmp.Compare(a.term, b.term))
+			cmp.Compare(a.term, b.term), cmp.Compare(a.src, b.src))
 	})
 	im.outPtr = make([]int, segs+1)
 	im.inPtr = make([]int, segs+1)
@@ -201,7 +203,6 @@ func newImplicitLevel(d *kron.Descriptor, fold []*lump.Partition) (*implicitLeve
 		l.dest = nLoc
 		nLoc += len(im.locCol[l.term])
 		maxLoc = max(maxLoc, len(im.locCol[l.term]))
-		im.sweepOps += im.phase[l.term].NNZ()
 		if l.src == l.dst && im.phaseT[l.term] == nil {
 			im.phaseT[l.term] = im.phase[l.term].T()
 		}
@@ -210,8 +211,18 @@ func newImplicitLevel(d *kron.Descriptor, fold []*lump.Partition) (*implicitLeve
 		im.outPtr[s+1] += im.outPtr[s]
 		im.inPtr[s+1] += im.inPtr[s]
 	}
+	for s := range segs {
+		links := im.in[im.inPtr[s]:im.inPtr[s+1]]
+		k := others(links, s)
+		im.sweepOps += im.gatherOps(links[:k])
+		for _, l := range links[k:] {
+			im.sweepOps += im.phase[l.term].NNZ()
+		}
+		im.mulOps += im.gatherOps(links)
+	}
 	im.dest = make([]int32, nLoc)
 	im.y = make([]float64, m)
+	im.z = make([]float64, m)
 	im.w = make([]float64, m)
 	im.acc = make([]float64, maxLoc)
 	im.mass = make([]float64, nc)
@@ -274,11 +285,70 @@ func (im *implicitLevel) coarsePattern() (*spmat.CSR, error) {
 	return pc, nil
 }
 
-// mul sets y = x·P with one shuffle product, accounted on the pool.
+// others returns how many of segment s's in-links, self links last, come
+// from other segments.
+func others(links []segLink, s int) int {
+	k := 0
+	for k < len(links) && links[k].src != s {
+		k++
+	}
+	return k
+}
+
+// gather adds Σ coef·x_src·S_term over links into y. The links are in-links
+// of one segment, each term's adjacent: per run of same-term links it sums
+// z = Σ coef·x_src, then applies S_term once.
+func (im *implicitLevel) gather(y, x []float64, links []segLink) {
+	m, z := im.m, im.z
+	for k := 0; k < len(links); {
+		t := links[k].term
+		l := &links[k]
+		for i, v := range x[l.src*m : (l.src+1)*m] {
+			z[i] = l.coef * v
+		}
+		for k++; k < len(links) && links[k].term == t; k++ {
+			l := &links[k]
+			for i, v := range x[l.src*m : (l.src+1)*m] {
+				z[i] += l.coef * v
+			}
+		}
+		ph := im.phase[t]
+		for i, v := range z {
+			if v == 0 {
+				continue
+			}
+			cols, vals := ph.Row(i)
+			for q, j := range cols {
+				y[j] += v * vals[q]
+			}
+		}
+	}
+}
+
+// gatherOps returns the multiply-adds gather does over links: m per link,
+// and one phase factor's entries per run.
+func (im *implicitLevel) gatherOps(links []segLink) int {
+	ops := 0
+	for k, l := range links {
+		ops += im.m
+		if k+1 == len(links) || links[k+1].term != l.term {
+			ops += im.phase[l.term].NNZ()
+		}
+	}
+	return ops
+}
+
+// mul sets y = x·P, segment by segment through gather, accounted on the
+// pool as one product of mulOps multiply-adds.
 func (im *implicitLevel) mul(pool *spmat.Pool, y, x []float64) {
 	start := time.Now()
-	im.d.VecMulWs(&im.ws, y, x)
-	pool.CountExternal(1, int(im.d.OpsPerMul()), start)
+	m := im.m
+	for s := range im.segs {
+		ys := y[s*m : (s+1)*m]
+		clear(ys)
+		im.gather(ys, x, im.in[im.inPtr[s]:im.inPtr[s+1]])
+	}
+	pool.CountExternal(1, im.mulOps, start)
 }
 
 // smooth runs steps relaxed Gauss–Seidel sweeps over the segments in index
@@ -293,21 +363,8 @@ func (im *implicitLevel) smooth(pool *spmat.Pool, x []float64, steps int, omega 
 			y := im.y
 			clear(y)
 			links := im.in[im.inPtr[s]:im.inPtr[s+1]]
-			k := 0
-			for ; k < len(links) && links[k].src != s; k++ {
-				l := &links[k]
-				ph := im.phase[l.term]
-				for i, v := range x[l.src*m : (l.src+1)*m] {
-					cv := l.coef * v
-					if cv == 0 {
-						continue
-					}
-					cols, vals := ph.Row(i)
-					for q, j := range cols {
-						y[j] += cv * vals[q]
-					}
-				}
-			}
+			k := others(links, s)
+			im.gather(y, x, links[:k])
 			self := links[k:]
 			xs := x[s*m : (s+1)*m]
 			for i := range xs {
@@ -407,11 +464,9 @@ func (im *implicitLevel) prolong(x, xc []float64) {
 	normalize(x)
 }
 
-// workspaceBytes counts the level's vectors, link tables and the shuffle
-// scratch.
+// workspaceBytes counts the level's vectors and link tables.
 func (im *implicitLevel) workspaceBytes() int64 {
-	words := 2 * im.d.Dim() // shuffle ping-pong
-	words += len(im.agg) + len(im.count) + len(im.y) + len(im.w) + len(im.acc)
+	words := len(im.agg) + len(im.count) + len(im.y) + len(im.z) + len(im.w) + len(im.acc)
 	words += len(im.mass) + len(im.yc) + len(im.outPtr) + len(im.inPtr)
 	words += 5 * (len(im.out) + len(im.in))
 	halves := len(im.dest) // 32-bit destination tables

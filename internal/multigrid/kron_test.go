@@ -245,7 +245,7 @@ func TestKronSolverCostAccounting(t *testing.T) {
 	if rep.Cycles != int64(res.Cycles) {
 		t.Fatalf("meter cycles %d, result %d", rep.Cycles, res.Cycles)
 	}
-	// At least one counted product per segment sweep, and one shuffle
+	// At least one counted product per segment sweep, and one link
 	// product per residual check.
 	if rep.Pool.SpMVs < int64(res.Cycles)*3 {
 		t.Fatalf("SpMVs %d for %d cycles", rep.Pool.SpMVs, res.Cycles)

@@ -32,10 +32,10 @@ func retainedGrowth(t *testing.T, build func() (*multigrid.Solver, error)) (int6
 
 // TestWorkspaceBytesMatchesRetainedHeap checks the workspace figure the
 // cost surface reports against the live heap a solver holds: a new solver
-// after one cycle, which allocates the coarsest GTH workspace and the
-// shuffle scratch, with the caller's matrix (its cached transpose built)
-// or descriptor already in place. The two must agree within 5 % on Figure 5
-// at counters 8 and 32, explicit, and at counter 8 matrix-free.
+// after one cycle, which allocates the coarsest GTH workspace, with the
+// caller's matrix (its cached transpose built) or descriptor already in
+// place. The two must agree within 5 % on Figure 5 at counters 8 and 32,
+// explicit, and at counter 32 matrix-free.
 func TestWorkspaceBytesMatchesRetainedHeap(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -100,8 +100,8 @@ type Config struct {
 	// solves do not oversubscribe the machine). The solver never closes
 	// a caller-supplied pool.
 	Pool *spmat.Pool
-	// Refreshable prepares the solver for in-place value refreshes of the
-	// finest matrix (RefreshFine): level 0 keeps a solver-owned transpose
+	// Refreshable prepares the solver to swap in a finest matrix of the
+	// same pattern (RefreshFine): level 0 keeps a solver-owned transpose
 	// with a refresh permutation instead of sharing the matrix's lazily
 	// cached one, and the per-cycle residual gathers over that owned
 	// transpose. A one-shot solver leaves this false and shares the cache.
@@ -567,31 +567,30 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 	return res, nil
 }
 
-// RefreshFine rewrites the finest level's values in place from src, which
-// must have the identical sparsity pattern (the sweep engine checks with
-// spmat.SamePattern before calling; this only validates dimensions). The
-// level-0 transpose is refreshed through its permutation; coarse levels
-// need nothing — their values are recomputed from the fine iterate every
-// cycle anyway. Requires Config.Refreshable.
+// RefreshFine adopts src as the finest level's matrix. src must have the
+// identical sparsity pattern (the sweep engine checks with
+// spmat.SamePattern before calling; this only validates the value count).
+// The solver-owned level-0 transpose is refreshed from src through its
+// permutation; coarse levels need nothing — their values are recomputed
+// from the fine iterate every cycle anyway. The matrix src replaces is
+// left as it was. Requires Config.Refreshable.
 func (s *Solver) RefreshFine(src *spmat.CSR) error {
 	if !s.cfg.Refreshable {
 		return errors.New("multigrid: RefreshFine on a non-refreshable solver")
 	}
 	lv := s.levels[0]
-	dst := lv.p.RawValues()
-	vals := src.RawValues()
-	if len(vals) != len(dst) {
-		return fmt.Errorf("multigrid: RefreshFine value count %d, want %d", len(vals), len(dst))
+	if n, want := src.NNZ(), lv.p.NNZ(); n != want {
+		return fmt.Errorf("multigrid: RefreshFine value count %d, want %d", n, want)
 	}
-	copy(dst, vals)
-	lv.p.RefreshTranspose(lv.pt, lv.perm)
+	src.RefreshTranspose(lv.pt, lv.perm)
+	lv.p = src
 	return nil
 }
 
 // fineProduct sets y = x·P on the finest level: a gather over the level-0
 // transpose (the matrix's shared cache, or in refreshable mode the
-// solver-owned, value-current copy), or one shuffle product on an
-// implicit level.
+// solver-owned, value-current copy), or the segment-by-segment link
+// gather on an implicit level.
 func (s *Solver) fineProduct(y, x []float64) {
 	lv := s.levels[0]
 	if lv.imp != nil {

@@ -21,7 +21,8 @@ import (
 // 1−λ is the asymptotic slip hazard per bit, the sharp version of the
 // stationary-flux estimate; ν is the ensemble a long-surviving receiver
 // actually operates in (e.g. for the BER of links that are reset on
-// slip).
+// slip). The hazard is computed as the mass ν·P sends into the target,
+// which equals 1−λ but stays accurate where λ rounds to 1.
 
 // QuasiStationaryResult reports the quasi-stationary solve.
 type QuasiStationaryResult struct {
@@ -31,7 +32,11 @@ type QuasiStationaryResult struct {
 	// Lambda is the Perron eigenvalue of Q: the per-step survival
 	// probability of the conditioned process.
 	Lambda float64
-	// HazardPerStep is 1 − Lambda, the asymptotic slip rate.
+	// HazardPerStep is the asymptotic slip rate, 1 − Lambda in exact
+	// arithmetic. It is computed as Σ_i ν_i·Σ_{j∈target} P_ij, the mass
+	// ν·P sends into the target, a sum of non-negative terms: 1 − Lambda
+	// cancels to rounding noise, of either sign, once slips are rarer than
+	// about 1e−16 per step.
 	HazardPerStep float64
 	// Iterations is the number of power steps performed.
 	Iterations int
@@ -145,7 +150,7 @@ func QuasiStationaryOpt(p *spmat.CSR, target []bool, opt QSOptions) (QuasiStatio
 		res.Lambda = lambda
 		if err := probe.Iter(it, resid); err != nil {
 			res.Nu = x
-			res.HazardPerStep = 1 - res.Lambda
+			res.HazardPerStep = leak(p, target, x)
 			return res, fmt.Errorf("passage: quasi-stationary solve stopped after %d sweeps: %w",
 				res.Iterations, err)
 		}
@@ -155,6 +160,23 @@ func QuasiStationaryOpt(p *spmat.CSR, target []bool, opt QSOptions) (QuasiStatio
 		}
 	}
 	res.Nu = x
-	res.HazardPerStep = 1 - res.Lambda
+	res.HazardPerStep = leak(p, target, x)
 	return res, nil
+}
+
+// leak returns the mass nu·p sends into the target set.
+func leak(p *spmat.CSR, target []bool, nu []float64) float64 {
+	h := 0.0
+	for i, v := range nu {
+		if v == 0 {
+			continue
+		}
+		cols, vals := p.Row(i)
+		for k, j := range cols {
+			if target[j] {
+				h += v * vals[k]
+			}
+		}
+	}
+	return h
 }

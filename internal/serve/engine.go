@@ -486,7 +486,8 @@ type SlipResponse struct {
 	States  int      `json:"states"`
 	Slip    SlipBody `json:"slip"`
 	// HazardPerBit is the asymptotic slip hazard of the quasi-stationary
-	// regime; ConditionedBER the error rate conditioned on never slipping.
+	// regime, the mass ν·P sends into the slip set (never negative);
+	// ConditionedBER the error rate conditioned on never slipping.
 	HazardPerBit   *float64 `json:"hazard_per_bit,omitempty"`
 	ConditionedBER *float64 `json:"conditioned_ber,omitempty"`
 }

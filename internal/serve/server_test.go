@@ -203,6 +203,32 @@ func TestServerRejectsDriftOrigin(t *testing.T) {
 	}
 }
 
+// A spec whose frame no solver can index is a 400 that names the state
+// count, answered before the request takes a solve slot: a 1/65,536 UI
+// grid at counter 4,096 (3.2·10⁹ states) and a 1e−300 UI grid, whose
+// phase-grid size overflows an int. Neither is built.
+func TestServerRejectsUnindexableSpecs(t *testing.T) {
+	_, ts, reg := newTestServer(t, ServerConfig{})
+	fine, tiny := core.DefaultSpec(), core.DefaultSpec()
+	fine.GridStep, fine.CounterLen = 1.0/65536, 4096
+	tiny.GridStep = 1e-300
+	for _, spec := range []core.Spec{fine, tiny} {
+		drift := *spec.Drift
+		drift.Step = spec.GridStep
+		spec.Drift = &drift
+		resp, body := postJSON(t, ts.URL+"/v1/analyze", solveRequest{Spec: spec})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("GridStep %g: status %d (%s), want 400", spec.GridStep, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "states exceed") {
+			t.Errorf("GridStep %g: error body %s does not name the state count", spec.GridStep, body)
+		}
+	}
+	if n := reg.Snapshot().Counters["serve.solves"]; n != 0 {
+		t.Errorf("%d solves started for rejected specs", n)
+	}
+}
+
 func TestServerSweepEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t, ServerConfig{})
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweepRequest{

@@ -358,9 +358,9 @@ func (m *CSR) EntryIndex(i, j int) int {
 }
 
 // RefreshTranspose re-derives t's values from m through the permutation
-// returned by TransposeWithPerm, after m's values were rewritten in place.
+// TransposeWithPerm returned for m or for another matrix of m's pattern.
 // One O(nnz) pass, no allocation. The multigrid solver calls it only when
-// a sweep refreshes its finest matrix (Solver.RefreshFine): its coarse
+// a sweep swaps in its next finest matrix (Solver.RefreshFine): its coarse
 // levels exist only as transposes, which their lumping writes directly.
 func (m *CSR) RefreshTranspose(t *CSR, perm []int32) {
 	if len(perm) != len(m.val) || len(t.val) != len(m.val) {

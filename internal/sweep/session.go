@@ -9,11 +9,13 @@
 //
 //  1. Symbolic setup. The multigrid hierarchy — partition chain, lump
 //     plans, coarse patterns, transposes, iterate buffers — is built once.
-//     When the next spec's TPM has the identical CSR pattern, only the
-//     values are refreshed in place (Solver.RefreshFine through the stored
-//     transpose permutation); the coarse levels re-lump by value anyway on
-//     every cycle, so they need no attention. A pattern or dimension
-//     change falls back to a full rebuild.
+//     When the next spec's TPM has the identical CSR pattern, the solver
+//     adopts it as its finest matrix and refreshes only its own level-0
+//     transpose (Solver.RefreshFine through the stored transpose
+//     permutation); an earlier point's matrix is never written. The coarse
+//     levels re-lump by value anyway on every cycle, so they need no
+//     attention. A pattern or dimension change falls back to a full
+//     rebuild.
 //
 //  2. Warm-start continuation. Each point's solve can start from its
 //     neighbor's converged vector. The Session scores its candidate
@@ -103,7 +105,7 @@ type Stats struct {
 type Session struct {
 	opt     Options
 	solver  *multigrid.Solver
-	fine    *spmat.CSR // finest matrix owned by solver; pattern reference
+	fine    *spmat.CSR // the newest point's matrix, the solver's level 0; pattern reference
 	prev    []float64  // last converged solution
 	prev2   []float64  // the one before it
 	prev3   []float64  // and the one before that
@@ -150,6 +152,7 @@ func (s *Session) Solve(ctx context.Context, spec core.Spec) (*Point, error) {
 		if err := s.solver.RefreshFine(m.P); err != nil {
 			return nil, err
 		}
+		s.fine = m.P
 		pt.ReusedSetup = true
 	} else {
 		parts, err := m.Hierarchy(minSeg)

@@ -3,10 +3,12 @@ package sweep
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/dist"
+	"cdrstoch/internal/experiments"
 	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/cost"
 )
@@ -82,6 +84,39 @@ func TestSessionRefreshByteIdentical(t *testing.T) {
 	st := sess.Stats()
 	if st.Points != len(sigmaSweep()) || st.ReusedSetup != len(sigmaSweep())-1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestSessionLeavesEarlierPointsMatrix checks that reusing the setup for
+// a second point of the same pattern leaves the first point's TPM, which
+// the session returned to its caller, as it was.
+func TestSessionLeavesEarlierPointsMatrix(t *testing.T) {
+	sess := New(Options{})
+	spec := experiments.Fig5Spec(2)
+	first, err := sess.Solve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := slices.Clone(first.Model.P.RawValues())
+	spec.EyeJitter = dist.NewGaussian(0, 0.1)
+	second, err := sess.Solve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.ReusedSetup {
+		t.Fatal("second point did not reuse the first point's setup")
+	}
+	changed := 0
+	for k, v := range first.Model.P.RawValues() {
+		if v != before[k] {
+			changed++
+		}
+	}
+	if changed > 0 {
+		t.Errorf("solving the second point rewrote %d of the first point's %d TPM values", changed, len(before))
+	}
+	if slices.Equal(before, second.Model.P.RawValues()) {
+		t.Fatal("the two points share their TPM values; the check proves nothing")
 	}
 }
 
