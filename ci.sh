@@ -103,9 +103,11 @@ echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # against the shuffle product and the materialized matrix, and its level 1,
 # written straight into its transpose, bit for bit against the restriction
 # into a CSR matrix whose transpose is refreshed), the core analysis, the
-# FSM synchronous product, and the HTTP backend selector end to end. The
-# lumping plan that builds every explicit coarse level as a transpose runs
-# against the transpose of a fresh Lump. The explicit backend is the materialized
+# FSM synchronous product, and the HTTP backend selector end to end (the
+# default, matrix-free /v1/analyze against "backend":"explicit" on the
+# paper's presets and the smallest valid grids). The lumping plan that
+# builds every explicit coarse level as a transpose runs against the
+# transpose of a fresh Lump. The explicit backend is the materialized
 # descriptor, so its independent oracles run here too: ToCSR against
 # sums of explicit Kronecker products, Build against the four-FSM
 # network on random specs, and the regime and frequency-loop chains
@@ -118,7 +120,7 @@ run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits|TestSegmentSweepMatche
     -race -count=1 ./internal/multigrid
 run_tests 'TestSolveKron|TestBuildShell|TestQuickDescriptorEquivalence' -race -count=1 ./internal/core
 run_tests 'TestBuildMatchesDirectAssembly' -race -count=1 ./internal/regime ./internal/freqloop
-run_tests 'TestAnalyzeKronBackendParity|TestBackendValidation' -race -count=1 ./internal/serve
+run_tests 'TestAnalyzeKronBackendParity|TestBackendValidation|TestDefaultBackendMatchesExplicit' -race -count=1 ./internal/serve
 
 echo "== workspace allocs (zero-alloc shuffle products and implicit-level cycles; workspace figure vs retained heap) =="
 run_tests 'TestShuffleProductsAllocFree' -count=1 ./internal/kron

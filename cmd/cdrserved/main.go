@@ -7,7 +7,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/analyze   {"spec": {...}, "async": false}
+//	POST /v1/analyze   {"spec": {...}, "async": false, "backend": ""}
+//	                   (matrix-free by default; "explicit" assembles the TPM)
 //	POST /v1/slip      {"spec": {...}}
 //	POST /v1/sweep     {"spec": {...}, "param": "counter", "values": [1,2,4]}
 //	GET  /v1/jobs/{id}        poll an async job

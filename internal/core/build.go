@@ -45,8 +45,10 @@ func Build(spec Spec) (*Model, error) { return build(spec, true) }
 // BuildShell prepares a model for matrix-free analysis: the dimensional
 // frame, the Kronecker descriptor, and (for WrapPhase models) the
 // per-state wrap-slip tally — everything Build produces except the
-// assembled TPM. Memory stays proportional to the component factors plus
-// one state-sized vector for the tally; the product matrix never exists.
+// assembled TPM. It checks the descriptor as Build checks P
+// (kron.Descriptor.CheckStochastic at Build's 1e−9). Memory stays
+// proportional to the component factors plus one state-sized vector for
+// the tally; the product matrix never exists.
 func BuildShell(spec Spec) (*Model, error) { return build(spec, false) }
 
 // build forms the spec's Terms and the WrapPhase slip tally, and keeps
@@ -70,6 +72,9 @@ func build(spec Spec, explicit bool) (*Model, error) {
 			return nil, fmt.Errorf("core: assembled TPM invalid: %w", err)
 		}
 	} else {
+		if err := d.CheckStochastic(1e-9); err != nil {
+			return nil, fmt.Errorf("core: transition descriptor invalid: %w", err)
+		}
 		m.Desc = d
 	}
 	m.wrapSlip = wrapSlips(terms, m.NumStates())

@@ -17,6 +17,7 @@ package kron
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -115,7 +116,7 @@ func NewDescriptor(terms []Term) (*Descriptor, error) {
 			}
 		}
 	}
-	d.ws.New = func() any { return &Workspace{} }
+	d.ws.New = func() any { return &workspace{} }
 	return d, nil
 }
 
@@ -248,17 +249,17 @@ func (d *Descriptor) MemoryBytes() int64 {
 // keeping effective-bandwidth estimates meaningful for matrix-free solves.
 func (d *Descriptor) OpsPerMul() int64 { return d.vecOps }
 
-// Workspace holds the two scratch vectors a shuffle product ping-pongs
+// workspace holds the two scratch vectors a shuffle product ping-pongs
 // between. The zero value is ready; buffers grow to the descriptor
-// dimension on first use and are reused afterwards, so a solver that
-// keeps a Workspace performs zero allocations per multiply. A Workspace
-// serves one multiply at a time — share descriptors, not workspaces.
-type Workspace struct {
+// dimension on first use and are reused afterwards, so the descriptor's
+// pool of workspaces makes repeated multiplies allocation-free. A
+// workspace serves one multiply at a time.
+type workspace struct {
 	cur, next []float64
 }
 
 // ensure sizes the scratch for an n-dimensional product, reusing capacity.
-func (w *Workspace) ensure(n int) {
+func (w *workspace) ensure(n int) {
 	if cap(w.cur) < n {
 		w.cur = make([]float64, n)
 		w.next = make([]float64, n)
@@ -391,7 +392,7 @@ func (d *Descriptor) modeProduct(vecMul bool, out, x []float64, a *spmat.CSR, sl
 // activeSlabs kept, and only those are accumulated into y: every skipped
 // slab holds exact zeros, so the result is bit-identical to running every
 // mode product over the whole tensor.
-func (d *Descriptor) mul(vecMul bool, ws *Workspace, y, x []float64) {
+func (d *Descriptor) mul(vecMul bool, ws *workspace, y, x []float64) {
 	if len(x) != d.dim || len(y) != d.dim {
 		panic("kron: multiply dimension mismatch")
 	}
@@ -429,20 +430,11 @@ func (d *Descriptor) mul(vecMul bool, ws *Workspace, y, x []float64) {
 	}
 }
 
-// VecMulWs computes y = x·P with caller-owned scratch: the zero-alloc
-// form every solver loop uses. y must have length Dim and not alias x.
-func (d *Descriptor) VecMulWs(ws *Workspace, y, x []float64) { d.mul(true, ws, y, x) }
-
-// MulVecWs computes y = P·x with caller-owned scratch.
-func (d *Descriptor) MulVecWs(ws *Workspace, y, x []float64) { d.mul(false, ws, y, x) }
-
 // VecMul computes y = x·P where P is the descriptor's implicit matrix.
 // y must have length Dim and may not alias x. Scratch comes from an
-// internal pool, so repeated calls allocate nothing after warmup;
-// solvers that multiply in a tight loop should hold a Workspace and call
-// VecMulWs to skip the pool round-trip entirely.
+// internal pool, so repeated calls allocate nothing after warmup.
 func (d *Descriptor) VecMul(y, x []float64) {
-	ws := d.ws.Get().(*Workspace)
+	ws := d.ws.Get().(*workspace)
 	d.mul(true, ws, y, x)
 	d.ws.Put(ws)
 }
@@ -450,7 +442,7 @@ func (d *Descriptor) VecMul(y, x []float64) {
 // MulVec computes y = P·x — the column-action the flux measures and the
 // restriction operators need. Same scratch discipline as VecMul.
 func (d *Descriptor) MulVec(y, x []float64) {
-	ws := d.ws.Get().(*Workspace)
+	ws := d.ws.Get().(*workspace)
 	d.mul(false, ws, y, x)
 	d.ws.Put(ws)
 }
@@ -514,6 +506,39 @@ func (d *Descriptor) RowSums() []float64 {
 		kronExpand(out, t.Coeff, vecs)
 	}
 	return out
+}
+
+// CheckStochastic reports whether the descriptor is a transition
+// probability matrix, as spmat.CSR.CheckStochastic does for an assembled
+// one but without assembling it: every row sum (RowSums) lies within tol
+// of 1, and no term with a nonzero coefficient has a negative coefficient
+// or stores a negative factor entry, so that no entry of the sum is
+// negative.
+func (d *Descriptor) CheckStochastic(tol float64) error {
+	for ti, t := range d.terms {
+		if t.Coeff == 0 {
+			continue
+		}
+		if t.Coeff < 0 {
+			return fmt.Errorf("kron: term %d has negative coefficient %g", ti, t.Coeff)
+		}
+		for c, f := range t.Factors {
+			for i := range d.sizes[c] {
+				cols, vals := f.Row(i)
+				for k, v := range vals {
+					if v < 0 {
+						return fmt.Errorf("kron: term %d factor %d has negative entry %g at (%d,%d)", ti, c, v, i, cols[k])
+					}
+				}
+			}
+		}
+	}
+	for i, s := range d.RowSums() {
+		if math.Abs(s-1) > tol {
+			return fmt.Errorf("kron: row %d sums to %g, want 1±%g", i, s, tol)
+		}
+	}
+	return nil
 }
 
 // ExpandedNNZ returns Σ_t Π_c nnz(F_tc) over the terms with a nonzero

@@ -325,3 +325,43 @@ func TestQuickDescriptorMatchesExplicit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// CheckStochastic must accept what the assembled matrix's check accepts
+// and refuse, without assembling, a descriptor whose rows do not sum to 1
+// or whose terms could place a negative entry.
+func TestCheckStochasticMatchesAssembled(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a, b := randomStochasticCSR(3, rng), randomStochasticCSR(4, rng)
+	c, e := randomStochasticCSR(3, rng), randomStochasticCSR(4, rng)
+	neg := spmat.NewTriplet(4, 4)
+	for i := range 4 {
+		neg.Add(i, i, 1.25)
+		neg.Add(i, (i+1)%4, -0.25)
+	}
+	// A negative coefficient is refused outright, though 2·(a⊗b) − c⊗e
+	// need not assemble to a negative entry: the assembled check may pass.
+	cases := []struct {
+		name            string
+		terms           []Term
+		valid, assembly bool // the descriptor check's verdict, and whether it must match the assembled one
+	}{
+		{"mixture", []Term{{Coeff: 0.3, Factors: []*spmat.CSR{a, b}}, {Coeff: 0.7, Factors: []*spmat.CSR{c, e}}}, true, true},
+		{"zero term", []Term{{Coeff: 1, Factors: []*spmat.CSR{a, b}}, {Coeff: 0, Factors: []*spmat.CSR{c, neg.ToCSR()}}}, true, true},
+		{"row sums 1.1", []Term{{Coeff: 0.4, Factors: []*spmat.CSR{a, b}}, {Coeff: 0.7, Factors: []*spmat.CSR{c, e}}}, false, true},
+		{"negative entry", []Term{{Coeff: 1, Factors: []*spmat.CSR{a, neg.ToCSR()}}}, false, true},
+		{"negative coefficient", []Term{{Coeff: 2, Factors: []*spmat.CSR{a, b}}, {Coeff: -1, Factors: []*spmat.CSR{c, e}}}, false, false},
+	}
+	for _, tc := range cases {
+		d, err := NewDescriptor(tc.terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.CheckStochastic(1e-9)
+		if (err == nil) != tc.valid {
+			t.Errorf("%s: CheckStochastic = %v, want valid %v", tc.name, err, tc.valid)
+		}
+		if assembled := d.ToCSR().CheckStochastic(1e-9); tc.assembly && (assembled == nil) != tc.valid {
+			t.Errorf("%s: assembled check %v disagrees", tc.name, assembled)
+		}
+	}
+}

@@ -122,19 +122,18 @@ func lowerParallelCutoff(t testing.TB) {
 	t.Cleanup(func() { spmat.ParallelCutoff = old })
 }
 
-// checkFullSlabBits compares both product directions of d against
-// fullSlabMul bit for bit, through the Workspace forms.
+// checkFullSlabBits compares both product directions of d, VecMul and
+// MulVec, against fullSlabMul bit for bit.
 func checkFullSlabBits(t testing.TB, d *Descriptor, x []float64, label string) {
 	t.Helper()
-	var ws Workspace
 	got := make([]float64, d.Dim())
 	want := make([]float64, d.Dim())
 	for _, vecMul := range []bool{true, false} {
 		fullSlabMul(d, vecMul, want, x)
 		if vecMul {
-			d.VecMulWs(&ws, got, x)
+			d.VecMul(got, x)
 		} else {
-			d.MulVecWs(&ws, got, x)
+			d.MulVec(got, x)
 		}
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -10,11 +10,11 @@ import (
 )
 
 // The VecMul workspace fix is pinned by this test: after one warmup
-// multiply, neither the Workspace forms nor the pooled convenience forms
-// may allocate per call. Race builds check only the Workspace forms: there
-// sync.Pool drops a random quarter of Puts on purpose, so the pooled forms
-// regrow their scratch now and then (the non-race ci stage still pins
-// them).
+// multiply, VecMul and MulVec may not allocate per call, and neither may
+// the shuffle kernel behind them on a workspace it keeps. Race builds
+// check only the kept workspace: there sync.Pool drops a random quarter of
+// Puts on purpose, so the pooled products regrow their scratch now and
+// then (the non-race ci stage still pins them).
 func TestShuffleProductsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	d, err := NewDescriptor([]Term{
@@ -33,13 +33,13 @@ func TestShuffleProductsAllocFree(t *testing.T) {
 	for i := range x {
 		x[i] = 1 / float64(len(x))
 	}
-	var ws Workspace
+	var ws workspace
 	cases := []struct {
 		name string
 		f    func()
 	}{
-		{"VecMulWs", func() { d.VecMulWs(&ws, y, x) }},
-		{"MulVecWs", func() { d.MulVecWs(&ws, y, x) }},
+		{"x·P kernel", func() { d.mul(true, &ws, y, x) }},
+		{"P·x kernel", func() { d.mul(false, &ws, y, x) }},
 		{"VecMul", func() { d.VecMul(y, x) }},
 		{"MulVec", func() { d.MulVec(y, x) }},
 	}

@@ -151,7 +151,9 @@ type SlipBody struct {
 
 // AnalyzeBody is the response body of /v1/analyze (and of each sweep
 // point). Bodies are cached as bytes, so identical specs always yield
-// byte-identical responses.
+// byte-identical responses. A body holds no wall-clock field, so a spec
+// whose entry was evicted solves again to the same bytes; a miss's wall
+// time rides the X-Solve-Cost-Wall-Ms header and /debug/solves instead.
 type AnalyzeBody struct {
 	SpecKey   string   `json:"spec_key"`
 	States    int      `json:"states"`
@@ -159,7 +161,6 @@ type AnalyzeBody struct {
 	Converged bool     `json:"converged"`
 	Cycles    int      `json:"cycles"`
 	Residual  float64  `json:"residual"`
-	SolveMS   float64  `json:"solve_ms"` // wall clock of the original solve
 	Slip      SlipBody `json:"slip"`
 }
 
@@ -292,43 +293,50 @@ func (e *Engine) solve(ctx context.Context, endpoint, key string,
 	return out, err
 }
 
-// Solve backends selectable in the request envelope. The empty string
-// and "explicit" assemble the product TPM; "kron" never forms it and
-// solves through the Kronecker-descriptor operator instead.
+// Solve backends selectable in the request envelope. "kron", and the
+// empty string that selects it by default, never form the product TPM and
+// solve through the Kronecker descriptor; "explicit" assembles the TPM.
 const (
 	backendExplicit = "explicit"
 	backendKron     = "kron"
 )
 
-// validBackend maps an envelope backend string to ErrBadRequest when it
-// names no known solve backend.
-func validBackend(backend string) error {
+// resolveBackend maps an envelope backend string to the backend that
+// computes it, and to ErrBadRequest when it names no known solve backend.
+func resolveBackend(backend string) (string, error) {
 	switch backend {
-	case "", backendExplicit, backendKron:
-		return nil
+	case "", backendKron:
+		return backendKron, nil
+	case backendExplicit:
+		return backendExplicit, nil
 	}
-	return badRequestf("unknown backend %q (want %q or %q)", backend, backendExplicit, backendKron)
+	return "", badRequestf("unknown backend %q (want %q or %q)", backend, backendKron, backendExplicit)
 }
+
+// analyzeKey is the cache key of an analyze body: it names the backend
+// that computed the body, so each backend keeps its own entry.
+func analyzeKey(backend, h string) string { return "analyze:" + backend + ":" + h }
 
 // analyze builds the model and runs the stationary analysis under ctx's
 // run, on the given worker team. backend selects the transition
-// representation: explicit CSR (the default) or the matrix-free Kronecker
-// descriptor, which never assembles the product matrix — the build stage
-// then runs BuildShell and the solve stage the implicit-fine-level
-// multigrid. Both stages record latency histograms (serve.build_ms,
-// serve.solve_ms) and emit spans through the run, so per-request traces
-// and the flight recorder see the engine stages alongside the solver's
-// own events. The stages additionally run under pprof labels (endpoint,
-// spec, stage), so CPU profiles of a busy server attribute samples to the
-// spec being solved, not just to "the solver".
+// representation: the matrix-free Kronecker descriptor, which never
+// assembles the product matrix — the build stage runs BuildShell and the
+// solve stage the implicit-fine-level multigrid — or the explicit CSR
+// matrix, which Build assembles and Solve W-cycles. Both stages record
+// latency histograms (serve.build_ms, serve.solve_ms) and emit spans
+// through the run, so per-request traces and the flight recorder see the
+// engine stages alongside the solver's own events. The stages
+// additionally run under pprof labels (endpoint, spec, stage), so CPU
+// profiles of a busy server attribute samples to the spec being solved,
+// not just to "the solver".
 func (e *Engine) analyze(ctx context.Context, run *obs.Run, team *spmat.Pool, spec core.Spec, key, endpoint, backend string) (m *core.Model, a *core.Analysis, err error) {
 	buildStart := time.Now()
 	endBuild := run.Span("serve.build")
 	pprof.Do(ctx, pprof.Labels("endpoint", endpoint, "spec", shortKey(key), "stage", "build"), func(ctx context.Context) {
-		if backend == backendKron {
-			m, err = core.BuildShell(spec)
-		} else {
+		if backend == backendExplicit {
 			m, err = core.Build(spec)
+		} else {
+			m, err = core.BuildShell(spec)
 		}
 	})
 	endBuild()
@@ -342,10 +350,10 @@ func (e *Engine) analyze(ctx context.Context, run *obs.Run, team *spmat.Pool, sp
 	endSolve := run.Span("serve.solve")
 	pprof.Do(ctx, pprof.Labels("endpoint", endpoint, "spec", shortKey(key), "stage", "solve"), func(ctx context.Context) {
 		mg.Ctx = ctx // the labeled ctx still carries the run
-		if backend == backendKron {
-			a, err = m.SolveKron(core.SolveOptions{Multigrid: mg})
-		} else {
+		if backend == backendExplicit {
 			a, err = m.Solve(core.SolveOptions{Multigrid: mg})
+		} else {
+			a, err = m.SolveKron(core.SolveOptions{Multigrid: mg})
 		}
 	})
 	endSolve()
@@ -421,9 +429,10 @@ func slipBody(m *core.Model, a *core.Analysis) (SlipBody, error) {
 
 // analyzeBodyJSON assembles the AnalyzeBody bytes of one solved spec.
 // Both /v1/analyze and the batch sweep go through this one marshaller, so
-// a batch point's cache entry is byte-compatible with what a later
-// /v1/analyze of the identical spec would have produced (and vice versa).
-func analyzeBodyJSON(h string, m *core.Model, a *core.Analysis, start time.Time) ([]byte, error) {
+// a batch point's cache entry has the shape a "backend":"explicit"
+// /v1/analyze of the identical spec writes into the same entry (and vice
+// versa).
+func analyzeBodyJSON(h string, m *core.Model, a *core.Analysis) ([]byte, error) {
 	slip, err := slipBody(m, a)
 	if err != nil {
 		return nil, err
@@ -435,37 +444,33 @@ func analyzeBodyJSON(h string, m *core.Model, a *core.Analysis, start time.Time)
 		Converged: a.Multigrid.Converged,
 		Cycles:    a.Multigrid.Cycles,
 		Residual:  a.Multigrid.Residual,
-		SolveMS:   float64(time.Since(start).Microseconds()) / 1000,
 		Slip:      slip,
 	})
 }
 
-// Analyze returns the stationary + BER body for spec, reporting whether
-// it was served from cache.
+// Analyze returns the stationary + BER body for spec, solved matrix-free,
+// reporting whether it was served from cache.
 func (e *Engine) Analyze(ctx context.Context, spec core.Spec) ([]byte, bool, error) {
 	return e.AnalyzeBackend(ctx, spec, "")
 }
 
-// AnalyzeBackend is Analyze with an explicit solve backend. The two
-// backends produce numerically matching bodies but are cached under
-// distinct keys ("analyze:" vs "analyze:kron:"): their solve_ms fields
-// differ by construction, and keeping the namespaces apart means a
-// backend comparison always exercises both paths instead of the second
-// request silently hitting the first one's entry.
+// AnalyzeBackend is Analyze with a chosen solve backend: empty or "kron"
+// solves matrix-free, "explicit" on the assembled TPM. The two backends
+// produce numerically matching bodies but are cached under distinct keys
+// (analyzeKey): their cycles and residual fields differ by construction,
+// and keeping the entries apart means a backend comparison always
+// exercises both paths instead of the second request silently hitting the
+// first one's entry. The empty backend and "kron" share one.
 func (e *Engine) AnalyzeBackend(ctx context.Context, spec core.Spec, backend string) ([]byte, bool, error) {
-	if err := validBackend(backend); err != nil {
+	backend, err := resolveBackend(backend)
+	if err != nil {
 		return nil, false, err
 	}
 	h, err := validate(spec)
 	if err != nil {
 		return nil, false, err
 	}
-	key := "analyze:" + h
-	if backend == backendKron {
-		key = "analyze:kron:" + h
-	}
-	return e.cached(ctx, key, func(ctx context.Context) ([]byte, error) {
-		start := time.Now()
+	return e.cached(ctx, analyzeKey(backend, h), func(ctx context.Context) ([]byte, error) {
 		return e.solve(ctx, "analyze", h, func(ctx context.Context, run *obs.Run) (*core.Model, []byte, error) {
 			team := e.teams.Get().(*spmat.Pool)
 			defer e.teams.Put(team)
@@ -473,7 +478,7 @@ func (e *Engine) AnalyzeBackend(ctx context.Context, spec core.Spec, backend str
 			if err != nil {
 				return m, nil, err
 			}
-			body, err := analyzeBodyJSON(h, m, a, start)
+			body, err := analyzeBodyJSON(h, m, a)
 			return m, body, err
 		})
 	})
@@ -492,7 +497,8 @@ type SlipResponse struct {
 	ConditionedBER *float64 `json:"conditioned_ber,omitempty"`
 }
 
-// Slip returns the cycle-slip body for spec.
+// Slip returns the cycle-slip body for spec, solved on the explicit
+// backend: the quasi-stationary refinement reads the assembled TPM.
 func (e *Engine) Slip(ctx context.Context, spec core.Spec) ([]byte, bool, error) {
 	h, err := validate(spec)
 	if err != nil {
@@ -502,7 +508,7 @@ func (e *Engine) Slip(ctx context.Context, spec core.Spec) ([]byte, bool, error)
 		return e.solve(ctx, "slip", h, func(ctx context.Context, run *obs.Run) (*core.Model, []byte, error) {
 			team := e.teams.Get().(*spmat.Pool)
 			defer e.teams.Put(team)
-			m, a, err := e.analyze(ctx, run, team, spec, h, "slip", "")
+			m, a, err := e.analyze(ctx, run, team, spec, h, "slip", backendExplicit)
 			if err != nil {
 				return m, nil, err
 			}
@@ -580,9 +586,11 @@ func applySweepParam(base core.Spec, param string, v float64) (core.Spec, error)
 }
 
 // Sweep fans a parameter family out over the engine's bounded solve pool
-// and assembles the per-point analyze bodies in request order. Individual
-// point failures are reported in place; only request-level errors (bad
-// param, empty family, canceled context) fail the whole sweep.
+// and assembles the per-point analyze bodies in request order. Each point
+// is a default /v1/analyze of its spec: solved matrix-free, cached under
+// that entry. Individual point failures are reported in place; only
+// request-level errors (bad param, empty family, canceled context) fail
+// the whole sweep.
 func (e *Engine) Sweep(ctx context.Context, base core.Spec, param string, values []float64) ([]byte, error) {
 	if len(values) == 0 {
 		return nil, badRequestf("sweep needs at least one value")
@@ -659,12 +667,13 @@ func (e *Engine) sessionSolve(ctx context.Context, run *obs.Run, sess *sweep.Ses
 // SweepBatch solves a parameter family as one warm-started continuation
 // chain: points run sequentially through a sweep.Session that reuses the
 // symbolic setup across pattern-identical neighbors and seeds each solve
-// from the previous solution. Each point still gets its own cache entry
-// under the same key /v1/analyze uses — hits skip the solve (and break
-// the seed chain harmlessly; seed quality is measured, not assumed) — and
-// each miss runs under singleflight, so a batch and concurrent analyze
-// requests for the same spec share one solve. Point failures are
-// reported in place, like Sweep.
+// from the previous solution. The Session solves on the explicit TPM, so
+// each point gets its own cache entry under the key a "backend":"explicit"
+// /v1/analyze uses — hits skip the solve (and break the seed chain
+// harmlessly; seed quality is measured, not assumed) — and each miss runs
+// under singleflight, so a batch and concurrent explicit analyze requests
+// for the same spec share one solve. Point failures are reported in
+// place, like Sweep.
 func (e *Engine) SweepBatch(ctx context.Context, base core.Spec, param string, values []float64) ([]byte, error) {
 	if len(values) == 0 {
 		return nil, badRequestf("sweep needs at least one value")
@@ -696,15 +705,14 @@ func (e *Engine) SweepBatch(ctx context.Context, base core.Spec, param string, v
 				return badRequestf("unhashable spec: %v", err)
 			}
 			var pt *sweep.Point
-			body, cached, err := e.cached(ctx, "analyze:"+h, func(ctx context.Context) ([]byte, error) {
-				start := time.Now()
+			body, cached, err := e.cached(ctx, analyzeKey(backendExplicit, h), func(ctx context.Context) ([]byte, error) {
 				return e.solve(ctx, "sweep", h, func(ctx context.Context, run *obs.Run) (*core.Model, []byte, error) {
 					p, err := e.sessionSolve(ctx, run, sess, spec, h)
 					if err != nil {
 						return nil, nil, err
 					}
 					pt = p
-					body, err := analyzeBodyJSON(h, p.Model, p.Analysis, start)
+					body, err := analyzeBodyJSON(h, p.Model, p.Analysis)
 					return p.Model, body, err
 				})
 			})

@@ -68,6 +68,39 @@ func TestAnalyzeCacheHitIsByteIdentical(t *testing.T) {
 	}
 }
 
+// An evicted spec solves again to the bytes it was first served with, on
+// both backends: a body is a function of the spec and backend alone, so a
+// client comparing a fresh answer with an earlier cached one sees no
+// difference.
+func TestEvictedSpecResolvesByteIdentical(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := NewEngine(EngineConfig{Registry: reg, CacheEntries: 1})
+	ctx := context.Background()
+	specs := testSpecVariants(t)[:2]
+	for _, backend := range []string{"", backendExplicit} {
+		first, _, err := eng.AnalyzeBackend(ctx, specs[0], backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := eng.AnalyzeBackend(ctx, specs[1], backend); err != nil {
+			t.Fatal(err)
+		}
+		again, cached, err := eng.AnalyzeBackend(ctx, specs[0], backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached {
+			t.Fatalf("backend %q: the one-entry cache still held the first spec", backend)
+		}
+		if !bytes.Equal(first, again) {
+			t.Errorf("backend %q: re-solved body differs:\n%s\nvs\n%s", backend, first, again)
+		}
+	}
+	if got := reg.Snapshot().Counters["serve.solves"]; got != 6 {
+		t.Errorf("solves = %d, want 6", got)
+	}
+}
+
 func TestAnalyzeConcurrentIdenticalSpecsSolveOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := NewEngine(EngineConfig{Registry: reg})

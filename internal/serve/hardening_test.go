@@ -190,11 +190,15 @@ func TestJobsShedOnShutdown(t *testing.T) {
 // Close runs. Before the fix, a Submit racing Close could send on the
 // closed queue channel and kill the process; now every submission either
 // lands (and reaches a terminal status) or is refused with
-// ErrShuttingDown.
+// ErrShuttingDown. A round accepts at most maxFinishedJobs submissions,
+// so that retiring finished records never evicts one the test checks,
+// however late Close lands.
 func TestJobsSubmitCloseRace(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		jobs := NewJobs(2, 4, nil)
 		var accepted sync.Map
+		var budget atomic.Int64 // submissions this round may still have accepted
+		budget.Store(maxFinishedJobs)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for g := 0; g < 4; g++ {
@@ -202,7 +206,7 @@ func TestJobsSubmitCloseRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				for {
+				for budget.Add(-1) >= 0 {
 					id, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
 						return []byte("ok"), false, nil
 					})
@@ -211,6 +215,8 @@ func TestJobsSubmitCloseRace(t *testing.T) {
 					}
 					if err == nil {
 						accepted.Store(id, true)
+					} else {
+						budget.Add(1) // refused (queue full): the slot is free again
 					}
 					runtime.Gosched()
 				}

@@ -217,7 +217,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/analyze", s.handleSolve("analyze", s.engine.AnalyzeBackend))
 	mux.HandleFunc("POST /v1/slip", s.handleSolve("slip", func(ctx context.Context, spec core.Spec, backend string) ([]byte, bool, error) {
 		// The slip endpoint's quasi-stationary refinement needs the
-		// explicit matrix; refuse the field rather than silently ignore it.
+		// explicit matrix, which Slip asks for itself; refuse the field
+		// rather than silently ignore it.
 		if backend != "" {
 			return nil, false, badRequestf("backend %q not supported on /v1/slip", backend)
 		}
@@ -379,9 +380,9 @@ type solveRequest struct {
 	// /v1/jobs/{id} polling instead of blocking.
 	Async bool `json:"async"`
 	// Backend selects the transition representation on /v1/analyze:
-	// "explicit" (or empty, the default) assembles the product TPM,
-	// "kron" solves matrix-free through the Kronecker descriptor.
-	// /v1/slip accepts only the default.
+	// "kron" (or empty, the default) solves matrix-free through the
+	// Kronecker descriptor, "explicit" assembles the product TPM. /v1/slip
+	// takes no backend: it always solves explicitly.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -522,9 +523,11 @@ type sweepRequest struct {
 	Async  bool      `json:"async"`
 	// Batch runs the sweep as a warm-started continuation chain (shared
 	// symbolic setup, neighbor-seeded solves) instead of fanning the
-	// points out as independent solves. Same per-point cache entries and
-	// result bodies; the response additionally carries per-point
-	// warm_started / reused_setup / cycles fields.
+	// points out as independent solves. Batch points are solved
+	// explicitly and cached in the explicit analyze entry; fan-out points
+	// are solved matrix-free and cached in the default entry. The response
+	// additionally carries per-point warm_started / reused_setup / cycles
+	// fields.
 	Batch bool `json:"batch"`
 }
 

@@ -18,9 +18,10 @@ func batchValues() []float64 { return []float64{0.050, 0.052, 0.054} }
 
 // TestSweepBatchWarmStartsAndCaches checks the continuation chain: every
 // point solves, points after the first reuse the symbolic setup and warm
-// start, each point lands in the cache under the analyze key (a later
-// /v1/analyze of the same spec is a byte-identical hit), and repeating
-// the batch is answered from cache without solving.
+// start, each point lands in the cache under the explicit analyze key (a
+// later "backend":"explicit" /v1/analyze of the same spec is a
+// byte-identical hit), and repeating the batch is answered from cache
+// without solving.
 func TestSweepBatchWarmStartsAndCaches(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := NewEngine(EngineConfig{Registry: reg})
@@ -66,13 +67,13 @@ func TestSweepBatchWarmStartsAndCaches(t *testing.T) {
 		}
 	}
 
-	// The batch populated the analyze cache: a direct Analyze of a mid
-	// point must hit and return the identical bytes.
+	// The batch populated the explicit analyze cache: a direct explicit
+	// Analyze of a mid point must hit and return the identical bytes.
 	pSpec, err := applySweepParam(spec, "stdnw", batchValues()[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, cached, err := eng.Analyze(context.Background(), pSpec)
+	got, cached, err := eng.AnalyzeBackend(context.Background(), pSpec, backendExplicit)
 	if err != nil {
 		t.Fatal(err)
 	}
