@@ -97,7 +97,8 @@ echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # materialized matrix (including the parallel split) and, bit for bit,
 # against the full-slab evaluation their support restriction replaces,
 # the operator-backed markov solvers, the implicit-fine-level multigrid
-# (including its trace, level for level, against the explicit one, its
+# (including the per-level work its trace's closing span states, on both
+# backends, against the solve's level tallies, its
 # segment smoother and restriction against point Gauss–Seidel and a
 # row-by-row restriction over the materialized matrix, its link product
 # against the shuffle product and the materialized matrix, and its level 1,
@@ -116,7 +117,7 @@ run_tests 'TestParallelShuffleMatchesSerial|TestShuffleMatchesFullSlab|TestStruc
     -race -count=1 ./internal/kron
 run_tests 'TestOperatorChain' -race -count=1 ./internal/markov
 run_tests 'TestPlanMatchesLump' -race -count=1 ./internal/lump
-run_tests 'TestKronSolver|TestTraceLevelEventsMatchVisits|TestSegmentSweepMatchesPointGaussSeidel|TestSegmentProductMatchesDescriptor|TestSegmentRestrictMatchesMaterializedRows|TestSegmentRestrictTransposeBitIdentical' \
+run_tests 'TestKronSolver|TestTraceSpanEndLevelsMatchVisits|TestSegmentSweepMatchesPointGaussSeidel|TestSegmentProductMatchesDescriptor|TestSegmentRestrictMatchesMaterializedRows|TestSegmentRestrictTransposeBitIdentical' \
     -race -count=1 ./internal/multigrid
 run_tests 'TestSolveKron|TestBuildShell|TestQuickDescriptorEquivalence' -race -count=1 ./internal/core
 run_tests 'TestBuildMatchesDirectAssembly' -race -count=1 ./internal/regime ./internal/freqloop
@@ -148,11 +149,15 @@ run_tests '^TestServerSmoke$' -count=1 -v ./cmd/cdrserved
 
 echo "== live progress (SSE stream + seeded stall injection, -race) =="
 # The SSE smoke proves a batched sweep job streams one parseable progress
-# event per point plus a terminal frame; the stall case injects a delay
-# fault at the multigrid.cycle seam and requires the watchdog to classify
-# the solve stalled (with the job's trace ID on the verdict) within the
-# configured window, then cancel it. Seeded like the chaos stage.
-CDR_FAULTS_SEED=1 run_tests 'TestJobEventsSSE|TestWatchdogStallInjection|TestDebugProgressLiveETA' \
+# event per point plus a terminal frame, and every frame is named by its
+# event's kind (an iter frame carries an iter event); the stall case
+# injects a delay fault at the multigrid.cycle seam and requires the
+# watchdog to classify the solve stalled (with the job's trace ID on the
+# verdict) within the configured window, then cancel it. Two explicit
+# DefaultSpec-family jobs must fit the default flight ring with nothing
+# dropped, each job's trace running from its build span through one iter
+# event per cycle to the multigrid span_end. Seeded like the chaos stage.
+CDR_FAULTS_SEED=1 run_tests 'TestJobEventsSSE|TestJobEventsFramesNamedByKind|TestJobTraceHoldsWholeSolves|TestWatchdogStallInjection|TestDebugProgressLiveETA' \
     -race -count=1 ./internal/serve
 
 echo "== bench compare (optional; needs two committed BENCH_*.json) =="

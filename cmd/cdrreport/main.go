@@ -7,7 +7,7 @@
 //	go run ./cmd/cdrreport            # full report (~1 minute)
 //	go run ./cmd/cdrreport -quick     # skip the solver-scaling table
 //
-// With -top it instead tails a running cdrserved's /debug/solves ring
+// With -top it instead tails a running cdrserved's /debug/solves table
 // and prints a live per-solve cost table sorted by CPU time:
 //
 //	go run ./cmd/cdrreport -top http://127.0.0.1:8340
@@ -156,7 +156,7 @@ type solvesPage struct {
 	Reports []cost.SolveReport `json:"reports"`
 }
 
-// topOnce fetches one page of the solve-cost ring and renders the table.
+// topOnce fetches one page of the finished-solve table and renders it.
 func topOnce(w io.Writer, client *http.Client, base string, limit int) error {
 	url := strings.TrimRight(base, "/") + "/debug/solves?limit=" + strconv.Itoa(limit)
 	resp, err := client.Get(url)

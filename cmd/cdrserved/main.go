@@ -14,17 +14,19 @@
 //	GET  /v1/jobs/{id}        poll an async job
 //	GET  /v1/jobs/{id}/trace  solver trace events for an async job
 //	GET  /v1/jobs/{id}/events live solve progress as Server-Sent Events
-//	                          (start/iter/progress/watchdog/done)
+//	                          (start/span_start/iter/span_end/progress/
+//	                          watchdog/done)
 //	GET  /healthz             liveness + build info + cache/queue occupancy
 //	GET  /metrics             registry snapshot (JSON, or Prometheus text
 //	                          exposition under Accept: text/plain)
 //	GET  /debug/flight        flight recorder dump (recent solver events)
-//	GET  /debug/solves        per-solve cost reports (SolveReport ring);
+//	GET  /debug/solves        finished solves' cost reports (the progress
+//	                          table's finished tail, -solves rows);
 //	                          ?trace= ?spec= ?endpoint= ?min_ms= ?limit=,
 //	                          human table under Accept: text/plain
-//	GET  /debug/progress      in-flight solves (phase, residual, ETA,
-//	                          watchdog state), human table under
-//	                          Accept: text/plain
+//	GET  /debug/progress      in-flight solves (the same table's live
+//	                          rows: phase, residual, ETA, watchdog
+//	                          state), human table under Accept: text/plain
 //
 // On SIGINT/SIGTERM the daemon stops accepting, drains queued jobs within
 // the -drain budget, then exits 0.
@@ -60,7 +62,7 @@ func main() {
 	timeout := fs.Duration("timeout", 120*time.Second, "synchronous request deadline")
 	drainBudget := fs.Duration("drain", 30*time.Second, "graceful shutdown budget before canceling running jobs")
 	flightN := fs.Int("flight", 0, "flight recorder ring size in events (0 = default)")
-	solvesN := fs.Int("solves", 0, "cost report ring size behind /debug/solves (0 = default)")
+	solvesN := fs.Int("solves", 0, "finished solves kept for /debug/solves (0 = default)")
 	costLog := fs.String("cost-log", "", "append per-solve cost reports as JSON lines to this file")
 	runtimePoll := fs.Duration("runtime-poll", 10*time.Second, "runtime/metrics polling interval for runtime.* gauges (0 disables)")
 	stallWindow := fs.Duration("stall-window", 0, "watchdog staleness window: no events or residual improvement for this long marks a solve stalled (0 = default 10s)")
@@ -107,6 +109,7 @@ func main() {
 			CacheEntries:  *cacheN,
 			MaxConcurrent: *conc,
 			SolveWorkers:  *app.Workers,
+			CostLog:       costSink,
 		},
 		Workers:      *jobWorkers,
 		QueueDepth:   *queue,
@@ -115,7 +118,6 @@ func main() {
 		Tracer:       obsrv.Tracer,
 		FlightSize:   *flightN,
 		CostRingSize: *solvesN,
-		CostLog:      costSink,
 		Faults:       inj,
 		ErrorLog:     log.New(os.Stderr, "cdrserved: ", log.LstdFlags|log.LUTC),
 

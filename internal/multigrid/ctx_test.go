@@ -41,14 +41,10 @@ func TestSolveCanceledStopsWithinOneCycle(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	// The context was canceled while cycle 2's residual event was emitted;
-	// the solver must not start another cycle: no "iter" event beyond 2 and
-	// no "level" visit stamped with a later cycle.
+	// the solver must not start another cycle: no "iter" event beyond 2.
 	for _, e := range tr.Events() {
 		if e.Kind == "iter" && e.Iter > 2 {
 			t.Errorf("iteration traced after cancellation: %+v", e)
-		}
-		if e.Kind == "level" && e.Iter > 2 {
-			t.Errorf("level visit traced after cancellation: %+v", e)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cdrstoch/internal/kron"
@@ -319,12 +320,13 @@ func walkFactor(n int, left, right float64) *spmat.CSR {
 	return tr.ToCSR()
 }
 
-// TestTraceLevelEventsMatchVisits checks that a traced solve reports every
-// level visit, on both backends: per level, the "level" events a collector
-// records equal LevelStats[k].Visits, and each carries the level's size.
-// The phase mode is a slowly mixing walk, so the implicit level enters
-// level 1 several times in most cycles.
-func TestTraceLevelEventsMatchVisits(t *testing.T) {
+// TestTraceSpanEndLevelsMatchVisits checks that a traced solve states its
+// per-level work once, on the multigrid span_end, on both backends: its
+// Levels equal the Result's LevelStats, each level carries its size, the
+// finest level is visited once per cycle, and the trace holds one iter
+// event per cycle. The phase mode is a slowly mixing walk, so the
+// implicit level enters level 1 several times in most cycles.
+func TestTraceSpanEndLevelsMatchVisits(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d, err := kron.NewDescriptor([]kron.Term{
 		{Coeff: 0.5, Factors: []*spmat.CSR{randomStochasticFactor(2, rng), randomStochasticFactor(3, rng), walkFactor(16, 0.3, 0.2)}},
@@ -353,23 +355,33 @@ func TestTraceLevelEventsMatchVisits(t *testing.T) {
 		if err != nil || !res.Converged {
 			t.Fatalf("%s: solve failed: %v %v", b.name, err, res)
 		}
-		events := make([]int, len(res.LevelStats))
+		var ends []obs.Event
+		iters := 0
 		for _, e := range col.Events() {
-			if e.Kind != "level" {
-				continue
+			switch {
+			case e.Kind == "iter":
+				iters++
+			case e.Kind == "span_end" && e.Name == "multigrid":
+				ends = append(ends, e)
 			}
-			if e.Level < 0 || e.Level >= len(events) || e.Size != res.LevelSizes[e.Level] {
-				t.Fatalf("%s: level event %+v for level sizes %v", b.name, e, res.LevelSizes)
-			}
-			events[e.Level]++
 		}
-		if b.name == "kron" && res.LevelStats[1].Visits <= res.Cycles {
-			t.Errorf("kron: %d level-1 visits in %d cycles, want repeated coarse solves", res.LevelStats[1].Visits, res.Cycles)
+		if len(ends) != 1 {
+			t.Fatalf("%s: %d multigrid span_end events, want 1", b.name, len(ends))
 		}
-		for k, ls := range res.LevelStats {
-			if events[k] != ls.Visits {
-				t.Errorf("%s: level %d: %d level events, %d visits", b.name, k, events[k], ls.Visits)
+		levels := ends[0].Levels
+		if !reflect.DeepEqual(levels, res.LevelStats) {
+			t.Fatalf("%s: span_end levels %+v, result %+v", b.name, levels, res.LevelStats)
+		}
+		for k, ls := range levels {
+			if ls.Level != k || ls.Size != res.LevelSizes[k] {
+				t.Errorf("%s: level %d stat %+v for level sizes %v", b.name, k, ls, res.LevelSizes)
 			}
+		}
+		if iters != res.Cycles || levels[0].Visits != res.Cycles {
+			t.Errorf("%s: %d iter events and %d level-0 visits in %d cycles", b.name, iters, levels[0].Visits, res.Cycles)
+		}
+		if b.name == "kron" && levels[1].Visits <= res.Cycles {
+			t.Errorf("kron: %d level-1 visits in %d cycles, want repeated coarse solves", levels[1].Visits, res.Cycles)
 		}
 	}
 }

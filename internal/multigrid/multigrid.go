@@ -82,11 +82,12 @@ type Config struct {
 	// Ctx, when non-nil, is checked after every cycle: a canceled or
 	// expired context stops the solve within one cycle and Solve returns
 	// a partial-progress error wrapping ctx.Err(). Its run handle
-	// (obs.Run), if any, receives a span around the solve, one "iter"
-	// event per cycle with the fine-level residual and one "level" event
-	// per level visit (smoothing or coarsest solve) within each cycle; it
-	// is charged the cycles, kernel work, workspace and per-level work,
-	// and fires the multigrid.cycle fault point. Nil never cancels.
+	// (obs.Run), if any, receives a span around the solve and one "iter"
+	// event per cycle with the fine-level residual; the closing span_end
+	// carries the solve's per-level visits and smoothing time (the
+	// Result's LevelStats). The run is charged the cycles, kernel work,
+	// workspace and per-level work, and fires the multigrid.cycle fault
+	// point. Nil never cancels.
 	Ctx context.Context
 	// Workers is the width of the parallel team used for the sparse
 	// products the cycle performs (the per-cycle residual on the finest
@@ -211,17 +212,14 @@ type mgLevel struct {
 // Solver is a configured multilevel hierarchy for one transition chain,
 // held as a CSR matrix (New) or as a Kronecker descriptor (NewKron).
 type Solver struct {
-	cfg      Config
-	levels   []*mgLevel
-	gth      spmat.GTHWorkspace
-	pool     *spmat.Pool
-	y        []float64 // fine product buffer for the per-cycle residual
-	curCycle int       // cycle number stamped on level-visit trace events
+	cfg    Config
+	levels []*mgLevel
+	gth    spmat.GTHWorkspace
+	pool   *spmat.Pool
+	y      []float64 // fine product buffer for the per-cycle residual
 	// fineRes is the fine residual of the previous cycle (+Inf before the
 	// first); it sets how far an implicit level 0 solves level 1.
 	fineRes float64
-	// probe reports the running Solve to the run its context carries.
-	probe obs.Probe
 
 	// Per-level work attribution, preallocated at construction and reset
 	// per Solve so the cycles stay allocation-free.
@@ -412,7 +410,6 @@ func (s *Solver) coarsestSolve(lv *mgLevel, x []float64) []float64 {
 // live in the per-level workspaces; a cycle allocates nothing.
 func (s *Solver) cycle(level int, x []float64) ([]float64, error) {
 	lv := s.levels[level]
-	s.probe.Level(s.curCycle, level, lv.size)
 	s.levelVisits[level]++
 	start := time.Now()
 	if level == len(s.levels)-1 {
@@ -532,14 +529,10 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 	clear(s.levelWorkNS)
 	// The deferred report also covers the error returns, so a canceled or
 	// faulted solve still charges the work it did.
-	s.probe = obs.Begin(s.cfg.Ctx, "multigrid", obs.Cycles, "multigrid.cycle", s.pool)
-	defer func() {
-		s.probe.End(obs.Work{Workspace: s.workspaceBytes(), Levels: s.levelStats()})
-		s.probe = obs.Probe{}
-	}()
+	probe := obs.Begin(s.cfg.Ctx, "multigrid", obs.Cycles, "multigrid.cycle", s.pool)
+	defer func() { probe.End(obs.Work{Workspace: s.workspaceBytes(), Levels: s.levelStats()}) }()
 	s.fineRes = math.Inf(1)
 	for c := 1; c <= s.cfg.MaxCycles; c++ {
-		s.curCycle = c
 		x, err = s.cycle(0, x)
 		if err != nil {
 			return Result{}, err
@@ -553,7 +546,7 @@ func (s *Solver) Solve(x0 []float64) (Result, error) {
 		res.Cycles = c
 		res.Residual = r
 		res.ResidualHistory = append(res.ResidualHistory, r)
-		if perr := s.probe.Iter(c, r); perr != nil {
+		if perr := probe.Iter(c, r); perr != nil {
 			return Result{}, fmt.Errorf("multigrid: solve stopped after %d of %d cycles (residual %.3e): %w",
 				c, s.cfg.MaxCycles, r, perr)
 		}

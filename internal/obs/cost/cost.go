@@ -9,11 +9,13 @@
 // The package follows internal/obs's zero-cost-when-disabled contract: a
 // nil *Meter is a valid no-op and every method tolerates it. Solvers
 // never call the meter directly: their probes feed it one residual per
-// iteration and one obs.Work when they end. Reports flow four ways in
-// the service: X-Solve-Cost-* response headers and the async JobView;
-// the bounded Ring behind GET /debug/solves; per-endpoint histograms in
-// the obs Registry (and thus /metrics, JSON and Prometheus); and an
-// optional obs.JSONL sink for offline analysis.
+// iteration and one obs.Work when they end. Reports flow three ways in
+// the service: into the progress tracker's bounded tail of finished
+// rows (obs/progress), which backs GET /debug/solves, the
+// X-Solve-Cost-* response headers and the async JobView; into
+// per-endpoint histograms in the obs Registry (and thus /metrics, JSON
+// and Prometheus); and into an optional obs.JSONL sink for offline
+// analysis.
 package cost
 
 import (

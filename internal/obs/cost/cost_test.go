@@ -128,53 +128,6 @@ func TestProcessCPUAdvances(t *testing.T) {
 	}
 }
 
-func TestRingEvictionAndFilter(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 6; i++ {
-		r.Add(SolveReport{Trace: string(rune('a' + i)), Endpoint: "analyze",
-			WallNS: int64(i+1) * int64(time.Millisecond)})
-	}
-	if r.Len() != 4 {
-		t.Errorf("Len = %d, want 4", r.Len())
-	}
-	if r.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", r.Dropped())
-	}
-	reps := r.Reports(Filter{})
-	if len(reps) != 4 || reps[0].Trace != "f" || reps[3].Trace != "c" {
-		t.Errorf("newest-first order broken: %+v", reps)
-	}
-	// Evicted entries are gone.
-	if _, ok := r.LatestByTrace("a"); ok {
-		t.Error("evicted report still findable")
-	}
-	if rep, ok := r.LatestByTrace("e"); !ok || rep.Trace != "e" {
-		t.Errorf("LatestByTrace(e) = %+v, %v", rep, ok)
-	}
-	// MinWall and Limit compose.
-	reps = r.Reports(Filter{MinWall: 4 * time.Millisecond, Limit: 1})
-	if len(reps) != 1 || reps[0].Trace != "f" {
-		t.Errorf("filtered = %+v", reps)
-	}
-	if got := r.Reports(Filter{Endpoint: "slip"}); len(got) != 0 {
-		t.Errorf("endpoint filter matched %d", len(got))
-	}
-}
-
-func TestRingNilTolerant(t *testing.T) {
-	var r *Ring
-	r.Add(SolveReport{})
-	if r.Len() != 0 || r.Dropped() != 0 {
-		t.Error("nil ring reported contents")
-	}
-	if got := r.Reports(Filter{}); got != nil {
-		t.Errorf("nil ring reports = %v", got)
-	}
-	if _, ok := r.LatestByTrace("x"); ok {
-		t.Error("nil ring found a trace")
-	}
-}
-
 func TestWriteTableSortsByCPU(t *testing.T) {
 	var sb strings.Builder
 	err := WriteTable(&sb, []SolveReport{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -69,7 +70,6 @@ func TestDisabledPathAllocations(t *testing.T) {
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(1000, func() {
 		p := Begin(ctx, "multigrid", Cycles, "multigrid.cycle", nil)
-		p.Level(1, 2, 64)
 		_ = p.Iter(7, 1e-9)
 		_ = p.Progress("bitsim", 0, 100, 1000)
 		p.End(Work{})
@@ -131,9 +131,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	p := Begin(WithRun(context.Background(), &Run{Sink: sink}), "power", Sweeps, "", nil)
 	_ = p.Iter(1, 0.25)
 	_ = p.Iter(2, 0.0625)
-	p.Level(3, 1, 128)
 	_ = p.Progress("bitsim", 2, 500, 1000)
-	p.End(Work{})
+	levels := []LevelStat{{Level: 0, Size: 512, Visits: 2, SmoothNS: 900}, {Level: 1, Size: 128, Visits: 4, SmoothNS: 300}}
+	p.End(Work{Levels: levels})
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 6 {
-		t.Fatalf("round-tripped %d events, want 6", len(events))
+	if len(events) != 5 {
+		t.Fatalf("round-tripped %d events, want 5", len(events))
 	}
 	if events[0].Kind != "span_start" || events[0].Name != "power" {
 		t.Errorf("first event = %+v", events[0])
@@ -151,15 +151,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if e := events[1]; e.Kind != "iter" || e.Name != "power" || e.Iter != 1 || e.Residual != 0.25 {
 		t.Errorf("iter event = %+v", e)
 	}
-	if e := events[3]; e.Kind != "level" || e.Name != "power" || e.Level != 1 || e.Size != 128 || e.Iter != 3 {
-		t.Errorf("level event = %+v", e)
-	}
-	if e := events[4]; e.Kind != "progress" || e.Name != "bitsim" || e.Worker != 2 || e.Done != 500 || e.Total != 1000 {
+	if e := events[3]; e.Kind != "progress" || e.Name != "bitsim" || e.Worker != 2 || e.Done != 500 || e.Total != 1000 {
 		t.Errorf("progress event = %+v", e)
 	}
-	last := events[5]
-	if last.Kind != "span_end" || last.DurNS < 0 || last.T < events[0].T {
+	last := events[4]
+	if last.Kind != "span_end" || last.Name != "power" || last.DurNS < 0 || last.T < events[0].T {
 		t.Errorf("span_end event = %+v", last)
+	}
+	if !reflect.DeepEqual(last.Levels, levels) {
+		t.Errorf("span_end levels = %+v, want %+v", last.Levels, levels)
 	}
 }
 

@@ -1,12 +1,13 @@
-// Package progress is the live view of in-flight solves: a Tracker keeps
-// one record per registered solve (phase, iteration, current residual,
-// geometric-decay ETA) fed by the solve's run — its Handle is one of the
-// run's event sinks, so the per-cycle multigrid residuals, the per-sweep
-// stationary iterations and the engine spans reach it with no
-// instrumentation of its own in the solver loops. On top
-// of the records sits a watchdog (watchdog.go) that classifies each solve
-// as progressing, stalled, or diverging and can optionally cancel
-// hopeless ones.
+// Package progress is the per-solve table of the service: a Tracker
+// keeps one live row per registered solve (phase, iteration, current
+// residual, geometric-decay ETA) fed by the solve's run — its Handle is
+// one of the run's event sinks, so the per-cycle multigrid residuals,
+// the per-sweep stationary iterations and the engine spans reach it
+// with no instrumentation of its own in the solver loops — and, once
+// the solve finishes, the row's cost.SolveReport in a bounded tail of
+// finished rows. On top of the live rows sits a watchdog (watchdog.go)
+// that classifies each solve as progressing, stalled, or diverging and
+// can optionally cancel hopeless ones.
 //
 // The package keeps the repository's zero-cost-when-disabled contract: a
 // nil *Tracker is a valid no-op (Begin returns a nil *Handle whose
@@ -25,7 +26,12 @@ import (
 	"time"
 
 	"cdrstoch/internal/obs"
+	"cdrstoch/internal/obs/cost"
 )
+
+// DefaultKeep is the number of finished rows a Tracker keeps when the
+// caller does not choose.
+const DefaultKeep = 512
 
 // Solve states as classified by the watchdog.
 const (
@@ -60,6 +66,9 @@ type Config struct {
 	// kicks in without waiting for the request deadline. Off by default —
 	// see DESIGN.md §13 for why detection and action are separated.
 	CancelOnStall bool
+	// Keep bounds the tail of finished rows; each Finish beyond it evicts
+	// the oldest row and counts it in Dropped. Default DefaultKeep.
+	Keep int
 }
 
 func (c Config) withDefaults() Config {
@@ -75,11 +84,15 @@ func (c Config) withDefaults() Config {
 	if c.DivergeChecks <= 0 {
 		c.DivergeChecks = 3
 	}
+	if c.Keep <= 0 {
+		c.Keep = DefaultKeep
+	}
 	return c
 }
 
-// Tracker is the per-solve live progress registry. All methods are safe
-// for concurrent use, and every method on a nil *Tracker is a no-op.
+// Tracker is the per-solve table: live rows of in-flight solves and a
+// bounded tail of finished ones. All methods are safe for concurrent
+// use, and every method on a nil *Tracker is a no-op.
 type Tracker struct {
 	cfg Config
 	reg *obs.Registry
@@ -87,8 +100,12 @@ type Tracker struct {
 	mu     sync.Mutex
 	seq    uint64
 	solves map[uint64]*solveState
-	subs   map[string]map[*Sub]struct{}
-	nsubs  atomic.Int64
+	// done is the finished tail, a ring of at most cfg.Keep reports;
+	// finished counts every report ever filed and is its write cursor.
+	done     []cost.SolveReport
+	finished uint64
+	subs     map[string]map[*Sub]struct{}
+	nsubs    atomic.Int64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -238,30 +255,74 @@ func (h *Handle) Emit(e obs.Event) {
 	h.t.publish(s.trace, e)
 }
 
-// End closes the registration: the record leaves the in-flight table and
-// subscribers receive a terminal solve_end event carrying the final
-// iteration, residual, and (on failure) the error.
-func (h *Handle) End(err error) {
-	if h == nil {
+// Finish closes a solve's row with its SolveReport: the live row leaves
+// the in-flight table and rep joins the tail of finished rows, evicting
+// the oldest when the tail is full; subscribers then receive a terminal
+// solve_end event carrying the final iteration, residual and, on
+// failure, rep.Err. A nil handle files rep alone, so a solve that failed
+// before it got a slot, and never began, still leaves its row.
+func (t *Tracker) Finish(h *Handle, rep cost.SolveReport) {
+	if t == nil {
 		return
 	}
-	t, s := h.t, h.s
-	s.mu.Lock()
-	s.done = true
-	iter, residual := s.iter, s.residual
-	s.mu.Unlock()
+	var end obs.Event
+	if h != nil {
+		s := h.s
+		s.mu.Lock()
+		s.done = true
+		end = obs.Event{
+			T: time.Now().UnixNano(), Kind: "solve_end", Name: s.endpoint,
+			Iter: s.iter, Residual: s.residual, Trace: s.trace, Parent: s.parent, Reason: rep.Err,
+		}
+		s.mu.Unlock()
+	}
 	t.mu.Lock()
-	delete(t.solves, s.id)
+	if h != nil {
+		delete(t.solves, h.s.id)
+	}
+	if len(t.done) < t.cfg.Keep {
+		t.done = append(t.done, rep)
+	} else {
+		t.done[t.finished%uint64(t.cfg.Keep)] = rep
+	}
+	t.finished++
 	t.mu.Unlock()
-	t.reg.Counter("progress.solves_finished").Inc()
-	e := obs.Event{
-		T: time.Now().UnixNano(), Kind: "solve_end", Name: s.endpoint,
-		Iter: iter, Residual: residual, Trace: s.trace, Parent: s.parent,
+	if h != nil {
+		t.reg.Counter("progress.solves_finished").Inc()
+		t.publish(end.Trace, end)
 	}
-	if err != nil {
-		e.Reason = err.Error()
+}
+
+// Finished returns the finished rows matching f, newest first, capped by
+// f.Limit and copied out so the caller can render without the lock.
+func (t *Tracker) Finished(f cost.Filter) []cost.SolveReport {
+	if t == nil {
+		return nil
 	}
-	t.publish(s.trace, e)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []cost.SolveReport
+	for i := range t.done {
+		rep := &t.done[(t.finished-1-uint64(i))%uint64(t.cfg.Keep)]
+		if !f.Match(rep) {
+			continue
+		}
+		out = append(out, *rep)
+		if f.Limit > 0 && len(out) >= f.Limit {
+			break
+		}
+	}
+	return out
+}
+
+// Dropped reports how many finished rows the full tail has evicted.
+func (t *Tracker) Dropped() uint64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.finished - uint64(len(t.done))
 }
 
 func (t *Tracker) inflight() int {

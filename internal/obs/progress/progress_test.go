@@ -2,12 +2,12 @@ package progress
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"cdrstoch/internal/obs"
+	"cdrstoch/internal/obs/cost"
 )
 
 // tracedCtx returns a context carrying a fixed trace identity.
@@ -22,7 +22,7 @@ func TestNilTrackerIsNoOp(t *testing.T) {
 		t.Fatalf("nil tracker Begin returned non-nil handle")
 	}
 	h.Emit(obs.Event{Kind: "iter", Iter: 1, Residual: 0.5})
-	h.End(nil)
+	tr.Finish(h, cost.SolveReport{Trace: "x"})
 	tr.Start()
 	tr.Stop()
 	if got := tr.Snapshot(); got != nil {
@@ -63,7 +63,7 @@ func TestProbeIterAllocFree(t *testing.T) {
 	tr := New(Config{Registry: obs.NewRegistry()})
 	ctx := tracedCtx("tA")
 	h := tr.Begin(ctx, "analyze", "key", nil)
-	defer h.End(nil)
+	defer tr.Finish(h, cost.SolveReport{})
 	run := &obs.Run{
 		Sink:  obs.Tee(obs.NewFlightRecorder(64), h),
 		Fault: func(context.Context, string) error { return nil },
@@ -76,7 +76,6 @@ func TestProbeIterAllocFree(t *testing.T) {
 		it := 0
 		allocs := testing.AllocsPerRun(200, func() {
 			it++
-			p.Level(it, 1, 64)
 			if err := p.Iter(it, 1e-5); err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +95,7 @@ func TestProbeIterAllocFree(t *testing.T) {
 func TestHandleRestartsFitOnNewSolver(t *testing.T) {
 	tr := New(Config{Registry: obs.NewRegistry(), StallWindow: time.Hour, DivergeChecks: 1})
 	h := tr.Begin(tracedCtx("tQ"), "slip", "k", nil)
-	defer h.End(nil)
+	defer tr.Finish(h, cost.SolveReport{})
 	for k := 1; k <= 4; k++ {
 		h.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: k, Residual: math.Pow(10, -3*float64(k))})
 	}
@@ -189,14 +188,14 @@ func TestSnapshotAndLatestByTrace(t *testing.T) {
 		t.Fatalf("two decaying residuals should produce an ETA, got %+v", p.EtaSeconds)
 	}
 
-	h1.End(nil)
+	tr.Finish(h1, cost.SolveReport{})
 	if len(tr.Snapshot()) != 1 {
 		t.Fatalf("ended solve still in Snapshot")
 	}
 	if _, ok := tr.LatestByTrace("tA"); ok {
 		t.Fatalf("ended solve still found by trace")
 	}
-	h2.End(errors.New("boom"))
+	tr.Finish(h2, cost.SolveReport{Err: "boom"})
 	if got := tr.inflight(); got != 0 {
 		t.Fatalf("inflight = %d after both ended, want 0", got)
 	}
@@ -242,7 +241,7 @@ func TestWatchdogStallAndRecovery(t *testing.T) {
 	if got := reg.Counter("watchdog.recoveries_total").Value(); got != 1 {
 		t.Fatalf("recoveries_total = %d, want 1", got)
 	}
-	h.End(nil)
+	tr.Finish(h, cost.SolveReport{})
 }
 
 func TestWatchdogDivergence(t *testing.T) {
@@ -264,7 +263,7 @@ func TestWatchdogDivergence(t *testing.T) {
 	if got := reg.Counter("watchdog.divergences_total").Value(); got != 1 {
 		t.Fatalf("divergences_total = %d, want 1", got)
 	}
-	h.End(nil)
+	tr.Finish(h, cost.SolveReport{})
 }
 
 func TestWatchdogCancelOnStall(t *testing.T) {
@@ -289,7 +288,7 @@ func TestWatchdogCancelOnStall(t *testing.T) {
 	if got := reg.Counter("watchdog.cancels_total").Value(); got != 1 {
 		t.Fatalf("cancels_total after second check = %d, want 1", got)
 	}
-	h.End(ctx.Err())
+	tr.Finish(h, cost.SolveReport{Err: ctx.Err().Error()})
 }
 
 // TestWatchdogLoop exercises the real ticker loop end to end: a solve
@@ -300,7 +299,7 @@ func TestWatchdogLoop(t *testing.T) {
 	tr.Start()
 	defer tr.Stop()
 	h := tr.Begin(tracedCtx("tL"), "analyze", "k", nil)
-	defer h.End(nil)
+	defer tr.Finish(h, cost.SolveReport{})
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if reg.Counter("progress.solves_stalled_total").Value() > 0 {
@@ -343,7 +342,7 @@ func TestSubscribeSlowReader(t *testing.T) {
 	if got := len(sub.C()); got != 4 {
 		t.Fatalf("buffered events = %d, want 4", got)
 	}
-	h.End(nil)
+	tr.Finish(h, cost.SolveReport{})
 }
 
 func TestSubscribeReceivesLifecycleEvents(t *testing.T) {
@@ -352,7 +351,7 @@ func TestSubscribeReceivesLifecycleEvents(t *testing.T) {
 	defer sub.Close()
 	h := tr.Begin(tracedCtx("tE"), "sweep", "k", nil)
 	h.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: 1, Residual: 1e-2, Trace: "tE"})
-	h.End(errors.New("injected: boom"))
+	tr.Finish(h, cost.SolveReport{Err: "injected: boom"})
 	var kinds []string
 	var endReason string
 	for len(kinds) < 3 {
@@ -378,7 +377,7 @@ func TestSubscribeReceivesLifecycleEvents(t *testing.T) {
 	// After Close, publishes stop reaching the channel.
 	sub.Close()
 	h2 := tr.Begin(tracedCtx("tE"), "sweep", "k", nil)
-	h2.End(nil)
+	tr.Finish(h2, cost.SolveReport{})
 	select {
 	case e := <-sub.C():
 		t.Fatalf("closed subscription received %+v", e)
@@ -393,7 +392,7 @@ func TestTrackerMetricsSurviveLint(t *testing.T) {
 	tr := New(Config{Registry: reg})
 	h := tr.Begin(tracedCtx("tM"), "analyze", "k", nil)
 	tr.check(time.Now())
-	h.End(nil)
+	tr.Finish(h, cost.SolveReport{})
 	snap := reg.Snapshot()
 	if problems := snap.LintMetrics(); len(problems) != 0 {
 		t.Fatalf("metrics lint: %v", problems)

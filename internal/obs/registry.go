@@ -2,8 +2,8 @@
 // metrics registry (counters, gauges, timers, log-bucketed histograms)
 // with snapshot APIs (aligned text, JSON, Prometheus text exposition), a
 // Tracer interface with a JSON-lines sink for structured solver events
-// (spans, per-iteration residuals, multigrid level visits, Monte Carlo
-// worker progress), an always-on FlightRecorder ring holding the most
+// (spans, per-iteration residuals, per-level multigrid work on the
+// solve's closing span, Monte Carlo worker progress), an always-on FlightRecorder ring holding the most
 // recent events for postmortem dumps, and the Run: the one per-solve
 // handle, carried in the solve's context, that stamps the request's
 // trace identity onto events and routes a solver's reports to the event

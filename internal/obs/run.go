@@ -156,16 +156,16 @@ const (
 // per-iteration calls are allocation-free; without a run they only check
 // the context.
 type Probe struct {
-	ctx     context.Context
-	run     *Run
-	name    string
-	unit    Unit
-	point   string
-	pool    *spmat.Pool
-	stats0  spmat.PoolStats
-	endSpan func()
-	last    int // iteration index of the previous report
-	work    Work
+	ctx    context.Context
+	run    *Run
+	name   string
+	unit   Unit
+	point  string
+	pool   *spmat.Pool
+	stats0 spmat.PoolStats
+	start  time.Time // when the span opened; zero without a sink
+	last   int       // iteration index of the previous report
+	work   Work
 }
 
 // Begin looks up the run ctx carries and opens a span named name around
@@ -175,9 +175,14 @@ type Probe struct {
 // meter is charged with.
 func Begin(ctx context.Context, name string, unit Unit, point string, pool *spmat.Pool) Probe {
 	p := Probe{ctx: ctx, run: RunFrom(ctx), name: name, unit: unit, point: point, pool: pool}
-	p.endSpan = p.run.Span(name)
-	if p.run != nil && p.run.Meter != nil {
-		p.stats0 = pool.Stats()
+	if r := p.run; r != nil {
+		if r.Sink != nil {
+			p.start = time.Now()
+			r.Emit(Event{T: p.start.UnixNano(), Kind: "span_start", Name: name})
+		}
+		if r.Meter != nil {
+			p.stats0 = pool.Stats()
+		}
 	}
 	return p
 }
@@ -208,14 +213,6 @@ func (p *Probe) Iter(iter int, residual float64) error {
 	return p.check()
 }
 
-// Level emits one multigrid level-visit event of the given cycle.
-func (p *Probe) Level(cycle, level, size int) {
-	if p.run == nil || p.run.Sink == nil {
-		return
-	}
-	p.run.Emit(Event{T: time.Now().UnixNano(), Kind: "level", Name: p.name, Iter: cycle, Level: level, Size: size})
-}
-
 // Progress emits one worker-progress event under name and, like Iter,
 // returns the context's error or the injected fault.
 func (p *Probe) Progress(name string, worker int, done, total int64) error {
@@ -239,16 +236,25 @@ func (p *Probe) check() error {
 	return nil
 }
 
-// End closes the span and adds the probe's work to the run's meter: the
-// iterations it saw and its pool's kernel delta, plus whatever the
-// solver puts in w (workspace, per-level attribution).
+// End adds the probe's work to the run's meter — the iterations it saw
+// and its pool's kernel delta, plus whatever the solver puts in w
+// (workspace, per-level attribution) — and closes the span: the span_end
+// carries w.Levels, so a traced multigrid solve states its per-level
+// work once, on its closing event.
 func (p *Probe) End(w Work) {
-	if r := p.run; r != nil && r.Meter != nil {
+	r := p.run
+	if r == nil {
+		return
+	}
+	if r.Meter != nil {
 		w.Cycles += p.work.Cycles
 		w.Sweeps += p.work.Sweeps
 		w.Restarts += p.work.Restarts
 		w.Pool = p.pool.Stats().Sub(p.stats0)
 		r.Meter.AddWork(w)
 	}
-	p.endSpan()
+	if r.Sink != nil {
+		end := time.Now()
+		r.Emit(Event{T: end.UnixNano(), Kind: "span_end", Name: p.name, DurNS: int64(end.Sub(p.start)), Levels: w.Levels})
+	}
 }

@@ -12,9 +12,9 @@ import (
 // Kinds emitted by this repository:
 //
 //	span_start / span_end  wall-clock span around a named operation
-//	                       (span_end carries DurNS)
+//	                       (span_end carries DurNS; a multigrid solve's
+//	                       span_end also carries its per-level Levels)
 //	iter                   one solver iteration: Iter, Residual
-//	level                  one multigrid level visit: Iter (cycle), Level, Size
 //	progress               Monte Carlo worker progress: Worker, Done, Total
 //	solve_start/solve_end  one tracked solve's lifetime (obs/progress);
 //	                       solve_end carries the final Iter/Residual and,
@@ -34,15 +34,15 @@ type Event struct {
 	Iter int `json:"iter,omitempty"`
 	// Residual is the convergence measure after this iteration.
 	Residual float64 `json:"residual,omitempty"`
-	// Level and Size describe a multigrid level visit.
-	Level int `json:"level,omitempty"`
-	Size  int `json:"size,omitempty"`
 	// Worker, Done, and Total describe simulation progress.
 	Worker int   `json:"worker,omitempty"`
 	Done   int64 `json:"done,omitempty"`
 	Total  int64 `json:"total,omitempty"`
 	// DurNS is the span duration (span_end only).
 	DurNS int64 `json:"dur_ns,omitempty"`
+	// Levels is a multigrid solve's per-level work, finest first
+	// (span_end only): the visits and smoothing time its meter sums.
+	Levels []LevelStat `json:"levels,omitempty"`
 	// Trace is the request-scoped trace ID the event belongs to; Parent
 	// is the root span ID of the request or job that initiated the solve.
 	// The emitting Run stamps both; they stay empty (and absent from the

@@ -107,7 +107,6 @@ func TestStampFromContextDisabledZeroAlloc(t *testing.T) {
 		run.Emit(Event{Kind: "iter", Iter: 1})
 		run.Span("solve")()
 		p := Begin(ctx, "multigrid", Cycles, "multigrid.cycle", nil)
-		p.Level(1, 2, 64)
 		_ = p.Iter(7, 1e-9)
 		_ = p.Progress("bitsim", 0, 100, 1000)
 		p.End(Work{})

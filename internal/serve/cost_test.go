@@ -361,19 +361,19 @@ func TestServerRetryPreservesTrace(t *testing.T) {
 	}
 }
 
-// TestServerDropCountersExported pins satellite (a): ring and sink drop
-// counts surface as gauges.
+// TestServerDropCountersExported pins that the finished tail's and the
+// cost sink's drop counts surface as gauges.
 func TestServerDropCountersExported(t *testing.T) {
 	var sink strings.Builder
 	s, ts, reg := newTestServer(t, ServerConfig{
 		CostRingSize: 1,
-		CostLog:      obs.NewJSONL(&sink),
+		Engine:       EngineConfig{CostLog: obs.NewJSONL(&sink)},
 	})
 	for _, spec := range testSpecVariants(t)[:2] {
 		postJSON(t, ts.URL+"/v1/analyze", solveRequest{Spec: spec})
 	}
-	if s.costs.Dropped() < 1 {
-		t.Fatalf("ring dropped = %d, want >= 1 with size-1 ring", s.costs.Dropped())
+	if s.progress.Dropped() < 1 {
+		t.Fatalf("finished tail dropped = %d, want >= 1 with a one-row table", s.progress.Dropped())
 	}
 	snap := reg.Snapshot()
 	if got := snap.Gauges["cost.reports_dropped"]; got < 1 {

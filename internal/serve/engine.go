@@ -60,18 +60,17 @@ type EngineConfig struct {
 	// hook (multigrid.cycle). Nil (the default) disables injection at
 	// zero cost.
 	Faults *faults.Injector
-	// Progress registers every cache-miss solve with the live progress
-	// tracker: the solve's run events additionally feed a per-solve
-	// record (phase, iteration, residual, ETA) that the watchdog
-	// classifies and /debug/progress serves. Nil (the default) disables
-	// tracking at zero cost.
+	// Progress is the per-solve table every cache-miss solve reports to:
+	// while it runs, its run events feed a live row (phase, iteration,
+	// residual, ETA) that the watchdog classifies and /debug/progress
+	// serves; when it ends, its SolveReport closes the row into the
+	// finished tail behind /debug/solves and the X-Solve-Cost-* headers.
+	// Nil (the default) disables the table at zero cost; the per-endpoint
+	// cost histograms still reach Registry.
 	Progress *progress.Tracker
-	// Costs receives one SolveReport per cache-miss solve (the backing
-	// store of /debug/solves and the X-Solve-Cost-* headers). Nil skips
-	// the ring but the per-endpoint histograms still reach Registry.
-	Costs *cost.Ring
 	// CostLog optionally mirrors every SolveReport to a JSONL sink for
-	// offline analysis. Nil disables the sink.
+	// offline analysis; the server exports its drop count as
+	// cost.log_dropped. Nil disables the sink.
 	CostLog *obs.JSONL
 }
 
@@ -254,19 +253,20 @@ func shortKey(key string) string {
 }
 
 // solve runs one cache-miss solve under its own run handle: it takes a
-// solve slot, registers the solve with the progress tracker, and runs
-// body with a context carrying the run — the engine's event sink tee'd
-// with the solve's progress handle, meter, and the fault hook. That
-// context is cancelable by the watchdog (armed only under
-// cancel-on-stall). Everything body does, refinements included, thus
-// runs inside the slot and is watched, metered and canceled as one
-// solve. body returns the model it built (nil if it failed before), for
-// the cost report filed when the solve ends.
+// solve slot, opens the solve's row in the progress table, and runs body
+// with a context carrying the run — the engine's event sink tee'd with
+// the row's handle, meter, and the fault hook. That context is
+// cancelable by the watchdog (armed only under cancel-on-stall).
+// Everything body does, refinements included, thus runs inside the slot
+// and is watched, metered and canceled as one solve. body returns the
+// model it built (nil if it failed before), for the cost report that
+// closes the row when the solve ends.
 func (e *Engine) solve(ctx context.Context, endpoint, key string,
 	body func(ctx context.Context, run *obs.Run) (*core.Model, []byte, error)) (out []byte, err error) {
 	meter := cost.NewMeter()
 	var m *core.Model
-	defer func() { e.recordCost(ctx, meter, endpoint, key, m, err) }()
+	var h *progress.Handle
+	defer func() { e.finish(ctx, h, meter, endpoint, key, m, err) }()
 	if err := e.acquire(ctx); err != nil {
 		return nil, err
 	}
@@ -276,12 +276,9 @@ func (e *Engine) solve(ctx context.Context, endpoint, key string,
 	if e.cfg.Progress != nil {
 		var cancel context.CancelFunc
 		sctx, cancel = context.WithCancel(ctx)
-		h := e.cfg.Progress.Begin(sctx, endpoint, shortKey(key), cancel)
+		defer cancel()
+		h = e.cfg.Progress.Begin(sctx, endpoint, shortKey(key), cancel)
 		run.Sink = obs.Tee(e.cfg.Tracer, h)
-		defer func() {
-			h.End(err)
-			cancel()
-		}()
 	}
 	sctx = obs.WithRun(sctx, run)
 	if ferr := e.cfg.Faults.FireCtx(sctx, "engine.solve"); ferr != nil {
@@ -369,12 +366,14 @@ func (e *Engine) analyze(ctx context.Context, run *obs.Run, team *spmat.Pool, sp
 	return m, a, nil
 }
 
-// recordCost closes a solve's meter and fans the report out to the ring,
-// the registry histograms, and the JSONL sink. m may be nil (build
-// failed); err annotates failed solves. The report's trace identity
-// comes from the context the solve actually ran under, so async jobs
-// carry their submitter's trace ID even across retries.
-func (e *Engine) recordCost(ctx context.Context, meter *cost.Meter, endpoint, key string, m *core.Model, err error) {
+// finish closes a solve's meter and files the report in one place: it
+// closes the solve's row in the progress table (h is nil when the solve
+// failed before it got a slot), folds it into the registry histograms
+// and writes it to the JSONL sink. m may be nil (build failed); err
+// annotates failed solves. The report's trace identity comes from the
+// context the solve actually ran under, so async jobs carry their
+// submitter's trace ID even across retries.
+func (e *Engine) finish(ctx context.Context, h *progress.Handle, meter *cost.Meter, endpoint, key string, m *core.Model, err error) {
 	rep := meter.Finish()
 	rep.Endpoint = endpoint
 	rep.SpecKey = key
@@ -397,13 +396,10 @@ func (e *Engine) recordCost(ctx context.Context, meter *cost.Meter, endpoint, ke
 	if err != nil {
 		rep.Err = err.Error()
 	}
-	e.cfg.Costs.Add(rep)
+	e.cfg.Progress.Finish(h, rep)
 	cost.Aggregate(e.reg, rep)
 	e.cfg.CostLog.Encode(rep)
 }
-
-// Costs exposes the engine's report ring (for the HTTP layer).
-func (e *Engine) Costs() *cost.Ring { return e.cfg.Costs }
 
 func slipBody(m *core.Model, a *core.Analysis) (SlipBody, error) {
 	flux, err := m.SlipStats(a.Pi)

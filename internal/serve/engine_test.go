@@ -227,7 +227,7 @@ func TestAnalyzeCancelStopsWithinOneCycle(t *testing.T) {
 	}
 	maxCycle := 0
 	for _, e := range tracer.Events() {
-		if (e.Kind == "iter" || e.Kind == "level") && e.Iter > maxCycle {
+		if e.Kind == "iter" && e.Iter > maxCycle {
 			maxCycle = e.Iter
 		}
 	}

@@ -60,8 +60,8 @@ type JobView struct {
 	// layer at poll time while the job runs.
 	Progress *progress.SolveProgress `json:"progress,omitempty"`
 	// Cost is the SolveReport of the job's solve, attached by the HTTP
-	// layer at poll time for terminal jobs whose report is still retained
-	// in the cost ring (matched by TraceID).
+	// layer at poll time for terminal jobs whose report the progress
+	// table's finished tail still keeps (matched by TraceID).
 	Cost *cost.SolveReport `json:"cost,omitempty"`
 }
 

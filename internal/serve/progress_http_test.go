@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cdrstoch/internal/core"
 	"cdrstoch/internal/obs"
 	"cdrstoch/internal/obs/progress"
 )
@@ -129,6 +130,110 @@ func TestJobEventsSSE(t *testing.T) {
 	}
 	if done.QueuedAt == "" || done.StartedAt == "" {
 		t.Fatalf("terminal view missing timestamps: queued_at=%q started_at=%q", done.QueuedAt, done.StartedAt)
+	}
+}
+
+// TestJobEventsFramesNamedByKind pins the SSE frame names: each frame is
+// named by its event's kind, so an "iter" frame always carries an iter
+// event and the solve's spans arrive as "span_start" / "span_end" frames,
+// the multigrid span_end carrying the solve's per-level work.
+func TestJobEventsFramesNamedByKind(t *testing.T) {
+	_, url, _ := newChaosServer(t, "jobs.dequeue:delay:ms=150:n=1", ServerConfig{EventsHeartbeat: 20 * time.Millisecond})
+	resp, body := postJSON(t, url+"/v1/analyze", solveRequest{Spec: testSpec(t), Async: true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var view JobView
+	if err := json.Unmarshal(body, &view); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.Get(url + "/v1/jobs/" + view.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	frames, _ := readSSE(t, stream, 30*time.Second, func(f sseFrame) bool { return f.Event == "done" })
+
+	count := map[string]int{}
+	var levels []obs.LevelStat
+	for _, f := range frames {
+		count[f.Event]++
+		if f.Event == "job" || f.Event == "done" {
+			continue
+		}
+		var e obs.Event
+		if err := json.Unmarshal(f.Data, &e); err != nil {
+			t.Fatalf("unparseable %s frame %s: %v", f.Event, f.Data, err)
+		}
+		want := map[string]string{"solve_start": "start", "solve_end": "progress"}[e.Kind]
+		if want == "" {
+			want = e.Kind
+		}
+		if f.Event != want {
+			t.Fatalf("%s frame carries a %s event: %s", f.Event, e.Kind, f.Data)
+		}
+		if e.Kind == "span_end" && e.Name == "multigrid" {
+			levels = e.Levels
+		}
+	}
+	if count["iter"] == 0 || count["span_start"] == 0 || count["span_end"] != count["span_start"] || count["done"] != 1 {
+		t.Fatalf("frame counts = %v", count)
+	}
+	if len(levels) == 0 || levels[0].Visits != count["iter"] {
+		t.Fatalf("multigrid span_end levels %+v for %d iter frames", levels, count["iter"])
+	}
+}
+
+// TestJobTraceHoldsWholeSolves pins what a job's trace and the flight
+// recorder keep of explicit solves: with one event per cycle and the
+// per-level work on the solve's closing span, two DefaultSpec-family jobs
+// fit the default flight ring with nothing dropped, and each job's trace
+// runs from its build span through every cycle to the multigrid span_end.
+func TestJobTraceHoldsWholeSolves(t *testing.T) {
+	_, ts, _ := newTestServer(t, ServerConfig{})
+	other := core.DefaultSpec()
+	other.TransitionDensity = 0.4
+	var ids []string
+	for _, spec := range []core.Spec{core.DefaultSpec(), other} {
+		ids = append(ids, submitAsync(t, ts.URL, solveRequest{Spec: spec, Backend: backendExplicit}))
+	}
+	for _, id := range ids {
+		v := pollJob(t, ts.URL, id)
+		if v.Status != StatusDone {
+			t.Fatalf("job %s ended %s: %s", id, v.Status, v.Error)
+		}
+		var b AnalyzeBody
+		if err := json.Unmarshal(v.Result, &b); err != nil {
+			t.Fatal(err)
+		}
+		_, body := getJSON(t, ts.URL+"/v1/jobs/"+id+"/trace")
+		var jt jobTraceBody
+		if err := json.Unmarshal(body, &jt); err != nil {
+			t.Fatal(err)
+		}
+		if len(jt.Events) == 0 || jt.Events[0].Kind != "span_start" || jt.Events[0].Name != "serve.build" {
+			t.Fatalf("job %s trace does not start with its serve.build span: %d events", id, len(jt.Events))
+		}
+		iters, visits := 0, -1
+		for _, e := range jt.Events {
+			switch {
+			case e.Kind == "iter":
+				iters++
+			case e.Kind == "span_end" && e.Name == "multigrid" && len(e.Levels) > 0:
+				visits = e.Levels[0].Visits
+			}
+		}
+		if iters != b.Cycles || visits != b.Cycles {
+			t.Errorf("job %s: %d iter events, multigrid span_end level-0 visits %d, body cycles %d", id, iters, visits, b.Cycles)
+		}
+	}
+	_, body := getJSON(t, ts.URL+"/debug/flight")
+	var fb flightBody
+	if err := json.Unmarshal(body, &fb); err != nil {
+		t.Fatal(err)
+	}
+	if fb.Dropped != 0 {
+		t.Errorf("flight recorder dropped %d events of two solves", fb.Dropped)
 	}
 }
 

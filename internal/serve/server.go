@@ -62,12 +62,9 @@ type ServerConfig struct {
 	// JobRetryBase is the first retry backoff; attempt k waits a
 	// jittered JobRetryBase·2^k. Default 25ms.
 	JobRetryBase time.Duration
-	// CostRingSize bounds the in-memory SolveReport ring behind
-	// /debug/solves. Default cost.DefaultRingSize.
+	// CostRingSize bounds the progress table's tail of finished rows,
+	// the SolveReports behind /debug/solves. Default progress.DefaultKeep.
 	CostRingSize int
-	// CostLog optionally mirrors every SolveReport to a JSONL sink for
-	// offline analysis; its drop counter is exported as cost.log_dropped.
-	CostLog *obs.JSONL
 	// StallWindow is the watchdog's staleness window: a solve with no
 	// events or no residual improvement for this long is classified
 	// stalled. Default 10s.
@@ -124,7 +121,6 @@ type Server struct {
 	jobs     *Jobs
 	reg      *obs.Registry
 	flight   *obs.FlightRecorder
-	costs    *cost.Ring
 	progress *progress.Tracker
 }
 
@@ -136,19 +132,12 @@ func NewServer(cfg ServerConfig) *Server {
 	// when nothing else is listening.
 	flight := obs.NewFlightRecorder(cfg.FlightSize)
 	cfg.Engine.Tracer = obs.Tee(flight, cfg.Engine.Tracer)
-	costs := cfg.Engine.Costs
-	if costs == nil {
-		costs = cost.NewRing(cfg.CostRingSize)
-		cfg.Engine.Costs = costs
-	}
-	if cfg.Engine.CostLog == nil {
-		cfg.Engine.CostLog = cfg.CostLog
-	}
-	// The progress tracker watches every cache-miss solve; its watchdog
-	// events land in the flight recorder, the postmortem trail that
-	// /debug/progress also reads its watchdog tail from. It must exist
-	// before the engine so the engine can put per-solve handles in each
-	// solve's run sink.
+	// The progress tracker is the per-solve table: it watches every
+	// cache-miss solve and keeps its report once it finishes. Its
+	// watchdog events land in the flight recorder, the postmortem trail
+	// that /debug/progress also reads its watchdog tail from. It must
+	// exist before the engine so the engine can put per-solve handles in
+	// each solve's run sink.
 	prog := progress.New(progress.Config{
 		Registry:      cfg.Registry,
 		Out:           flight,
@@ -157,6 +146,7 @@ func NewServer(cfg ServerConfig) *Server {
 		Interval:      cfg.WatchdogInterval,
 		DivergeChecks: cfg.DivergeChecks,
 		CancelOnStall: cfg.CancelOnStall,
+		Keep:          cfg.CostRingSize,
 	})
 	cfg.Engine.Progress = prog
 	s := &Server{
@@ -164,7 +154,6 @@ func NewServer(cfg ServerConfig) *Server {
 		engine:   NewEngine(cfg.Engine),
 		reg:      cfg.Registry,
 		flight:   flight,
-		costs:    costs,
 		progress: prog,
 		jobs: NewJobsConfig(JobsConfig{
 			Workers:   cfg.Workers,
@@ -181,7 +170,7 @@ func NewServer(cfg ServerConfig) *Server {
 	s.reg.Gauge("process.start_time_unix_seconds").Set(float64(buildinfo.StartTime().Unix()))
 	s.reg.GaugeFunc("process.uptime_seconds", func() float64 { return buildinfo.Uptime().Seconds() })
 	s.reg.GaugeFunc("obs.flight_dropped", func() float64 { return float64(flight.Dropped()) })
-	s.reg.GaugeFunc("cost.reports_dropped", func() float64 { return float64(costs.Dropped()) })
+	s.reg.GaugeFunc("cost.reports_dropped", func() float64 { return float64(prog.Dropped()) })
 	if cl := cfg.Engine.CostLog; cl != nil {
 		s.reg.GaugeFunc("cost.log_dropped", func() float64 { return float64(cl.Dropped()) })
 	}
@@ -477,12 +466,25 @@ func (s *Server) handleSolve(name string, solve func(context.Context, core.Spec,
 	}
 }
 
+// report returns the newest finished row filed under trace, or false
+// when the table keeps none.
+func (s *Server) report(trace string) (cost.SolveReport, bool) {
+	if trace == "" {
+		return cost.SolveReport{}, false
+	}
+	reps := s.progress.Finished(cost.Filter{Trace: trace, Limit: 1})
+	if len(reps) == 0 {
+		return cost.SolveReport{}, false
+	}
+	return reps[0], true
+}
+
 // setCostHeaders stamps the X-Solve-Cost-* response headers from the
-// solve's SolveReport (matched by the request's trace ID in the cost
-// ring). Cache hits only carry the cache disposition — their body came
-// from an earlier solve whose cost was attributed then. A miss served
-// through singleflight sharing has no report under this trace either;
-// it degrades to the disposition header the same way.
+// solve's SolveReport (matched by the request's trace ID among the
+// finished rows). Cache hits only carry the cache disposition — their
+// body came from an earlier solve whose cost was attributed then. A miss
+// served through singleflight sharing has no report under this trace
+// either; it degrades to the disposition header the same way.
 func (s *Server) setCostHeaders(w http.ResponseWriter, r *http.Request, cached bool) {
 	h := w.Header()
 	if cached {
@@ -491,7 +493,7 @@ func (s *Server) setCostHeaders(w http.ResponseWriter, r *http.Request, cached b
 	}
 	h.Set("X-Solve-Cost-Cache", "miss")
 	trace, _ := obs.TraceFromContext(r.Context())
-	rep, ok := s.costs.LatestByTrace(trace)
+	rep, ok := s.report(trace)
 	if !ok {
 		return
 	}
@@ -510,7 +512,7 @@ func (s *Server) setCostHeaders(w http.ResponseWriter, r *http.Request, cached b
 // the last point actually solved under this trace.
 func (s *Server) setWarmstartHeader(w http.ResponseWriter, r *http.Request) {
 	trace, _ := obs.TraceFromContext(r.Context())
-	if rep, ok := s.costs.LatestByTrace(trace); ok && rep.WarmStarted {
+	if rep, ok := s.report(trace); ok && rep.WarmStarted {
 		w.Header().Set("X-Solve-Cost-Warmstart", "1")
 	}
 }
@@ -571,13 +573,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, body, false)
 }
 
-// jobView resolves a job's current view, enriched with what the
-// observability layers know about it: terminal jobs carry their solve's
-// cost report (when the ring still retains it — the job layer preserved
-// the submitter's trace ID across retries, so the lookup matches even
-// for retried jobs, and the view's retry count is copied onto the
-// report), running jobs carry the live progress of their in-flight
-// solve (phase, iteration, residual, watchdog state, ETA).
+// jobView resolves a job's current view, enriched with its row in the
+// progress table: terminal jobs carry their solve's cost report (when
+// the finished tail still keeps it — the job layer preserved the
+// submitter's trace ID across retries, so the lookup matches even for
+// retried jobs, and the view's retry count is copied onto the report),
+// running jobs carry the live progress of their in-flight solve (phase,
+// iteration, residual, watchdog state, ETA).
 func (s *Server) jobView(id string) (JobView, bool) {
 	view, ok := s.jobs.Get(id)
 	if !ok {
@@ -585,7 +587,7 @@ func (s *Server) jobView(id string) (JobView, bool) {
 	}
 	switch view.Status {
 	case StatusDone, StatusFailed:
-		if rep, ok := s.costs.LatestByTrace(view.TraceID); ok {
+		if rep, ok := s.report(view.TraceID); ok {
 			rep.Retries = view.Retries
 			rep.Cached = view.Cached
 			view.Cost = &rep
@@ -689,18 +691,18 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 }
 
 // solvesBody is the /debug/solves JSON response: the matching
-// SolveReports, newest first, plus ring-level loss accounting.
+// SolveReports, newest first, plus the finished tail's loss accounting.
 type solvesBody struct {
 	Count   int                `json:"count"`
 	Dropped uint64             `json:"dropped"`
 	Reports []cost.SolveReport `json:"reports"`
 }
 
-// handleSolves serves the SolveReport ring: the per-solve cost records
-// of recent solves, filterable by trace ID (?trace=), spec key (?spec=),
-// endpoint (?endpoint=), and minimum wall time (?min_ms=), newest first,
-// capped by ?limit=. Accept: text/plain renders the human cost table
-// (sorted by CPU time); everything else gets JSON.
+// handleSolves serves the progress table's finished rows: the per-solve
+// cost records of recent solves, filterable by trace ID (?trace=), spec
+// key (?spec=), endpoint (?endpoint=), and minimum wall time (?min_ms=),
+// newest first, capped by ?limit=. Accept: text/plain renders the human
+// cost table (sorted by CPU time); everything else gets JSON.
 func (s *Server) handleSolves(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	f := cost.Filter{
@@ -712,7 +714,7 @@ func (s *Server) handleSolves(w http.ResponseWriter, r *http.Request) {
 	if minMS, err := strconv.ParseFloat(q.Get("min_ms"), 64); err == nil && minMS > 0 {
 		f.MinWall = time.Duration(minMS * float64(time.Millisecond))
 	}
-	reports := s.costs.Reports(f)
+	reports := s.progress.Finished(f)
 	if acceptsPrometheus(r.Header.Get("Accept")) {
 		// text/plain: the same human table cdrreport -top renders.
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -726,7 +728,7 @@ func (s *Server) handleSolves(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, solvesBody{
 		Count:   len(reports),
-		Dropped: s.costs.Dropped(),
+		Dropped: s.progress.Dropped(),
 		Reports: reports,
 	})
 }

@@ -18,12 +18,14 @@ import (
 const sseSubBuffer = 1024
 
 // handleJobEvents streams a job's live solve events as Server-Sent
-// Events: one "start" per tracked solve, "iter" for raw solver
-// iterations, "progress" when a solve finishes (one per sweep point on
-// batched sweeps), "watchdog" for stall/divergence verdicts, and a
-// terminal "done" carrying the final JobView. Heartbeat comments keep
-// idle connections alive; a disconnected client tears the stream down
-// at the next event or heartbeat.
+// Events: one "start" per tracked solve, "span_start" and "span_end"
+// around its stages (serve.build, serve.solve, the solver's own span,
+// whose multigrid span_end carries the per-level work), "iter" for raw
+// solver iterations, "progress" when a solve finishes (one per sweep
+// point on batched sweeps), "watchdog" for stall/divergence verdicts,
+// and a terminal "done" carrying the final JobView. Heartbeat comments
+// keep idle connections alive; a disconnected client tears the stream
+// down at the next event or heartbeat.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.jobView(r.PathValue("id"))
 	if !ok {
@@ -105,17 +107,17 @@ func terminalStatus(status string) bool {
 	return status == StatusDone || status == StatusFailed || status == StatusCanceled
 }
 
-// sseEventName maps tracker event kinds onto SSE event names.
+// sseEventName names an SSE frame by its event's kind, except the
+// tracker's lifecycle events: solve_start is framed "start" and
+// solve_end "progress".
 func sseEventName(e obs.Event) string {
 	switch e.Kind {
 	case "solve_start":
 		return "start"
 	case "solve_end":
 		return "progress"
-	case "watchdog":
-		return "watchdog"
 	}
-	return "iter"
+	return e.Kind
 }
 
 // writeSSE emits one SSE frame. Encoding failures are unrepresentable
