@@ -2,10 +2,10 @@
 # ci.sh — the tier-1+ gate for cdrstoch.
 #
 # Tier 1 (the seed's contract) is `go build ./... && go test ./...`.
-# This script is the stricter gate run before merging: it adds vet, the
-# race detector, and a one-iteration benchmark smoke so the benchmark
-# harness (and the BenchmarkStationary allocation baseline for the obs
-# layer) cannot silently rot. Run it from the repository root:
+# This script is the stricter gate run before merging: it adds gofmt,
+# vet, the race detector, and a one-iteration benchmark smoke so the
+# benchmark harness (and the BenchmarkStationary allocation baseline for
+# the obs layer) cannot silently rot. Run it from the repository root:
 #
 #     ./ci.sh
 #
@@ -58,6 +58,14 @@ if [ "${1:-}" = "chaos" ]; then
     chaos_stage
     echo "== ci.sh: chaos gate passed =="
     exit 0
+fi
+
+echo "== gofmt (the tree, bench/ included, is gofmt-clean) =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "ci.sh: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
 fi
 
 echo "== go vet =="
@@ -128,10 +136,11 @@ run_tests 'TestShuffleProductsAllocFree' -count=1 ./internal/kron
 run_tests 'TestKronSolverAllocsDoNotScaleWithCycles|TestCoarsestFallbackAllocFree|TestWorkspaceBytesMatchesRetainedHeap' \
     -count=1 ./internal/multigrid
 
-echo "== benchmark harness unit tests (bench/ builds against the library) =="
+echo "== benchmark harness vet and unit tests (bench/ builds against the library) =="
 # bench/ is its own module (replace cdrstoch => ../), so ./... above never
-# compiles it; this stage catches a library API change that breaks it.
-(cd bench && go test -short -count=1 .)
+# compiles or vets it; this stage catches a library API change that
+# breaks it.
+(cd bench && go vet . && go test -short -count=1 .)
 
 echo "== bench smoke (1 iteration per benchmark) =="
 go test -run '^$' -bench 'BenchmarkStationary|BenchmarkFig3MatrixForm' \

@@ -68,7 +68,7 @@ func main() {
 	stallWindow := fs.Duration("stall-window", 0, "watchdog staleness window: no events or residual improvement for this long marks a solve stalled (0 = default 10s)")
 	wdInterval := fs.Duration("watchdog-interval", 0, "watchdog check cadence (0 = default 1s)")
 	divergeChecks := fs.Int("diverge-checks", 0, "consecutive residual-growth checks before a solve is classified diverging (0 = default 3)")
-	cancelOnStall := fs.Bool("cancel-on-stall", false, "let the watchdog cancel stalled/diverging solves so job retry kicks in sooner")
+	cancelOnStall := fs.Bool("cancel-on-stall", false, "let the watchdog cancel stalled/diverging solves; the job then ends canceled, without retry")
 	version := fs.Bool("version", false, "print build attribution and exit")
 	app.Parse(os.Args[1:])
 	if *version {

@@ -11,7 +11,7 @@
 //
 //   - internal/core       — the CDR stochastic model (the paper's contribution)
 //   - internal/markov     — Markov-chain analysis, classical solvers, GMRES,
-//     transient/survival analysis, spectra, censoring, sensitivities
+//     transient/survival analysis, spectra, the group inverse
 //   - internal/multigrid  — the multilevel aggregation solver
 //   - internal/lump       — partitions, lumping, aggregation operators
 //   - internal/kron       — Kronecker (stochastic automata network) backend
@@ -21,7 +21,6 @@
 //   - internal/passage    — first-passage, cycle-slip and quasi-stationary analysis
 //   - internal/pllsim     — charge-pump PLL clock-jitter substrate
 //   - internal/bitsim     — Monte Carlo baseline (serial and parallel)
-//   - internal/pdd        — probability decision diagrams (vector compression)
 //   - internal/freqloop   — second-order (phase + frequency) loop extension
 //   - internal/regime     — Markov-modulated noise regimes (interference bursts)
 //   - internal/experiments — calibrated figure configurations and studies

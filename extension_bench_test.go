@@ -1,9 +1,9 @@
 package cdrstoch
 
 // Benchmarks for the model extensions beyond the paper's figures:
-// second-order loops, regime modulation, censored chains, spectral
-// estimation, decision-diagram compression and the parallel Monte Carlo
-// runner. Indexed in DESIGN.md alongside the ablations.
+// second-order loops, regime modulation, spectral estimation and the
+// parallel Monte Carlo runner. Indexed in DESIGN.md alongside the
+// ablations.
 
 import (
 	"testing"
@@ -14,7 +14,6 @@ import (
 	"cdrstoch/internal/experiments"
 	"cdrstoch/internal/freqloop"
 	"cdrstoch/internal/multigrid"
-	"cdrstoch/internal/pdd"
 	"cdrstoch/internal/regime"
 )
 
@@ -91,28 +90,6 @@ func BenchmarkRegimeSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkCensor measures the stochastic-complement reduction of the
-// Fig-5 model onto its zero-counter slice.
-func BenchmarkCensor(b *testing.B) {
-	m := buildOrFatal(b, experiments.Fig5Spec(2))
-	ch, err := m.Chain()
-	if err != nil {
-		b.Fatal(err)
-	}
-	watched := make([]bool, m.NumStates())
-	for d := 0; d < m.D; d++ {
-		for mi := 0; mi < m.M; mi++ {
-			watched[m.StateIndex(d, m.Spec.CounterLen-1, mi)] = true
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ch.Censor(watched); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPhaseNoiseSpectrum measures the autocovariance-based spectral
 // estimate at 32 frequencies with a 1024-lag window.
 func BenchmarkPhaseNoiseSpectrum(b *testing.B) {
@@ -130,23 +107,6 @@ func BenchmarkPhaseNoiseSpectrum(b *testing.B) {
 		if _, err := m.PhaseNoiseSpectrum(a.Pi, 1024, freqs); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPDDCompression measures building the decision diagram of a
-// stationary vector at solver-tolerance quantization.
-func BenchmarkPDDCompression(b *testing.B) {
-	p, err := experiments.RunPanel(experiments.Fig4Spec(false))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, err := pdd.FromVector(p.Analysis.Pi, 1e-15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(d.CompressionRatio(), "ratio")
 	}
 }
 

@@ -9,6 +9,7 @@ package cdrstoch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -18,8 +19,6 @@ import (
 	"cdrstoch/internal/dist"
 	"cdrstoch/internal/experiments"
 	"cdrstoch/internal/markov"
-	"cdrstoch/internal/pdd"
-	"cdrstoch/internal/spmat"
 )
 
 func TestEndToEndPipeline(t *testing.T) {
@@ -136,26 +135,17 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("MC %.3e vs analysis %.3e (±%.1e)", mc.BER, a.BER, half)
 	}
 
-	// Serialization round trip of the TPM.
+	// Serialization of the TPM: the MatrixMarket size line counts every
+	// stored entry.
 	var buf bytes.Buffer
 	if err := m.P.WriteMatrixMarket(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := spmat.ReadMatrixMarket(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NNZ() != m.P.NNZ() {
-		t.Fatalf("round trip nnz %d vs %d", back.NNZ(), m.P.NNZ())
-	}
-
-	// Decision-diagram compression of the stationary vector.
-	diag, err := pdd.FromVector(a.Pi, 1e-15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := diag.Sum(); math.Abs(s-1) > 1e-9 {
-		t.Fatalf("diagram mass %g", s)
+	_, rest, _ := strings.Cut(buf.String(), "\n")
+	size, _, _ := strings.Cut(rest, "\n")
+	n := m.NumStates()
+	if want := fmt.Sprintf("%d %d %d", n, n, m.P.NNZ()); size != want {
+		t.Fatalf("MatrixMarket size line %q, want %q", size, want)
 	}
 
 	// Figure-panel rendering produces the paper's annotation format.

@@ -93,7 +93,7 @@ var ErrInjected = errors.New("injected fault")
 
 // Error is the failure an armed error- or panic-mode point produces.
 // Permanent feeds the service's retry taxonomy: transient injected
-// failures (the default) are retryable the way core.ErrUnconverged is,
+// failures (the default) are the only errors an async job retries,
 // permanent ones are not.
 type Error struct {
 	Point     string

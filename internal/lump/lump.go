@@ -1,13 +1,13 @@
-// Package lump implements state-space partitions, lumped (aggregated)
-// Markov chains and lumpability tests — the machinery behind the paper's
-// aggregation/disaggregation acceleration. A partition of the state space
-// induces a coarse process; it is Markov for every initial distribution
-// only under (strong) lumpability, which almost never holds for a
-// non-redundant model. The multigrid solver therefore uses *iterate-
-// weighted* lumping (weak lumpability along the current iterate): the
-// coarse TPM depends on the current fine-level estimate of the stationary
-// vector, exactly as in aggregation/disaggregation methods and the
-// Horton–Leutenegger multilevel algorithm.
+// Package lump implements state-space partitions and lumped (aggregated)
+// Markov chains, the machinery behind the paper's aggregation/disaggregation
+// acceleration. A partition of the state space induces a coarse process; it
+// is Markov for every initial distribution only under (strong) lumpability,
+// which almost never holds for a non-redundant model. The multigrid solver
+// therefore uses *iterate-weighted* lumping (weak lumpability along the
+// current iterate): the coarse TPM depends on the current fine-level
+// estimate of the stationary vector, exactly as in
+// aggregation/disaggregation methods and the Horton–Leutenegger multilevel
+// algorithm.
 package lump
 
 import (
@@ -216,54 +216,4 @@ func Lump(p *spmat.CSR, part *Partition, x []float64) (*spmat.CSR, error) {
 		return nil, fmt.Errorf("lump: coarse TPM not stochastic: %w", err)
 	}
 	return coarse, nil
-}
-
-// IsExactlyLumpable reports whether the partition is strongly lumpable for
-// P: for every block J, the aggregated transition probability into J is
-// constant across the states of each block I (within tol). Strongly
-// lumpable partitions yield a coarse chain that is Markov for every
-// initial distribution — the rare, redundant-model case discussed in the
-// paper.
-func IsExactlyLumpable(p *spmat.CSR, part *Partition, tol float64) (bool, error) {
-	n, m := p.Dims()
-	if n != m || n != part.NumStates() {
-		return false, errors.New("lump: dimension mismatch")
-	}
-	// For each state, compute its aggregated row (distribution over
-	// blocks), then compare within blocks against the block's first state.
-	nb := part.NumBlocks()
-	ref := make(map[int][]float64, nb) // block -> aggregated row of first member
-	rowAgg := make([]float64, nb)
-	touched := make([]int, 0, 16)
-	for i := 0; i < n; i++ {
-		for _, b := range touched {
-			rowAgg[b] = 0
-		}
-		touched = touched[:0]
-		cols, vals := p.Row(i)
-		for k, j := range cols {
-			b := part.blockOf[j]
-			if rowAgg[b] == 0 && vals[k] != 0 {
-				touched = append(touched, b)
-			}
-			rowAgg[b] += vals[k]
-		}
-		bi := part.blockOf[i]
-		if r, ok := ref[bi]; ok {
-			for b := 0; b < nb; b++ {
-				d := rowAgg[b] - r[b]
-				if d < 0 {
-					d = -d
-				}
-				if d > tol {
-					return false, nil
-				}
-			}
-		} else {
-			cp := make([]float64, nb)
-			copy(cp, rowAgg)
-			ref[bi] = cp
-		}
-	}
-	return true, nil
 }

@@ -198,59 +198,6 @@ func TestLumpErrors(t *testing.T) {
 	}
 }
 
-func TestIsExactlyLumpableSymmetricChain(t *testing.T) {
-	// A chain symmetric under swapping states {0,1}: lumping {0,1} vs {2}
-	// is exact.
-	p := csrFromRows(t, [][]float64{
-		{0.2, 0.3, 0.5},
-		{0.3, 0.2, 0.5},
-		{0.25, 0.25, 0.5},
-	})
-	part, _ := NewPartition([]int{0, 0, 1})
-	ok, err := IsExactlyLumpable(p, part, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("symmetric lumping not detected")
-	}
-}
-
-func TestIsExactlyLumpableRejects(t *testing.T) {
-	p := csrFromRows(t, [][]float64{
-		{0.2, 0.3, 0.5},
-		{0.6, 0.2, 0.2},
-		{0.25, 0.25, 0.5},
-	})
-	part, _ := NewPartition([]int{0, 0, 1})
-	ok, err := IsExactlyLumpable(p, part, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("non-lumpable partition accepted")
-	}
-}
-
-func TestIsExactlyLumpableTrivialPartitions(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := randomStochasticCSR(6, rng)
-	// Identity partition: always lumpable.
-	id := make([]int, 6)
-	for i := range id {
-		id[i] = i
-	}
-	pid, _ := NewPartition(id)
-	if ok, _ := IsExactlyLumpable(p, pid, 1e-12); !ok {
-		t.Error("identity partition must be lumpable")
-	}
-	// Single block: always lumpable (rows sum to 1).
-	one, _ := NewPartition(make([]int, 6))
-	if ok, _ := IsExactlyLumpable(p, one, 1e-9); !ok {
-		t.Error("single-block partition must be lumpable")
-	}
-}
-
 // Property: restriction preserves total mass, and lumping preserves
 // stochasticity for arbitrary iterates.
 func TestQuickLumpInvariants(t *testing.T) {

@@ -1,9 +1,9 @@
 // Package markov provides discrete-time Markov chain analysis over sparse
 // transition probability matrices: structural classification (reachability,
 // irreducibility, period), classical stationary-distribution solvers
-// (power, Jacobi, Gauss–Seidel, SOR), and the state-function statistics the
-// paper derives from the stationary vector (expectations, tail masses and
-// autocorrelations).
+// (power, Jacobi, Gauss–Seidel, GMRES), and the state-function statistics
+// the paper derives from the stationary vector (expectations,
+// autocorrelations and their spectra).
 //
 // The multilevel aggregation solver that accelerates these classical
 // iterations lives in internal/multigrid; the subtraction-free direct GTH
@@ -166,8 +166,6 @@ type Options struct {
 	// x ← α·xP + (1−α)·x; 1 (undamped) by default. Damping below 1 makes
 	// the iteration converge on periodic chains.
 	Damping float64
-	// Omega is the SOR relaxation factor; 1 (Gauss–Seidel) by default.
-	Omega float64
 	// Ctx, when non-nil, is checked after every sweep: a canceled or
 	// expired context stops the solve and the solver returns a
 	// partial-progress error wrapping ctx.Err(). Its run handle
@@ -213,9 +211,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.Damping <= 0 || o.Damping > 1 {
 		o.Damping = 1
-	}
-	if o.Omega <= 0 {
-		o.Omega = 1
 	}
 	return o
 }
@@ -419,8 +414,7 @@ func (c *Chain) stationaryJacobiOp(opt Options, diag []float64) (Result, error) 
 }
 
 // StationaryGaussSeidel computes the stationary distribution with forward
-// Gauss–Seidel sweeps on (I − Pᵀ)x = 0, optionally over-relaxed (SOR) via
-// Options.Omega.
+// Gauss–Seidel sweeps on (I − Pᵀ)x = 0.
 func (c *Chain) StationaryGaussSeidel(opt Options) (Result, error) {
 	if c.p == nil {
 		return Result{}, errors.New("markov: Gauss-Seidel requires an explicit CSR backend")
@@ -440,7 +434,6 @@ func (c *Chain) StationaryGaussSeidel(opt Options) (Result, error) {
 		return Result{}, err
 	}
 	res := Result{}
-	omega := opt.Omega
 	n := c.N()
 	probe := obs.Begin(opt.Ctx, "gauss-seidel", obs.Sweeps, "markov.sweep", pool)
 	defer probe.End(obs.Work{})
@@ -453,8 +446,7 @@ func (c *Chain) StationaryGaussSeidel(opt Options) (Result, error) {
 					s += vals[k] * x[j]
 				}
 			}
-			gs := s / (1 - diag[i])
-			x[i] = (1-omega)*x[i] + omega*gs
+			x[i] = s / (1 - diag[i])
 		}
 		if err := normalize(x); err != nil {
 			return Result{}, err

@@ -139,22 +139,6 @@ func TestJacobiGSRejectAbsorbing(t *testing.T) {
 	}
 }
 
-func TestSORAcceleratesGS(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := randomChain(t, 30, rng)
-	gs, err := c.StationaryGaussSeidel(Options{Tol: 1e-12})
-	if err != nil || !gs.Converged {
-		t.Fatalf("gs: %v", err)
-	}
-	sor, err := c.StationaryGaussSeidel(Options{Tol: 1e-12, Omega: 1.1})
-	if err != nil || !sor.Converged {
-		t.Fatalf("sor: %v", err)
-	}
-	if d := maxAbsDiff(gs.Pi, sor.Pi); d > 1e-9 {
-		t.Errorf("SOR fixed point differs by %g", d)
-	}
-}
-
 func TestX0Validation(t *testing.T) {
 	c := twoState(t, 0.2, 0.3)
 	if _, err := c.StationaryPower(Options{X0: []float64{1, 2, 3}}); err == nil {
@@ -243,26 +227,15 @@ func TestSCCsLargeChainIterative(t *testing.T) {
 	}
 }
 
-func TestExpectationVarianceTail(t *testing.T) {
+func TestExpectation(t *testing.T) {
 	pi := []float64{0.25, 0.25, 0.5}
 	f := []float64{0, 1, 2}
 	mu, err := Expectation(pi, f)
 	if err != nil || math.Abs(mu-1.25) > 1e-15 {
 		t.Fatalf("E = %g err=%v", mu, err)
 	}
-	v, err := Variance(pi, f)
-	if err != nil || math.Abs(v-0.6875) > 1e-15 {
-		t.Fatalf("Var = %g err=%v", v, err)
-	}
-	tm, err := TailMass(pi, []bool{false, false, true})
-	if err != nil || tm != 0.5 {
-		t.Fatalf("tail = %g", tm)
-	}
 	if _, err := Expectation(pi, []float64{1}); err == nil {
 		t.Error("length mismatch accepted")
-	}
-	if _, err := TailMass(pi, []bool{true}); err == nil {
-		t.Error("tail length mismatch accepted")
 	}
 }
 

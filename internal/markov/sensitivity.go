@@ -2,23 +2,16 @@ package markov
 
 import (
 	"errors"
-	"fmt"
 
 	"cdrstoch/internal/spmat"
 )
 
-// Stationary-distribution perturbation analysis via the group inverse.
-// For an ergodic chain with stationary row vector π, the group inverse of
-// A = I − P is A# = (I − P + 1π)⁻¹ − 1π, and a perturbation P → P + E
-// moves the stationary vector (to first order) by
-//
-//	dπ = π·E·A#.
-//
-// This turns "how much does the BER move if the eye jitter grows a
-// little" into a single linear solve instead of a re-build and re-solve —
-// and it exposes which transitions the performance is most sensitive to.
-// Dense O(n³) computation; intended for models up to a few thousand
-// states (use finite differences of full solves beyond that).
+// The group inverse of A = I − P for an ergodic chain with stationary
+// row vector π is A# = (I − P + 1π)⁻¹ − 1π. It solves Poisson's equation:
+// for any state function f, g = A#·f satisfies (I − P)g = f − (πf)·1 and
+// πg = 0. With f the per-state error probabilities, g carries the residual
+// of an approximate π to the error of its BER. Dense O(n³) computation;
+// intended for chains up to a few thousand states.
 
 // GroupInverse returns A# = (I − P + 1π)⁻¹ − 1π as a dense matrix,
 // given the chain's stationary vector π.
@@ -64,62 +57,4 @@ func (c *Chain) GroupInverse(pi []float64) (*spmat.Dense, error) {
 		}
 	}
 	return z, nil
-}
-
-// StationaryDerivative returns dπ = π·E·A# for a perturbation direction E
-// of the TPM (E's rows must sum to zero for P+εE to remain stochastic;
-// this is checked). aSharp must come from GroupInverse on the same chain.
-func (c *Chain) StationaryDerivative(pi []float64, e *spmat.CSR, aSharp *spmat.Dense) ([]float64, error) {
-	n := c.N()
-	er, ec := e.Dims()
-	if er != n || ec != n || len(pi) != n {
-		return nil, errors.New("markov: perturbation dimension mismatch")
-	}
-	for i, s := range e.RowSums() {
-		if s > 1e-9 || s < -1e-9 {
-			return nil, fmt.Errorf("markov: perturbation row %d sums to %g, want 0", i, s)
-		}
-	}
-	// v = π·E (row vector), then dπ = v·A#.
-	v := make([]float64, n)
-	e.VecMul(v, pi)
-	d := make([]float64, n)
-	aSharp.VecMul(d, v)
-	return d, nil
-}
-
-// MeasureSensitivity returns d(πᵀf)/dε for the perturbation P + εE and a
-// state function f: the first-order change of any stationary expectation
-// (a BER, an occupancy, a correction rate) per unit of perturbation.
-func (c *Chain) MeasureSensitivity(pi, f []float64, e *spmat.CSR, aSharp *spmat.Dense) (float64, error) {
-	d, err := c.StationaryDerivative(pi, e, aSharp)
-	if err != nil {
-		return 0, err
-	}
-	if len(f) != len(d) {
-		return 0, errors.New("markov: function length mismatch")
-	}
-	s := 0.0
-	for i := range d {
-		s += d[i] * f[i]
-	}
-	return s, nil
-}
-
-// KemenyConstant returns K = Σ_j π_j·m_ij (the expected time to reach a
-// π-random target), which is famously independent of the start state i.
-// It equals trace(A#) + 1 and measures the chain's overall mixing: for
-// the CDR loop it is the mean number of bits to forget the current loop
-// state. Dense O(n³); small chains only.
-func (c *Chain) KemenyConstant(pi []float64) (float64, error) {
-	aSharp, err := c.GroupInverse(pi)
-	if err != nil {
-		return 0, err
-	}
-	n := c.N()
-	k := 1.0
-	for i := 0; i < n; i++ {
-		k += aSharp.At(i, i)
-	}
-	return k, nil
 }

@@ -48,46 +48,3 @@ func (c *Chain) SpectralDensity(pi, f []float64, maxLag int, freqs []float64) ([
 	}
 	return out, nil
 }
-
-// AsymptoticVariance returns σ²∞ = r(0) + 2·Σ_{k≥1} r(k), the variance
-// constant of the central limit theorem for time averages of f(X_k):
-// Var[(1/n)Σf(X_k)] ≈ σ²∞/n. It quantifies how much a Monte Carlo
-// estimate of E[f] is inflated by the chain's correlation relative to an
-// i.i.d. sampler (the ratio σ²∞/r(0) is the integrated autocorrelation
-// time). The sum is truncated at maxLag, which must exceed the
-// correlation time for an accurate constant.
-func (c *Chain) AsymptoticVariance(pi, f []float64, maxLag int) (float64, error) {
-	if maxLag < 1 {
-		return 0, errors.New("markov: maxLag must be positive")
-	}
-	cov, err := c.Autocovariance(pi, f, maxLag)
-	if err != nil {
-		return 0, err
-	}
-	s := cov[0]
-	for k := 1; k <= maxLag; k++ {
-		s += 2 * cov[k]
-	}
-	if s < 0 {
-		s = 0
-	}
-	return s, nil
-}
-
-// IntegratedAutocorrelationTime returns τ = σ²∞ / r(0) ≥ 0; a Monte Carlo
-// run needs τ× more samples than an i.i.d. one for the same precision on
-// E[f]. Degenerate (constant) f returns an error.
-func (c *Chain) IntegratedAutocorrelationTime(pi, f []float64, maxLag int) (float64, error) {
-	cov, err := c.Autocovariance(pi, f, 0)
-	if err != nil {
-		return 0, err
-	}
-	if cov[0] <= 0 {
-		return 0, errors.New("markov: degenerate function, zero variance")
-	}
-	s, err := c.AsymptoticVariance(pi, f, maxLag)
-	if err != nil {
-		return 0, err
-	}
-	return s / cov[0], nil
-}

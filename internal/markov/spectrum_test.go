@@ -74,59 +74,3 @@ func TestSpectralDensityValidation(t *testing.T) {
 		t.Error("super-Nyquist frequency accepted")
 	}
 }
-
-func TestAsymptoticVarianceTwoState(t *testing.T) {
-	// Exact: σ²∞ = r0·(1+λ)/(1−λ) for geometric autocovariance.
-	a, b := 0.3, 0.2
-	c := twoState(t, a, b)
-	pi := wantTwoState(a, b)
-	f := []float64{0, 1}
-	lambda := 1 - a - b
-	cov, err := c.Autocovariance(pi, f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cov[0] * (1 + lambda) / (1 - lambda)
-	got, err := c.AsymptoticVariance(pi, f, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(got-want) / want; rel > 1e-6 {
-		t.Fatalf("sigma2 = %g, want %g", got, want)
-	}
-	tau, err := c.IntegratedAutocorrelationTime(pi, f, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(tau-(1+lambda)/(1-lambda)) / tau; rel > 1e-6 {
-		t.Fatalf("tau = %g", tau)
-	}
-}
-
-func TestAsymptoticVarianceIIDEqualsVariance(t *testing.T) {
-	c := chainFromRows(t, [][]float64{
-		{0.4, 0.6},
-		{0.4, 0.6},
-	})
-	pi := []float64{0.4, 0.6}
-	f := []float64{3, 7}
-	v, err := Variance(pi, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := c.AsymptoticVariance(pi, f, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s-v) > 1e-10 {
-		t.Fatalf("iid sigma2 %g vs variance %g", s, v)
-	}
-}
-
-func TestIntegratedAutocorrelationDegenerate(t *testing.T) {
-	c := twoState(t, 0.3, 0.2)
-	pi := wantTwoState(0.3, 0.2)
-	if _, err := c.IntegratedAutocorrelationTime(pi, []float64{5, 5}, 10); err == nil {
-		t.Error("constant f accepted")
-	}
-}

@@ -8,9 +8,9 @@ import (
 
 // Statistics of functions defined on the chain's states under a stationary
 // distribution — the quantities the paper derives once η is available:
-// expectations, threshold-exceedance (tail) masses, and autocorrelation
-// sequences (the paper names the autocorrelation of a state function as
-// the canonical follow-on computation after η).
+// expectations and autocorrelation sequences (the paper names the
+// autocorrelation of a state function as the canonical follow-on
+// computation after η).
 
 // Expectation returns Σ_i pi[i]·f[i].
 func Expectation(pi, f []float64) (float64, error) {
@@ -20,35 +20,6 @@ func Expectation(pi, f []float64) (float64, error) {
 	s := 0.0
 	for i, p := range pi {
 		s += p * f[i]
-	}
-	return s, nil
-}
-
-// Variance returns the stationary variance of f.
-func Variance(pi, f []float64) (float64, error) {
-	mu, err := Expectation(pi, f)
-	if err != nil {
-		return 0, err
-	}
-	v := 0.0
-	for i, p := range pi {
-		d := f[i] - mu
-		v += p * d * d
-	}
-	return v, nil
-}
-
-// TailMass returns Σ{pi[i] : indicator[i]} — the probability of the event
-// described by the indicator (e.g. "phase error beyond half a cycle").
-func TailMass(pi []float64, indicator []bool) (float64, error) {
-	if len(pi) != len(indicator) {
-		return 0, errors.New("markov: tail mass length mismatch")
-	}
-	s := 0.0
-	for i, p := range pi {
-		if indicator[i] {
-			s += p
-		}
 	}
 	return s, nil
 }

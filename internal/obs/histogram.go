@@ -101,7 +101,6 @@ type HistogramBucket struct {
 // racing snapshot's Sum may transiently LEAD Count by the in-flight
 // observations (never lag: a counted observation is always in Sum).
 // Once observers quiesce, Sum and the bucket counts agree exactly.
-// Merge operates on snapshot copies and needs no synchronization.
 type HistogramStats struct {
 	Count    int64             `json:"count"`
 	Sum      float64           `json:"sum"`
@@ -127,36 +126,6 @@ func (h *Histogram) Stats() HistogramStats {
 	s.Overflow = h.overflow.Load()
 	s.Count += s.Overflow
 	return s
-}
-
-// Merge returns the combined distribution of s and o. Both sides share
-// the package's fixed bucket layout, so merging is exact: counts add
-// bucket by bucket.
-func (s HistogramStats) Merge(o HistogramStats) HistogramStats {
-	out := HistogramStats{
-		Count:    s.Count + o.Count,
-		Sum:      s.Sum + o.Sum,
-		Overflow: s.Overflow + o.Overflow,
-	}
-	i, j := 0, 0
-	for i < len(s.Buckets) || j < len(o.Buckets) {
-		switch {
-		case j >= len(o.Buckets) || (i < len(s.Buckets) && s.Buckets[i].Le < o.Buckets[j].Le):
-			out.Buckets = append(out.Buckets, s.Buckets[i])
-			i++
-		case i >= len(s.Buckets) || o.Buckets[j].Le < s.Buckets[i].Le:
-			out.Buckets = append(out.Buckets, o.Buckets[j])
-			j++
-		default:
-			out.Buckets = append(out.Buckets, HistogramBucket{
-				Le:    s.Buckets[i].Le,
-				Count: s.Buckets[i].Count + o.Buckets[j].Count,
-			})
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by geometric

@@ -79,37 +79,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for _, v := range []float64{1, 3, 1e12} {
-		a.Observe(v)
-	}
-	for _, v := range []float64{3, 500} {
-		b.Observe(v)
-	}
-	m := a.Stats().Merge(b.Stats())
-	if m.Count != 5 || m.Overflow != 1 {
-		t.Errorf("merged count/overflow = %d/%d, want 5/1", m.Count, m.Overflow)
-	}
-	// Merging must equal observing everything in one histogram.
-	var all Histogram
-	for _, v := range []float64{1, 3, 1e12, 3, 500} {
-		all.Observe(v)
-	}
-	want := all.Stats()
-	if len(m.Buckets) != len(want.Buckets) {
-		t.Fatalf("merged buckets = %+v, want %+v", m.Buckets, want.Buckets)
-	}
-	for i := range m.Buckets {
-		if m.Buckets[i] != want.Buckets[i] {
-			t.Errorf("bucket %d = %+v, want %+v", i, m.Buckets[i], want.Buckets[i])
-		}
-	}
-	if math.Abs(m.Sum-want.Sum) > 1e-3 {
-		t.Errorf("merged sum = %g, want %g", m.Sum, want.Sum)
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 100; i++ {
@@ -240,7 +209,7 @@ func TestHistogramConcurrent(t *testing.T) {
 // once. The observations are small integers, whose float64 sums are
 // exact regardless of addition order, so the final Sum must match the
 // closed form EXACTLY — a single lost or double-counted CAS shifts it by
-// at least 1. Concurrent Stats/Merge readers run throughout to pin the
+// at least 1. Concurrent Stats readers run throughout to pin the
 // snapshot path's race-freedom under -race.
 func TestHistogramSumExactUnderContention(t *testing.T) {
 	var h Histogram
@@ -258,8 +227,7 @@ func TestHistogramSumExactUnderContention(t *testing.T) {
 				default:
 				}
 				// Snapshots taken mid-race must stay self-consistent:
-				// Count is derived from the bucket counts, and Merge of a
-				// snapshot with itself doubles every field.
+				// Count is derived from the bucket counts.
 				s := h.Stats()
 				var fromBuckets int64
 				for _, b := range s.Buckets {
@@ -268,12 +236,6 @@ func TestHistogramSumExactUnderContention(t *testing.T) {
 				if s.Count != fromBuckets+s.Overflow {
 					t.Errorf("snapshot count %d != buckets %d + overflow %d",
 						s.Count, fromBuckets, s.Overflow)
-					return
-				}
-				m := s.Merge(s)
-				if m.Count != 2*s.Count || m.Sum != 2*s.Sum {
-					t.Errorf("self-merge: count %d sum %g, want %d %g",
-						m.Count, m.Sum, 2*s.Count, 2*s.Sum)
 					return
 				}
 			}

@@ -1,10 +1,10 @@
 // Package passage computes first-passage quantities of Markov chains:
 // expected hitting times of a target set (the paper's "mean transition
 // times between certain sets of MC states", which give the average time
-// between cycle slips), hit-this-before-that probabilities, and the
-// stationary-flux (Kac) estimate of mean time between entries into a rare
-// set — the numerically robust route when the mean time is of the order
-// 1/BER and fixed-point iterations would need that many sweeps.
+// between cycle slips), and the stationary-flux (Kac) estimate of mean
+// time between entries into a rare set — the numerically robust route
+// when the mean time is of the order 1/BER and fixed-point iterations
+// would need that many sweeps.
 package passage
 
 import (
@@ -194,70 +194,6 @@ func MeanFirstPassage(from, times []float64) (float64, error) {
 	return acc / mass, nil
 }
 
-// HitBeforeDense returns h[i] = P(reach set A before set B | X0 = i),
-// solved exactly with dense LU. States in A report 1, in B report 0.
-func HitBeforeDense(p *spmat.CSR, a, b []bool) ([]float64, error) {
-	n, m := p.Dims()
-	if n != m || len(a) != n || len(b) != n {
-		return nil, errors.New("passage: dimension mismatch")
-	}
-	for i := range a {
-		if a[i] && b[i] {
-			return nil, fmt.Errorf("passage: state %d in both sets", i)
-		}
-	}
-	idx := make([]int, n)
-	nt := 0
-	for i := range idx {
-		if a[i] || b[i] {
-			idx[i] = -1
-		} else {
-			idx[i] = nt
-			nt++
-		}
-	}
-	out := make([]float64, n)
-	for i := range a {
-		if a[i] {
-			out[i] = 1
-		}
-	}
-	if nt == 0 {
-		return out, nil
-	}
-	sys := spmat.NewDense(nt, nt)
-	rhs := make([]float64, nt)
-	for i := 0; i < n; i++ {
-		ri := idx[i]
-		if ri < 0 {
-			continue
-		}
-		sys.Set(ri, ri, 1)
-		cols, vals := p.Row(i)
-		for k, j := range cols {
-			switch {
-			case a[j]:
-				rhs[ri] += vals[k]
-			case b[j]:
-				// contributes 0
-			default:
-				sys.Add(ri, idx[j], -vals[k])
-			}
-		}
-	}
-	lu, err := spmat.Factorize(sys)
-	if err != nil {
-		return nil, fmt.Errorf("passage: absorbing sets unreachable: %w", err)
-	}
-	h := lu.Solve(rhs)
-	for i := 0; i < n; i++ {
-		if ri := idx[i]; ri >= 0 {
-			out[i] = h[ri]
-		}
-	}
-	return out, nil
-}
-
 // FluxResult reports the stationary-flux analysis of a rare set.
 type FluxResult struct {
 	// Flux is the stationary probability per step of entering the target
@@ -350,63 +286,4 @@ func SlipFluxOp(p MulVecer, pi []float64, target []bool) (FluxResult, error) {
 		res.MeanTimeBetween = math.Inf(1)
 	}
 	return res, nil
-}
-
-// ExpectedVisitsDense returns the fundamental matrix N = (I − Q)⁻¹ of the
-// chain absorbed on target: N[i][j] is the expected number of visits to
-// non-target state j before absorption when starting at non-target state
-// i. Row sums of N are the hitting times. Indices are compacted to
-// non-target states in order; the mapping is returned alongside.
-func ExpectedVisitsDense(p *spmat.CSR, target []bool) (*spmat.Dense, []int, error) {
-	n, m := p.Dims()
-	if n != m || len(target) != n {
-		return nil, nil, errors.New("passage: dimension mismatch")
-	}
-	var states []int
-	for i, b := range target {
-		if !b {
-			states = append(states, i)
-		}
-	}
-	nt := len(states)
-	if nt == 0 {
-		return spmat.NewDense(0, 0), nil, nil
-	}
-	if nt == n {
-		return nil, nil, errors.New("passage: empty target set")
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = -1
-	}
-	for k, s := range states {
-		idx[s] = k
-	}
-	a := spmat.NewDense(nt, nt)
-	for k, s := range states {
-		a.Set(k, k, 1)
-		cols, vals := p.Row(s)
-		for kk, j := range cols {
-			if rj := idx[j]; rj >= 0 {
-				a.Add(k, rj, -vals[kk])
-			}
-		}
-	}
-	lu, err := spmat.Factorize(a)
-	if err != nil {
-		return nil, nil, fmt.Errorf("passage: singular fundamental system: %w", err)
-	}
-	nMat := spmat.NewDense(nt, nt)
-	e := make([]float64, nt)
-	for j := 0; j < nt; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := lu.Solve(e)
-		for i := 0; i < nt; i++ {
-			nMat.Set(i, j, col[i])
-		}
-	}
-	return nMat, states, nil
 }

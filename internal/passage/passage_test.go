@@ -144,36 +144,6 @@ func TestMeanFirstPassage(t *testing.T) {
 	}
 }
 
-// TestHitBeforeGamblersRuin: P(hit n-1 before 0 | start i) = i/(n-1) for
-// the symmetric walk.
-func TestHitBeforeGamblersRuin(t *testing.T) {
-	n := 9
-	p := symmetricWalk(n)
-	a := make([]bool, n)
-	b := make([]bool, n)
-	a[n-1] = true
-	b[0] = true
-	h, err := HitBeforeDense(p, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		want := float64(i) / float64(n-1)
-		if math.Abs(h[i]-want) > 1e-10 {
-			t.Errorf("h[%d] = %g, want %g", i, h[i], want)
-		}
-	}
-}
-
-func TestHitBeforeOverlappingSetsRejected(t *testing.T) {
-	p := symmetricWalk(4)
-	a := []bool{true, false, false, false}
-	b := []bool{true, false, false, true}
-	if _, err := HitBeforeDense(p, a, b); err == nil {
-		t.Error("overlapping sets accepted")
-	}
-}
-
 func TestSlipFluxMatchesKac(t *testing.T) {
 	// On an ergodic chain, mean return time to T is 1/pi(T) (Kac). The
 	// entry-flux estimate equals pi(outside)·E[time between entries]; for a
@@ -261,30 +231,6 @@ func TestSlipFluxAgreesWithHittingTimes(t *testing.T) {
 	ratio := mfp / res.MeanTimeBetween
 	if ratio < 0.5 || ratio > 2 {
 		t.Fatalf("flux MTB %g vs MFP %g (ratio %g)", res.MeanTimeBetween, mfp, ratio)
-	}
-}
-
-func TestExpectedVisitsRowSumsAreHittingTimes(t *testing.T) {
-	n := 9
-	p := symmetricWalk(n)
-	target := make([]bool, n)
-	target[0], target[n-1] = true, true
-	nMat, states, err := ExpectedVisitsDense(p, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times, err := HittingTimesDense(p, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, s := range states {
-		sum := 0.0
-		for j := range states {
-			sum += nMat.At(k, j)
-		}
-		if math.Abs(sum-times[s]) > 1e-9 {
-			t.Errorf("row sum %g vs hitting time %g at state %d", sum, times[s], s)
-		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 	"testing"
 	"time"
 
-	"cdrstoch/internal/core"
 	"cdrstoch/internal/faults"
+	"cdrstoch/internal/multigrid"
 	"cdrstoch/internal/obs"
 )
 
@@ -240,8 +240,8 @@ func TestJobsSubmitCloseRace(t *testing.T) {
 }
 
 // TestJobsRetryTransient checks the bounded-retry policy: transient
-// failures (core.ErrUnconverged) re-run with backoff and eventually
-// succeed; permanent failures do not retry.
+// failures (a non-permanent injected fault) re-run with backoff and
+// eventually succeed; permanent failures do not retry.
 func TestJobsRetryTransient(t *testing.T) {
 	reg := obs.NewRegistry()
 	jobs := NewJobsConfig(JobsConfig{Workers: 1, Depth: 4, Registry: reg,
@@ -251,7 +251,7 @@ func TestJobsRetryTransient(t *testing.T) {
 	var attempts atomic.Int64
 	id, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
 		if attempts.Add(1) <= 2 {
-			return nil, false, fmt.Errorf("solve: %w", core.ErrUnconverged)
+			return nil, false, fmt.Errorf("solve: %w", &faults.Error{Point: "solve"})
 		}
 		return []byte("ok"), false, nil
 	})
@@ -289,7 +289,7 @@ func TestJobsExhaustedRetriesFail(t *testing.T) {
 	var attempts atomic.Int64
 	id, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
 		attempts.Add(1)
-		return nil, false, fmt.Errorf("solve: %w", core.ErrUnconverged)
+		return nil, false, fmt.Errorf("solve: %w", &faults.Error{Point: "solve"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,8 +298,33 @@ func TestJobsExhaustedRetriesFail(t *testing.T) {
 	if attempts.Load() != 3 || v.Retries != 2 {
 		t.Errorf("attempts=%d retries=%d, want 3 and 2", attempts.Load(), v.Retries)
 	}
+	if !strings.Contains(v.Error, "transient injected fault at solve") {
+		t.Errorf("error = %q, want the injected cause", v.Error)
+	}
+}
+
+// TestJobUnconvergedNotRetried checks that an async job whose solve runs
+// out of cycles fails after one attempt: the solve is deterministic in
+// its spec and backend, so a rerun would fail the same way.
+func TestJobUnconvergedNotRetried(t *testing.T) {
+	_, ts, reg := newTestServer(t, ServerConfig{
+		Engine:       EngineConfig{Multigrid: multigrid.Config{MaxCycles: 1}},
+		JobRetryBase: time.Millisecond,
+	})
+	v := pollJob(t, ts.URL, submitAsync(t, ts.URL, solveRequest{Spec: testSpec(t)}))
+	if v.Status != StatusFailed || v.Retries != 0 {
+		t.Errorf("job = %+v, want failed without retries", v)
+	}
 	if !strings.Contains(v.Error, "did not converge") {
 		t.Errorf("error = %q, want the unconverged cause", v.Error)
+	}
+	snap := reg.Snapshot().Counters
+	if snap["serve.unconverged"] != 1 || snap["serve.solves"] != 1 {
+		t.Errorf("serve.unconverged = %d, serve.solves = %d, want 1 and 1",
+			snap["serve.unconverged"], snap["serve.solves"])
+	}
+	if got := snap["serve.jobs_retried"]; got != 0 {
+		t.Errorf("serve.jobs_retried = %d, want 0", got)
 	}
 }
 

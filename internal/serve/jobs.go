@@ -131,8 +131,9 @@ type JobsConfig struct {
 	// Faults arms the jobs.dequeue injection point. May be nil.
 	Faults *faults.Injector
 	// RetryMax is the number of re-runs a transiently failing job gets
-	// beyond its first attempt (transient: core.ErrUnconverged or a
-	// non-permanent injected fault). Default 2; negative disables retry.
+	// beyond its first attempt (transient: a non-permanent injected
+	// fault; an unconverged solve is not retried). Default 2; negative
+	// disables retry.
 	RetryMax int
 	// RetryBase is the first backoff; attempt k waits a jittered
 	// RetryBase·2^k. Default 25ms.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"cdrstoch/internal/core"
 	"cdrstoch/internal/faults"
 )
 
@@ -46,21 +45,19 @@ func shield(fn func() error) (err error) {
 	return fn()
 }
 
-// transientErr classifies a failure for the retry policy: transient
-// failures (a solve that ran out of cycles, or an injected fault not
-// marked permanent) are worth a bounded retry with backoff; everything
-// else — bad requests, cancellations, panics, permanent injections — is
-// not. Panics are permanent even when the panic value is a transient
-// injected error: a panic's partial execution cannot be assumed safe to
-// repeat blindly, and the chaos suite asserts the job fails cleanly
-// instead.
+// transientErr classifies a failure for the retry policy: only an
+// injected fault not marked permanent is worth a bounded retry with
+// backoff, because only it can change on a rerun. Everything else — bad
+// requests, cancellations, panics, permanent injections and solves that
+// ran out of cycles — is not. A solve is deterministic in its spec and
+// backend, so an unconverged solve would fail the same way again. Panics
+// are permanent even when the panic value is a transient injected error:
+// a panic's partial execution cannot be assumed safe to repeat blindly,
+// and the chaos suite asserts the job fails cleanly instead.
 func transientErr(err error) bool {
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		return false
-	}
-	if errors.Is(err, core.ErrUnconverged) {
-		return true
 	}
 	var fe *faults.Error
 	if errors.As(err, &fe) {

@@ -56,8 +56,10 @@ type ServerConfig struct {
 	// (solver cycles). Nil disables injection at zero cost. cdrserved
 	// arms it from CDR_FAULTS.
 	Faults *faults.Injector
-	// JobRetries bounds the transient-failure re-runs an async job gets
-	// beyond its first attempt. Default 2; negative disables retry.
+	// JobRetries bounds the re-runs an async job gets beyond its first
+	// attempt after a transient failure (a non-permanent injected fault;
+	// an unconverged solve is not retried). Default 2; negative disables
+	// retry.
 	JobRetries int
 	// JobRetryBase is the first retry backoff; attempt k waits a
 	// jittered JobRetryBase·2^k. Default 25ms.
@@ -75,9 +77,10 @@ type ServerConfig struct {
 	// solve diverging. Default 3.
 	DivergeChecks int
 	// CancelOnStall lets the watchdog cancel solves it classifies stalled
-	// or diverging, so the job layer's retry/backoff kicks in sooner.
-	// Off by default: a false positive under CPU starvation would kill a
-	// solve that was still making (slow) progress.
+	// or diverging. A canceled solve surfaces context.Canceled, which the
+	// job layer never retries, so the job ends canceled instead of
+	// running on. Off by default: a false positive under CPU starvation
+	// would kill a solve that was still making (slow) progress.
 	CancelOnStall bool
 	// EventsHeartbeat is the SSE keep-alive comment cadence on
 	// /v1/jobs/{id}/events. Default 5s.

@@ -79,39 +79,6 @@ func TestPoolMulVecsNilAndEmpty(t *testing.T) {
 	p.MulVecs(m, nil, nil)
 }
 
-// TestPoolVecMulsMatchesVecMul checks the batched Markov step against k
-// individual VecMul calls on the same pool: both sides take the same
-// gather-or-scatter path at a given worker count, so the match must be
-// exact.
-func TestPoolVecMulsMatchesVecMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	defer forceParallel(t)()
-	for _, shape := range [][2]int{{3, 50}, {200, 200}, {401, 613}} {
-		m := randomCSR(rng, shape[0], shape[1], 0.05)
-		for _, k := range []int{1, 3, mulVecsBlock + 2} {
-			xs := packVecs(rng, k, shape[0])
-			for _, w := range workerCounts() {
-				pool := NewPool(w)
-				want := packVecs(rng, k, shape[1])
-				for b := range xs {
-					pool.VecMul(m, want[b], xs[b])
-				}
-				got := packVecs(rng, k, shape[1])
-				pool.VecMuls(m, got, xs)
-				for b := range want {
-					for i := range want[b] {
-						if want[b][i] != got[b][i] {
-							t.Fatalf("%dx%d k=%d workers=%d: ys[%d][%d] differs",
-								shape[0], shape[1], k, w, b, i)
-						}
-					}
-				}
-				pool.Close()
-			}
-		}
-	}
-}
-
 // TestPoolVecMulTMatchesVecMul checks that gathering over a caller-owned
 // transpose is bit-identical to VecMul's cached-transpose path at every
 // worker count (the two transposes have identical CSR layout, so the
@@ -138,11 +105,10 @@ func TestPoolVecMulTMatchesVecMul(t *testing.T) {
 }
 
 // TestPoolMulVecsAllocFree pins the steady-state allocation count of the
-// blocked kernels at zero: after the transpose cache and row bounds are
-// warm, neither MulVecs nor VecMuls may allocate, at any block count —
-// the accumulators are fixed-size stack arrays and the job struct is
-// pooled. This is the alloc-scaling guarantee: cost per point of a sweep
-// batch is kernel work only.
+// blocked kernel at zero: once the row bounds are warm, MulVecs may not
+// allocate, at any block count — the accumulators are fixed-size stack
+// arrays and the job struct is pooled. This is the alloc-scaling
+// guarantee: cost per point of a sweep batch is kernel work only.
 func TestPoolMulVecsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	defer forceParallel(t)()
@@ -151,14 +117,10 @@ func TestPoolMulVecsAllocFree(t *testing.T) {
 		xs := packVecs(rng, k, 300)
 		ys := packVecs(rng, k, 300)
 		pool := NewPool(2)
-		// Warm the transpose cache and row bounds so steady-state is measured.
+		// Warm the row bounds so steady-state is measured.
 		pool.MulVecs(m, ys, xs)
-		pool.VecMuls(m, ys, xs)
 		if n := testing.AllocsPerRun(50, func() { pool.MulVecs(m, ys, xs) }); n != 0 {
 			t.Errorf("k=%d: MulVecs allocates %.1f per call", k, n)
-		}
-		if n := testing.AllocsPerRun(50, func() { pool.VecMuls(m, ys, xs) }); n != 0 {
-			t.Errorf("k=%d: VecMuls allocates %.1f per call", k, n)
 		}
 		pool.Close()
 		serial := NewPool(1)

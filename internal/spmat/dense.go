@@ -81,10 +81,9 @@ func (d *Dense) VecMul(y, x []float64) {
 
 // LU holds an LU factorization with partial pivoting, PA = LU.
 type LU struct {
-	n    int
-	lu   *Dense
-	piv  []int
-	sign int
+	n   int
+	lu  *Dense
+	piv []int
 }
 
 // Factorize computes the LU factorization of a square matrix. It returns an
@@ -99,7 +98,6 @@ func Factorize(a *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivoting.
 		p, maxAbs := k, math.Abs(lu.At(k, k))
@@ -117,7 +115,6 @@ func Factorize(a *Dense) (*LU, error) {
 				ri[j], rk[j] = rk[j], ri[j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -132,7 +129,7 @@ func Factorize(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{n: n, lu: lu, piv: piv, sign: sign}, nil
+	return &LU{n: n, lu: lu, piv: piv}, nil
 }
 
 // Solve solves A·x = b, overwriting and returning x (a fresh slice).
@@ -163,15 +160,6 @@ func (f *LU) Solve(b []float64) []float64 {
 		x[i] = sum / row[i]
 	}
 	return x
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	det := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		det *= f.lu.At(i, i)
-	}
-	return det
 }
 
 // StationaryGTH computes the stationary distribution of an irreducible

@@ -1,46 +1,6 @@
 package spmat
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
-
-// FuzzReadMatrixMarket hardens the parser: arbitrary input must either
-// parse into a structurally valid CSR matrix or return an error — never
-// panic, and a successful parse must re-serialize and re-parse to the
-// same matrix.
-func FuzzReadMatrixMarket(f *testing.F) {
-	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 0.5\n2 2 1.5\n")
-	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 0\n")
-	f.Add("%%MatrixMarket matrix coordinate real general\n% comment\n3 4 1\n2 3 -1e-9\n")
-	f.Add("")
-	f.Add("garbage")
-	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n9 9 1\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		m, err := ReadMatrixMarket(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		r, c := m.Dims()
-		if r <= 0 || c <= 0 {
-			t.Fatalf("parsed matrix with dims %dx%d", r, c)
-		}
-		var buf bytes.Buffer
-		if err := m.WriteMatrixMarket(&buf); err != nil {
-			t.Fatalf("re-serialize failed: %v", err)
-		}
-		m2, err := ReadMatrixMarket(&buf)
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		r2, c2 := m2.Dims()
-		if r2 != r || c2 != c || m2.NNZ() != m.NNZ() {
-			t.Fatalf("round trip changed shape: %dx%d/%d vs %dx%d/%d",
-				r, c, m.NNZ(), r2, c2, m2.NNZ())
-		}
-	})
-}
+import "testing"
 
 // FuzzTransposeRoundTrip checks Transpose∘Transpose is the identity on
 // arbitrary fuzz-assembled matrices — exact equality of the pattern and

@@ -226,38 +226,6 @@ func (p *Pool) MulVecs(m *CSR, ys, xs [][]float64) {
 	p.countKernels(true, k, k*m.NNZ(), start)
 }
 
-// VecMuls computes ys[b] = xs[b]·A for k packed left-hand sides — the
-// batched Markov power step. Like VecMul, the parallel path gathers over
-// the lazily cached transpose via MulVecs (one blocked traversal instead
-// of k), while serial pools scatter each vector with the plain kernel.
-// Either way the result is bit-identical to k VecMul calls at the same
-// worker count; as with VecMul, serial and parallel answers agree to
-// rounding, not bitwise.
-func (p *Pool) VecMuls(m *CSR, ys, xs [][]float64) {
-	if len(ys) != len(xs) {
-		panic("spmat: VecMuls vector count mismatch")
-	}
-	k := len(xs)
-	if k == 0 {
-		return
-	}
-	for b := 0; b < k; b++ {
-		if len(xs[b]) != m.rows || len(ys[b]) != m.cols {
-			panic("spmat: VecMuls dimension mismatch")
-		}
-	}
-	if p == nil || p.serialFor(m) {
-		start := time.Now()
-		for b := 0; b < k; b++ {
-			m.VecMul(ys[b], xs[b])
-		}
-		p.countKernels(true, k, k*m.NNZ(), start)
-		return
-	}
-	// The delegated transpose product counts itself in MulVecs.
-	p.MulVecs(m.T(), ys, xs)
-}
-
 // VecMulT computes y = x·A like VecMul, but the parallel gather runs over
 // the caller-supplied transpose t instead of A's lazily cached one. The
 // refreshable multigrid path needs this: after an in-place value refresh

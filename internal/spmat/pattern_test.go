@@ -73,11 +73,16 @@ func TestWriteMatrixMarket(t *testing.T) {
 	tr.Add(0, 1, 0.5)
 	tr.Add(0, 0, 0.5)
 	tr.Add(1, 0, 1)
+	// The float64 just above 0.3: its shortest exact decimal has 17
+	// significant digits, so any shorter format would write a different
+	// value.
+	tr.Add(1, 1, 0.30000000000000004)
 	var buf bytes.Buffer
 	if err := tr.ToCSR().WriteMatrixMarket(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 0.5\n1 2 0.5\n2 1 1\n"
+	want := "%%MatrixMarket matrix coordinate real general\n2 2 4\n" +
+		"1 1 0.5\n1 2 0.5\n2 1 1\n2 2 0.30000000000000004\n"
 	if buf.String() != want {
 		t.Fatalf("got:\n%s\nwant:\n%s", buf.String(), want)
 	}

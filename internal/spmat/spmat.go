@@ -419,31 +419,6 @@ func (m *CSR) Diag() []float64 {
 	return d
 }
 
-// Scale returns a new CSR with every entry multiplied by s. The pattern
-// slices are shared with the receiver; the new matrix has its own values
-// (and its own, empty, transpose cache).
-func (m *CSR) Scale(s float64) *CSR {
-	val := make([]float64, len(m.val))
-	for i, v := range m.val {
-		val[i] = v * s
-	}
-	return &CSR{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx, val: val}
-}
-
-// ScaleRows returns a new CSR whose row i is multiplied by d[i].
-func (m *CSR) ScaleRows(d []float64) *CSR {
-	if len(d) != m.rows {
-		panic("spmat: ScaleRows dimension mismatch")
-	}
-	val := make([]float64, len(m.val))
-	for r := 0; r < m.rows; r++ {
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			val[k] = m.val[k] * d[r]
-		}
-	}
-	return &CSR{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx, val: val}
-}
-
 // CheckStochastic reports whether every row sums to 1 within tol and every
 // entry is non-negative. It returns a descriptive error on failure.
 func (m *CSR) CheckStochastic(tol float64) error {

@@ -201,25 +201,6 @@ func TestRowSumsAndCheckStochastic(t *testing.T) {
 	}
 }
 
-func TestScaleAndScaleRows(t *testing.T) {
-	tr := NewTriplet(2, 2)
-	tr.Add(0, 0, 1)
-	tr.Add(0, 1, 2)
-	tr.Add(1, 1, 3)
-	m := tr.ToCSR()
-	s := m.Scale(2)
-	if s.At(0, 1) != 4 || s.At(1, 1) != 6 {
-		t.Error("Scale wrong")
-	}
-	if m.At(0, 1) != 2 {
-		t.Error("Scale mutated receiver")
-	}
-	sr := m.ScaleRows([]float64{10, 100})
-	if sr.At(0, 0) != 10 || sr.At(1, 1) != 300 {
-		t.Error("ScaleRows wrong")
-	}
-}
-
 func TestIdentity(t *testing.T) {
 	id := Identity(4)
 	x := []float64{1, 2, 3, 4}
@@ -281,21 +262,6 @@ func TestLUSingular(t *testing.T) {
 	a.Set(1, 1, 4)
 	if _, err := Factorize(a); err == nil {
 		t.Fatal("singular matrix factored")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 4)
-	lu, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(lu.Det(), 10, 1e-12) {
-		t.Fatalf("det = %g, want 10", lu.Det())
 	}
 }
 
