@@ -111,8 +111,9 @@ echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # row-by-row restriction over the materialized matrix, its link product
 # against the shuffle product and the materialized matrix, and its level 1,
 # written straight into its transpose, bit for bit against the restriction
-# into a CSR matrix whose transpose is refreshed), the core analysis, the
-# FSM synchronous product, and the HTTP backend selector end to end (the
+# into a CSR matrix whose transpose is refreshed), the core analysis and
+# the measures a matrix-free model reads from π, the FSM synchronous
+# product, and the HTTP backend selector end to end (the
 # default, matrix-free /v1/analyze against "backend":"explicit" on the
 # paper's presets and the smallest valid grids). The lumping plan that
 # builds every explicit coarse level as a transpose runs against the
@@ -162,10 +163,11 @@ echo "== live progress (SSE stream + seeded stall injection, -race) =="
 # event's kind (an iter frame carries an iter event); the stall case
 # injects a delay fault at the multigrid.cycle seam and requires the
 # watchdog to classify the solve stalled (with the job's trace ID on the
-# verdict) within the configured window, then cancel it. Two explicit
-# DefaultSpec-family jobs must fit the default flight ring with nothing
-# dropped, each job's trace running from its build span through one iter
-# event per cycle to the multigrid span_end. Seeded like the chaos stage.
+# verdict) within the configured window; the job finishes done once the
+# delay ends. Two explicit DefaultSpec-family jobs must fit the default
+# flight ring with nothing dropped, each job's trace running from its
+# build span through one iter event per cycle to the multigrid span_end.
+# Seeded like the chaos stage.
 CDR_FAULTS_SEED=1 run_tests 'TestJobEventsSSE|TestJobEventsFramesNamedByKind|TestJobTraceHoldsWholeSolves|TestWatchdogStallInjection|TestDebugProgressLiveETA' \
     -race -count=1 ./internal/serve
 

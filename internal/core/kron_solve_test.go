@@ -97,6 +97,73 @@ func TestBuildShellMatchesBuild(t *testing.T) {
 	}
 }
 
+// The measures that only multiply by P — frame error rate, phase
+// autocorrelation and spectrum, acquisition time — run on a matrix-free
+// shell through the descriptor's products, and must match the explicit
+// model fed the same stationary vector.
+func TestBuildShellMeasuresMatchBuild(t *testing.T) {
+	small := DefaultSpec()
+	small.CounterLen = 2
+	for name, spec := range map[string]Spec{"default-c2": small, "fig5-c1": fig5Spec(t, 1)} {
+		t.Run(name, func(t *testing.T) {
+			full, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := full.Solve(SolveOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shell, err := BuildShell(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pi := a.Pi
+			check := func(what string, got, want []float64, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				for i := range want {
+					if math.Abs(got[i]-want[i]) > 1e-10*math.Abs(want[i]) {
+						t.Errorf("%s[%d]: shell %g vs explicit %g", what, i, got[i], want[i])
+					}
+				}
+			}
+			measures := []struct {
+				name string
+				eval func(m *Model) ([]float64, error)
+			}{
+				{"frame error rate", func(m *Model) ([]float64, error) {
+					fer, err := m.FrameErrorRate(pi, 1000)
+					return []float64{fer}, err
+				}},
+				{"phase autocorrelation", func(m *Model) ([]float64, error) {
+					return m.PhaseAutocorrelation(pi, 50)
+				}},
+				{"phase noise spectrum", func(m *Model) ([]float64, error) {
+					return m.PhaseNoiseSpectrum(pi, 400, []float64{0.01, 0.05, 0.2, 0.5})
+				}},
+			}
+			for _, ms := range measures {
+				want, err := ms.eval(full)
+				if err != nil {
+					t.Fatalf("%s (explicit): %v", ms.name, err)
+				}
+				got, err := ms.eval(shell)
+				check(ms.name, got, want, err)
+			}
+			want, err := full.AcquisitionTime(pi, 0.4, 0.05, 100000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := shell.AcquisitionTime(pi, 0.4, 0.05, 100000); err != nil || got != want {
+				t.Errorf("acquisition time: shell %d (%v) vs explicit %d", got, err, want)
+			}
+		})
+	}
+}
+
 // WrapPhase models tally the wrap-slip probabilities from the phase
 // factors' wrapped entries; the tally must match the direct per-branch
 // one state by state, on the explicit model and the shell alike. With

@@ -36,10 +36,9 @@
 //	         n     cap the total number of fires (default unlimited)
 //	         ms    delay in milliseconds (delay mode; default 10)
 //	         d     delay as a Go duration (delay mode)
-//	         perm  1 marks injected errors permanent (not retryable)
 //
-// Example: one transient solve failure then clean behavior, plus a 50 ms
-// stall on every fourth cache insert:
+// Example: one solve failure then clean behavior, plus a 50 ms stall on
+// every fourth cache insert:
 //
 //	CDR_FAULTS='engine.solve:error:n=1,cache.put:delay:ms=50:p=0.25'
 //
@@ -92,21 +91,11 @@ func (m Mode) String() string {
 var ErrInjected = errors.New("injected fault")
 
 // Error is the failure an armed error- or panic-mode point produces.
-// Permanent feeds the service's retry taxonomy: transient injected
-// failures (the default) are the only errors an async job retries,
-// permanent ones are not.
 type Error struct {
-	Point     string
-	Permanent bool
+	Point string
 }
 
-func (e *Error) Error() string {
-	kind := "transient"
-	if e.Permanent {
-		kind = "permanent"
-	}
-	return fmt.Sprintf("%s injected fault at %s", kind, e.Point)
-}
+func (e *Error) Error() string { return "injected fault at " + e.Point }
 
 func (e *Error) Unwrap() error { return ErrInjected }
 
@@ -130,8 +119,6 @@ type Rule struct {
 	Count int64
 	// Delay is the ModeDelay sleep.
 	Delay time.Duration
-	// Permanent marks injected errors non-retryable.
-	Permanent bool
 }
 
 // armed is a Rule plus its runtime state: hit/fire counters and the
@@ -237,8 +224,6 @@ func Parse(spec string, seed int64, reg *obs.Registry) (*Injector, error) {
 				r.Delay = time.Duration(msv) * time.Millisecond
 			case "d":
 				r.Delay, err = time.ParseDuration(v)
-			case "perm":
-				r.Permanent = v == "1" || v == "true"
 			default:
 				return nil, fmt.Errorf("faults: rule %q: unknown parameter %q", raw, k)
 			}
@@ -312,9 +297,9 @@ func (r *armed) fire(ctx context.Context) error {
 		r.sleep(ctx)
 		return nil
 	case ModePanic:
-		panic(&Error{Point: r.Point, Permanent: r.Permanent})
+		panic(&Error{Point: r.Point})
 	default:
-		return &Error{Point: r.Point, Permanent: r.Permanent}
+		return &Error{Point: r.Point}
 	}
 }
 
@@ -375,9 +360,6 @@ func (in *Injector) String() string {
 			}
 			if r.Mode == ModeDelay {
 				fmt.Fprintf(&b, ":d=%s", r.Delay)
-			}
-			if r.Permanent {
-				b.WriteString(":perm=1")
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func TestErrorMode(t *testing.T) {
 			t.Fatalf("fire %d: want ErrInjected, got %v", i, err)
 		}
 		var fe *Error
-		if !errors.As(err, &fe) || fe.Point != "x" || fe.Permanent {
+		if !errors.As(err, &fe) || fe.Point != "x" {
 			t.Fatalf("fire %d: bad error %#v", i, err)
 		}
 	}
@@ -70,12 +70,12 @@ func TestAfterSkipsEarlyHits(t *testing.T) {
 }
 
 func TestPanicModeCarriesTypedValue(t *testing.T) {
-	in := mustNew(t, []Rule{{Point: "x", Mode: ModePanic, Permanent: true}}, 1, nil)
+	in := mustNew(t, []Rule{{Point: "x", Mode: ModePanic}}, 1, nil)
 	defer func() {
 		r := recover()
 		fe, ok := r.(*Error)
-		if !ok || fe.Point != "x" || !fe.Permanent {
-			t.Fatalf("panic value = %#v, want permanent *Error at x", r)
+		if !ok || fe.Point != "x" {
+			t.Fatalf("panic value = %#v, want *Error at x", r)
 		}
 	}()
 	in.Fire("x")
@@ -130,7 +130,7 @@ func TestProbabilityIsSeedDeterministic(t *testing.T) {
 }
 
 func TestParseGrammar(t *testing.T) {
-	in, err := Parse("engine.solve:error:n=1, cache.put:delay:ms=5:p=0.25, jobs.dequeue:panic:after=2:perm=1", 7, nil)
+	in, err := Parse("engine.solve:error:n=1, cache.put:delay:ms=5:p=0.25, jobs.dequeue:panic:after=2", 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +157,7 @@ func TestParseGrammar(t *testing.T) {
 		"x:error:pfive",
 		"x:error:p=abc",
 		"x:error:zap=1",
+		"x:error:perm=1",
 	} {
 		if _, err := Parse(bad, 1, nil); err == nil {
 			t.Errorf("Parse(%q) accepted a malformed spec", bad)

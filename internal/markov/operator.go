@@ -40,10 +40,14 @@ type opsEstimator interface {
 // NewOperator wraps any Operator backend in a Chain. An explicit
 // *spmat.CSR takes the New path (full stochasticity validation and
 // access to the transpose-based solvers); other backends are validated
-// through their row sums and support the operator-capable solvers —
-// StationaryPower, StationaryJacobi, StationaryGMRES, Step, Residual.
-// Structural analyses and the Gauss–Seidel/direct solvers need explicit
-// storage and report an error (or return a nil P) on matrix-free chains.
+// through their row sums and support everything that only multiplies by
+// P — StationaryPower, StationaryJacobi, StationaryGMRES, Step, Residual,
+// the transient analyses (Evolve, ExpectedCumulative,
+// SurvivalProbability, FrameErrorRate), MixingTime, and the stationary
+// statistics (Autocovariance, Autocorrelation, SpectralDensity).
+// The structural analyses read explicit rows and must not be called on
+// a matrix-free chain; GroupInverse and the Gauss–Seidel/direct solvers
+// report an error there, and P returns nil.
 func NewOperator(op Operator) (*Chain, error) {
 	if p, ok := op.(*spmat.CSR); ok {
 		return New(p)

@@ -144,6 +144,9 @@ func TestOperatorChainExplicitOnlySolvers(t *testing.T) {
 	if _, err := ch.StationaryDirect(); err == nil {
 		t.Fatal("direct solve on matrix-free chain succeeded")
 	}
+	if _, err := ch.GroupInverse(ch.Uniform()); err == nil {
+		t.Fatal("group inverse on matrix-free chain succeeded")
+	}
 }
 
 // Matrix-free products are attributed to the pool's SpMV counters via

@@ -16,6 +16,9 @@ import (
 // GroupInverse returns A# = (I − P + 1π)⁻¹ − 1π as a dense matrix,
 // given the chain's stationary vector π.
 func (c *Chain) GroupInverse(pi []float64) (*spmat.Dense, error) {
+	if c.p == nil {
+		return nil, errors.New("markov: group inverse requires an explicit CSR backend")
+	}
 	n := c.N()
 	if len(pi) != n {
 		return nil, errors.New("markov: stationary vector length mismatch")

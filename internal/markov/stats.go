@@ -50,7 +50,7 @@ func (c *Chain) Autocovariance(pi, f []float64, maxLag int) ([]float64, error) {
 		}
 		out[k] = s - mu*mu
 		if k < maxLag {
-			c.p.MulVec(tmp, fk)
+			c.op.MulVec(tmp, fk)
 			fk, tmp = tmp, fk
 		}
 	}
@@ -106,7 +106,7 @@ func (c *Chain) MixingTime(x0, pi []float64, eps float64, maxSteps int) (int, er
 		if tv <= eps {
 			return k, nil
 		}
-		c.p.VecMul(y, x)
+		c.op.VecMul(y, x)
 		x, y = y, x
 	}
 	return maxSteps + 1, nil

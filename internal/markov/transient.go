@@ -28,7 +28,7 @@ func (c *Chain) Evolve(x0 []float64, steps int) ([]float64, error) {
 	}
 	y := make([]float64, len(x))
 	for k := 0; k < steps; k++ {
-		c.p.VecMul(y, x)
+		c.op.VecMul(y, x)
 		x, y = y, x
 	}
 	return x, nil
@@ -55,7 +55,7 @@ func (c *Chain) ExpectedCumulative(x0, f []float64, steps int) (float64, error) 
 		for i, p := range x {
 			total += p * f[i]
 		}
-		c.p.VecMul(y, x)
+		c.op.VecMul(y, x)
 		x, y = y, x
 	}
 	return total, nil
@@ -91,7 +91,7 @@ func (c *Chain) SurvivalProbability(x0, eventProb []float64, steps int) (float64
 		for i := range v {
 			v[i] *= 1 - eventProb[i]
 		}
-		c.p.VecMul(w, v)
+		c.op.VecMul(w, v)
 		v, w = w, v
 	}
 	mass := 0.0

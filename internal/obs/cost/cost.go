@@ -99,8 +99,6 @@ type SolveReport struct {
 	// engine. Consumers attributing latency differences across otherwise
 	// identical specs should check this first.
 	WarmStarted bool `json:"warm_started,omitempty"`
-	// Retries counts async-job re-runs (filled by the job layer).
-	Retries int `json:"retries,omitempty"`
 	// Err is the failure, when the solve did not finish cleanly.
 	Err string `json:"error,omitempty"`
 }

@@ -27,7 +27,7 @@ func TestFinishMovesRowToFinished(t *testing.T) {
 	tr := New(Config{Registry: reg})
 	sub := tr.Subscribe("tF", 8)
 	defer sub.Close()
-	h := tr.Begin(tracedCtx("tF"), "analyze", "k", nil)
+	h := tr.Begin(tracedCtx("tF"), "analyze", "k")
 	h.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: 3, Residual: 1e-9})
 	if len(tr.Snapshot()) != 1 || len(tr.Finished(cost.Filter{})) != 0 {
 		t.Fatalf("after Begin: %d live, %d finished rows", len(tr.Snapshot()), len(tr.Finished(cost.Filter{})))
@@ -80,7 +80,7 @@ func TestFinishMovesRowToFinished(t *testing.T) {
 func TestFinishedNilTolerant(t *testing.T) {
 	var tr *Tracker
 	tr.Finish(nil, cost.SolveReport{Trace: "x"})
-	tr.Finish(tr.Begin(tracedCtx("x"), "analyze", "k", nil), cost.SolveReport{Trace: "x"})
+	tr.Finish(tr.Begin(tracedCtx("x"), "analyze", "k"), cost.SolveReport{Trace: "x"})
 	if got := tr.Finished(cost.Filter{}); got != nil {
 		t.Errorf("nil tracker Finished = %v", got)
 	}

@@ -6,8 +6,8 @@
 // with no instrumentation of its own in the solver loops — and, once
 // the solve finishes, the row's cost.SolveReport in a bounded tail of
 // finished rows. On top of the live rows sits a watchdog (watchdog.go)
-// that classifies each solve as progressing, stalled, or diverging and
-// can optionally cancel hopeless ones.
+// that classifies each solve as progressing, stalled, or diverging. It
+// only reports: no verdict stops a solve.
 //
 // The package keeps the repository's zero-cost-when-disabled contract: a
 // nil *Tracker is a valid no-op (Begin returns a nil *Handle whose
@@ -61,11 +61,6 @@ type Config struct {
 	// DivergeChecks is the number of consecutive watchdog checks with a
 	// growing residual before a solve is classified diverging. Default 3.
 	DivergeChecks int
-	// CancelOnStall arms early cancellation: the watchdog cancels solves
-	// it classifies stalled or diverging, so the job layer's retry/backoff
-	// kicks in without waiting for the request deadline. Off by default —
-	// see DESIGN.md §13 for why detection and action are separated.
-	CancelOnStall bool
 	// Keep bounds the tail of finished rows; each Finish beyond it evicts
 	// the oldest row and counts it in Dropped. Default DefaultKeep.
 	Keep int
@@ -133,7 +128,7 @@ func New(cfg Config) *Tracker {
 		"progress.solves_started", "progress.solves_finished",
 		"progress.solves_stalled_total", "progress.events_dropped",
 		"watchdog.checks_total", "watchdog.divergences_total",
-		"watchdog.recoveries_total", "watchdog.cancels_total",
+		"watchdog.recoveries_total",
 	} {
 		t.reg.Counter(name)
 	}
@@ -149,7 +144,6 @@ type solveState struct {
 	parent   string
 	endpoint string
 	key      string
-	cancel   context.CancelFunc
 
 	startedAt   time.Time
 	lastEvent   time.Time
@@ -167,7 +161,6 @@ type solveState struct {
 	lastCheck float64
 	haveCheck bool
 	grow      int
-	canceled  bool
 	done      bool
 }
 
@@ -182,9 +175,8 @@ type Handle struct {
 }
 
 // Begin registers a solve and returns its handle. endpoint and key label
-// the record; cancel (may be nil) is what the watchdog calls when
-// CancelOnStall is armed. The trace identity is read from ctx.
-func (t *Tracker) Begin(ctx context.Context, endpoint, key string, cancel context.CancelFunc) *Handle {
+// the record; the trace identity is read from ctx.
+func (t *Tracker) Begin(ctx context.Context, endpoint, key string) *Handle {
 	if t == nil {
 		return nil
 	}
@@ -195,7 +187,6 @@ func (t *Tracker) Begin(ctx context.Context, endpoint, key string, cancel contex
 		parent:      parent,
 		endpoint:    endpoint,
 		key:         key,
-		cancel:      cancel,
 		startedAt:   now,
 		lastEvent:   now,
 		lastImprove: now,

@@ -17,7 +17,7 @@ func tracedCtx(trace string) context.Context {
 
 func TestNilTrackerIsNoOp(t *testing.T) {
 	var tr *Tracker
-	h := tr.Begin(context.Background(), "analyze", "key", nil)
+	h := tr.Begin(context.Background(), "analyze", "key")
 	if h != nil {
 		t.Fatalf("nil tracker Begin returned non-nil handle")
 	}
@@ -42,7 +42,7 @@ func TestNilTrackerIsNoOp(t *testing.T) {
 // the solver's allocation profile.
 func TestHandleEmitAllocFree(t *testing.T) {
 	tr := New(Config{Registry: obs.NewRegistry()})
-	h := tr.Begin(tracedCtx("t1"), "analyze", "key", nil)
+	h := tr.Begin(tracedCtx("t1"), "analyze", "key")
 	e := obs.Event{T: 1, Kind: "iter", Name: "multigrid", Iter: 3, Residual: 1e-5, Trace: "t1"}
 	allocs := testing.AllocsPerRun(200, func() { h.Emit(e) })
 	if allocs != 0 {
@@ -62,7 +62,7 @@ func TestHandleEmitAllocFree(t *testing.T) {
 func TestProbeIterAllocFree(t *testing.T) {
 	tr := New(Config{Registry: obs.NewRegistry()})
 	ctx := tracedCtx("tA")
-	h := tr.Begin(ctx, "analyze", "key", nil)
+	h := tr.Begin(ctx, "analyze", "key")
 	defer tr.Finish(h, cost.SolveReport{})
 	run := &obs.Run{
 		Sink:  obs.Tee(obs.NewFlightRecorder(64), h),
@@ -94,7 +94,7 @@ func TestProbeIterAllocFree(t *testing.T) {
 // stalled best nor as growth.
 func TestHandleRestartsFitOnNewSolver(t *testing.T) {
 	tr := New(Config{Registry: obs.NewRegistry(), StallWindow: time.Hour, DivergeChecks: 1})
-	h := tr.Begin(tracedCtx("tQ"), "slip", "k", nil)
+	h := tr.Begin(tracedCtx("tQ"), "slip", "k")
 	defer tr.Finish(h, cost.SolveReport{})
 	for k := 1; k <= 4; k++ {
 		h.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: k, Residual: math.Pow(10, -3*float64(k))})
@@ -158,8 +158,8 @@ func TestEstimatorRefusesNonConverging(t *testing.T) {
 
 func TestSnapshotAndLatestByTrace(t *testing.T) {
 	tr := New(Config{Registry: obs.NewRegistry()})
-	h1 := tr.Begin(tracedCtx("tA"), "analyze", "k1", nil)
-	h2 := tr.Begin(tracedCtx("tB"), "sweep", "k2", nil)
+	h1 := tr.Begin(tracedCtx("tA"), "analyze", "k1")
+	h2 := tr.Begin(tracedCtx("tB"), "sweep", "k2")
 	h1.Emit(obs.Event{Kind: "span_start", Name: "serve.build"})
 	h1.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: 1, Residual: 1e-2})
 	h1.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: 2, Residual: 1e-4})
@@ -205,7 +205,7 @@ func TestWatchdogStallAndRecovery(t *testing.T) {
 	reg := obs.NewRegistry()
 	out := obs.NewFlightRecorder(16)
 	tr := New(Config{Registry: reg, Out: out, StallWindow: 50 * time.Millisecond, DivergeChecks: 3})
-	h := tr.Begin(tracedCtx("tS"), "analyze", "k", nil)
+	h := tr.Begin(tracedCtx("tS"), "analyze", "k")
 	h.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: 1, Residual: 1e-3, Trace: "tS"})
 
 	tr.check(time.Now())
@@ -247,7 +247,7 @@ func TestWatchdogStallAndRecovery(t *testing.T) {
 func TestWatchdogDivergence(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := New(Config{Registry: reg, StallWindow: time.Hour, DivergeChecks: 3})
-	h := tr.Begin(tracedCtx("tD"), "analyze", "k", nil)
+	h := tr.Begin(tracedCtx("tD"), "analyze", "k")
 	res := 1e-3
 	h.Emit(obs.Event{Kind: "iter", Name: "power", Iter: 1, Residual: res, Trace: "tD"})
 	tr.check(time.Now()) // baseline
@@ -266,31 +266,6 @@ func TestWatchdogDivergence(t *testing.T) {
 	tr.Finish(h, cost.SolveReport{})
 }
 
-func TestWatchdogCancelOnStall(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := New(Config{
-		Registry: reg, StallWindow: 10 * time.Millisecond,
-		DivergeChecks: 3, CancelOnStall: true,
-	})
-	ctx, cancel := context.WithCancel(tracedCtx("tC"))
-	h := tr.Begin(ctx, "analyze", "k", cancel)
-	tr.check(time.Now().Add(20 * time.Millisecond))
-	select {
-	case <-ctx.Done():
-	default:
-		t.Fatalf("cancel-on-stall did not cancel the solve context")
-	}
-	if got := reg.Counter("watchdog.cancels_total").Value(); got != 1 {
-		t.Fatalf("cancels_total = %d, want 1", got)
-	}
-	// A second check must not cancel (or count) again.
-	tr.check(time.Now().Add(40 * time.Millisecond))
-	if got := reg.Counter("watchdog.cancels_total").Value(); got != 1 {
-		t.Fatalf("cancels_total after second check = %d, want 1", got)
-	}
-	tr.Finish(h, cost.SolveReport{Err: ctx.Err().Error()})
-}
-
 // TestWatchdogLoop exercises the real ticker loop end to end: a solve
 // that stops emitting is reported stalled within a few intervals.
 func TestWatchdogLoop(t *testing.T) {
@@ -298,7 +273,7 @@ func TestWatchdogLoop(t *testing.T) {
 	tr := New(Config{Registry: reg, StallWindow: 30 * time.Millisecond, Interval: 10 * time.Millisecond})
 	tr.Start()
 	defer tr.Stop()
-	h := tr.Begin(tracedCtx("tL"), "analyze", "k", nil)
+	h := tr.Begin(tracedCtx("tL"), "analyze", "k")
 	defer tr.Finish(h, cost.SolveReport{})
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -318,7 +293,7 @@ func TestSubscribeSlowReader(t *testing.T) {
 	tr := New(Config{Registry: reg})
 	sub := tr.Subscribe("tQ", 4)
 	defer sub.Close()
-	h := tr.Begin(tracedCtx("tQ"), "analyze", "k", nil)
+	h := tr.Begin(tracedCtx("tQ"), "analyze", "k")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -349,7 +324,7 @@ func TestSubscribeReceivesLifecycleEvents(t *testing.T) {
 	tr := New(Config{Registry: obs.NewRegistry()})
 	sub := tr.Subscribe("tE", 16)
 	defer sub.Close()
-	h := tr.Begin(tracedCtx("tE"), "sweep", "k", nil)
+	h := tr.Begin(tracedCtx("tE"), "sweep", "k")
 	h.Emit(obs.Event{Kind: "iter", Name: "multigrid", Iter: 1, Residual: 1e-2, Trace: "tE"})
 	tr.Finish(h, cost.SolveReport{Err: "injected: boom"})
 	var kinds []string
@@ -376,7 +351,7 @@ func TestSubscribeReceivesLifecycleEvents(t *testing.T) {
 	}
 	// After Close, publishes stop reaching the channel.
 	sub.Close()
-	h2 := tr.Begin(tracedCtx("tE"), "sweep", "k", nil)
+	h2 := tr.Begin(tracedCtx("tE"), "sweep", "k")
 	tr.Finish(h2, cost.SolveReport{})
 	select {
 	case e := <-sub.C():
@@ -390,7 +365,7 @@ func TestSubscribeReceivesLifecycleEvents(t *testing.T) {
 func TestTrackerMetricsSurviveLint(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := New(Config{Registry: reg})
-	h := tr.Begin(tracedCtx("tM"), "analyze", "k", nil)
+	h := tr.Begin(tracedCtx("tM"), "analyze", "k")
 	tr.check(time.Now())
 	tr.Finish(h, cost.SolveReport{})
 	snap := reg.Snapshot()
@@ -405,7 +380,7 @@ func TestTrackerMetricsSurviveLint(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"progress.solves_stalled_total", "watchdog.checks_total", "watchdog.cancels_total",
+		"progress.solves_stalled_total", "watchdog.checks_total",
 	} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Fatalf("counter %q missing from snapshot", name)

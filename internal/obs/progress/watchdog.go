@@ -80,13 +80,8 @@ func (t *Tracker) check(now time.Time) {
 		}
 		prev := s.state
 		s.state = state
-		doCancel := t.cfg.CancelOnStall && state != StateProgressing && !s.canceled && s.cancel != nil
-		if doCancel {
-			s.canceled = true
-		}
 		trace, parent := s.trace, s.parent
 		iter, residual := s.iter, s.residual
-		cancel := s.cancel
 		s.mu.Unlock()
 
 		if state != prev {
@@ -104,11 +99,6 @@ func (t *Tracker) check(now time.Time) {
 				t.reg.Counter("watchdog.recoveries_total").Inc()
 			}
 			t.emitWatchdog(name, reason, trace, parent, iter, residual)
-		}
-		if doCancel {
-			t.reg.Counter("watchdog.cancels_total").Inc()
-			t.emitWatchdog("canceled", "cancel-on-stall: solve classified "+state, trace, parent, iter, residual)
-			cancel()
 		}
 	}
 }

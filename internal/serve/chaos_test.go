@@ -10,8 +10,8 @@ package serve
 //     clears is byte-identical;
 //   - no singleflight waiter is ever stranded (concurrent bursts always
 //     complete);
-//   - async jobs retry transient faults, fail cleanly on permanent ones
-//     and on panics, and never take the worker down.
+//   - async jobs fail cleanly on injected errors and panics, after one
+//     attempt, and never take the worker down.
 //
 // The seed comes from CDR_FAULTS_SEED (default 1) so ci.sh can replay
 // the same storms across a fixed seed matrix. `go test -short` skips the
@@ -315,31 +315,43 @@ func submitAsync(t *testing.T, url string, req solveRequest) string {
 }
 
 // TestChaosJobsDequeue storms the async path through the jobs.dequeue
-// seam: transient faults retry to success, permanent faults and panics
-// fail exactly that job, and the worker pool keeps serving afterwards.
+// seam: an injected error or panic fails exactly that job, before its
+// solve starts, and the worker pool keeps serving afterwards.
 func TestChaosJobsDequeue(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short")
 	}
-	base := ServerConfig{SyncTimeout: time.Minute, JobRetryBase: time.Millisecond}
+	base := ServerConfig{SyncTimeout: time.Minute}
 
+	// The service never re-runs a job: a one-shot (transient) fault is
+	// retried by the caller, whose resubmission runs clean on the same
+	// pool and is the only solve.
 	t.Run("transient-error-retries", func(t *testing.T) {
 		_, url, reg := newChaosServer(t, "jobs.dequeue:error:n=1", base)
 		v := pollJob(t, url, submitAsync(t, url, solveRequest{Spec: testSpec(t)}))
-		if v.Status != StatusDone || v.Retries < 1 {
-			t.Errorf("job = %+v, want done after >=1 retry", v)
+		if v.Status != StatusFailed {
+			t.Errorf("first attempt = %+v, want failed", v)
 		}
-		if got := reg.Counter("serve.jobs_retried").Value(); got < 1 {
-			t.Errorf("jobs_retried = %d, want >=1", got)
+		v = pollJob(t, url, submitAsync(t, url, solveRequest{Spec: testSpec(t)}))
+		if v.Status != StatusDone {
+			t.Errorf("resubmitted job = %+v, want done", v)
+		}
+		if got := reg.Counter("serve.solves").Value(); got != 1 {
+			t.Errorf("serve.solves = %d after the resubmission, want 1", got)
 		}
 		checkAlive(t, url)
 	})
 
+	// Every injected error is permanent for its job: the job ends failed
+	// before its solve starts and is not re-run.
 	t.Run("permanent-error-fails", func(t *testing.T) {
-		_, url, _ := newChaosServer(t, "jobs.dequeue:error:n=1:perm=1", base)
+		_, url, reg := newChaosServer(t, "jobs.dequeue:error:n=1", base)
 		v := pollJob(t, url, submitAsync(t, url, solveRequest{Spec: testSpec(t)}))
-		if v.Status != StatusFailed || v.Retries != 0 {
-			t.Errorf("job = %+v, want failed without retries", v)
+		if v.Status != StatusFailed {
+			t.Errorf("job = %+v, want failed", v)
+		}
+		if got := reg.Counter("serve.solves").Value(); got != 0 {
+			t.Errorf("serve.solves = %d after the failed dequeue, want 0", got)
 		}
 		checkAlive(t, url)
 	})
@@ -347,8 +359,8 @@ func TestChaosJobsDequeue(t *testing.T) {
 	t.Run("panic-fails-job-not-pool", func(t *testing.T) {
 		_, url, _ := newChaosServer(t, "jobs.dequeue:panic:n=1", base)
 		v := pollJob(t, url, submitAsync(t, url, solveRequest{Spec: testSpec(t)}))
-		if v.Status != StatusFailed || v.Retries != 0 {
-			t.Errorf("job = %+v, want failed without retries (panics are permanent)", v)
+		if v.Status != StatusFailed {
+			t.Errorf("job = %+v, want failed", v)
 		}
 		// The pool survived: the next job runs clean.
 		v = pollJob(t, url, submitAsync(t, url, solveRequest{Spec: testSpec(t)}))

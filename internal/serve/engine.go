@@ -255,10 +255,9 @@ func shortKey(key string) string {
 // solve runs one cache-miss solve under its own run handle: it takes a
 // solve slot, opens the solve's row in the progress table, and runs body
 // with a context carrying the run — the engine's event sink tee'd with
-// the row's handle, meter, and the fault hook. That context is
-// cancelable by the watchdog (armed only under cancel-on-stall).
-// Everything body does, refinements included, thus runs inside the slot
-// and is watched, metered and canceled as one solve. body returns the
+// the row's handle, meter, and the fault hook. Everything body does,
+// refinements included, thus runs inside the slot and is watched,
+// metered and canceled (with the request) as one solve. body returns the
 // model it built (nil if it failed before), for the cost report that
 // closes the row when the solve ends.
 func (e *Engine) solve(ctx context.Context, endpoint, key string,
@@ -272,15 +271,11 @@ func (e *Engine) solve(ctx context.Context, endpoint, key string,
 	}
 	defer e.release()
 	run := &obs.Run{Sink: e.cfg.Tracer, Meter: meter, Fault: e.cfg.Faults.FireCtx}
-	sctx := ctx
 	if e.cfg.Progress != nil {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		h = e.cfg.Progress.Begin(sctx, endpoint, shortKey(key), cancel)
+		h = e.cfg.Progress.Begin(ctx, endpoint, shortKey(key))
 		run.Sink = obs.Tee(e.cfg.Tracer, h)
 	}
-	sctx = obs.WithRun(sctx, run)
+	sctx := obs.WithRun(ctx, run)
 	if ferr := e.cfg.Faults.FireCtx(sctx, "engine.solve"); ferr != nil {
 		return nil, fmt.Errorf("serve: solve %s: %w", shortKey(key), ferr)
 	}
@@ -372,7 +367,7 @@ func (e *Engine) analyze(ctx context.Context, run *obs.Run, team *spmat.Pool, sp
 // and writes it to the JSONL sink. m may be nil (build failed); err
 // annotates failed solves. The report's trace identity comes from the
 // context the solve actually ran under, so async jobs carry their
-// submitter's trace ID even across retries.
+// submitter's trace ID.
 func (e *Engine) finish(ctx context.Context, h *progress.Handle, meter *cost.Meter, endpoint, key string, m *core.Model, err error) {
 	rep := meter.Finish()
 	rep.Endpoint = endpoint

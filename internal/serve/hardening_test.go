@@ -142,7 +142,7 @@ func TestGroupLeaderPanicReleasesWaiters(t *testing.T) {
 // as mid-run cancellations.
 func TestJobsShedOnShutdown(t *testing.T) {
 	reg := obs.NewRegistry()
-	jobs := NewJobsConfig(JobsConfig{Workers: 1, Depth: 8, Registry: reg})
+	jobs := NewJobs(JobsConfig{Workers: 1, Depth: 8, Registry: reg})
 
 	blockerStarted := make(chan struct{})
 	blocker, err := jobs.Submit("", func(ctx context.Context) ([]byte, bool, error) {
@@ -195,7 +195,7 @@ func TestJobsShedOnShutdown(t *testing.T) {
 // however late Close lands.
 func TestJobsSubmitCloseRace(t *testing.T) {
 	for round := 0; round < 10; round++ {
-		jobs := NewJobs(2, 4, nil)
+		jobs := NewJobs(JobsConfig{Workers: 2, Depth: 4})
 		var accepted sync.Map
 		var budget atomic.Int64 // submissions this round may still have accepted
 		budget.Store(maxFinishedJobs)
@@ -239,81 +239,16 @@ func TestJobsSubmitCloseRace(t *testing.T) {
 	}
 }
 
-// TestJobsRetryTransient checks the bounded-retry policy: transient
-// failures (a non-permanent injected fault) re-run with backoff and
-// eventually succeed; permanent failures do not retry.
-func TestJobsRetryTransient(t *testing.T) {
-	reg := obs.NewRegistry()
-	jobs := NewJobsConfig(JobsConfig{Workers: 1, Depth: 4, Registry: reg,
-		RetryMax: 3, RetryBase: time.Millisecond})
-	defer jobs.Close()
-
-	var attempts atomic.Int64
-	id, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
-		if attempts.Add(1) <= 2 {
-			return nil, false, fmt.Errorf("solve: %w", &faults.Error{Point: "solve"})
-		}
-		return []byte("ok"), false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := waitStatus(t, jobs, id, StatusDone)
-	if v.Retries != 2 || string(v.Result) != "ok" {
-		t.Errorf("view = %+v, want 2 retries and the ok body", v)
-	}
-	if got := reg.Counter("serve.jobs_retried").Value(); got != 2 {
-		t.Errorf("jobs_retried = %d, want 2", got)
-	}
-
-	var permAttempts atomic.Int64
-	id, err = jobs.Submit("", func(context.Context) ([]byte, bool, error) {
-		permAttempts.Add(1)
-		return nil, false, errors.New("boom")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v = waitStatus(t, jobs, id, StatusFailed)
-	if v.Retries != 0 || permAttempts.Load() != 1 {
-		t.Errorf("permanent failure retried: view=%+v attempts=%d", v, permAttempts.Load())
-	}
-}
-
-// TestJobsExhaustedRetriesFail checks a persistently transient failure
-// surfaces after RetryMax re-runs instead of looping forever.
-func TestJobsExhaustedRetriesFail(t *testing.T) {
-	jobs := NewJobsConfig(JobsConfig{Workers: 1, Depth: 2,
-		RetryMax: 2, RetryBase: time.Millisecond})
-	defer jobs.Close()
-	var attempts atomic.Int64
-	id, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
-		attempts.Add(1)
-		return nil, false, fmt.Errorf("solve: %w", &faults.Error{Point: "solve"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := waitStatus(t, jobs, id, StatusFailed)
-	if attempts.Load() != 3 || v.Retries != 2 {
-		t.Errorf("attempts=%d retries=%d, want 3 and 2", attempts.Load(), v.Retries)
-	}
-	if !strings.Contains(v.Error, "transient injected fault at solve") {
-		t.Errorf("error = %q, want the injected cause", v.Error)
-	}
-}
-
 // TestJobUnconvergedNotRetried checks that an async job whose solve runs
 // out of cycles fails after one attempt: the solve is deterministic in
 // its spec and backend, so a rerun would fail the same way.
 func TestJobUnconvergedNotRetried(t *testing.T) {
 	_, ts, reg := newTestServer(t, ServerConfig{
-		Engine:       EngineConfig{Multigrid: multigrid.Config{MaxCycles: 1}},
-		JobRetryBase: time.Millisecond,
+		Engine: EngineConfig{Multigrid: multigrid.Config{MaxCycles: 1}},
 	})
 	v := pollJob(t, ts.URL, submitAsync(t, ts.URL, solveRequest{Spec: testSpec(t)}))
-	if v.Status != StatusFailed || v.Retries != 0 {
-		t.Errorf("job = %+v, want failed without retries", v)
+	if v.Status != StatusFailed {
+		t.Errorf("job = %+v, want failed", v)
 	}
 	if !strings.Contains(v.Error, "did not converge") {
 		t.Errorf("error = %q, want the unconverged cause", v.Error)
@@ -323,17 +258,13 @@ func TestJobUnconvergedNotRetried(t *testing.T) {
 		t.Errorf("serve.unconverged = %d, serve.solves = %d, want 1 and 1",
 			snap["serve.unconverged"], snap["serve.solves"])
 	}
-	if got := snap["serve.jobs_retried"]; got != 0 {
-		t.Errorf("serve.jobs_retried = %d, want 0", got)
-	}
 }
 
 // TestJobsPanicFailsJobNotProcess pins the panic contract for the async
-// path: the job fails with a panic-typed error, is never retried, and
-// the worker keeps serving.
+// path: the job fails with a panic-typed error, runs once, and the
+// worker keeps serving.
 func TestJobsPanicFailsJobNotProcess(t *testing.T) {
-	jobs := NewJobsConfig(JobsConfig{Workers: 1, Depth: 4,
-		RetryMax: 3, RetryBase: time.Millisecond})
+	jobs := NewJobs(JobsConfig{Workers: 1, Depth: 4})
 	defer jobs.Close()
 	var attempts atomic.Int64
 	id, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
@@ -348,7 +279,7 @@ func TestJobsPanicFailsJobNotProcess(t *testing.T) {
 		t.Errorf("error = %q, want the panic message", v.Error)
 	}
 	if attempts.Load() != 1 {
-		t.Errorf("panicking job ran %d times, want 1 (panics are not retried)", attempts.Load())
+		t.Errorf("panicking job ran %d times, want 1", attempts.Load())
 	}
 	// The worker survived: the next job runs normally.
 	id, err = jobs.Submit("", func(context.Context) ([]byte, bool, error) {

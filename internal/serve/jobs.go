@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -39,15 +38,12 @@ const (
 
 // JobView is the poll response of /v1/jobs/{id}. Result is present only
 // once Status is "done". TraceID names the trace the job's solver events
-// are stamped with; GET /v1/jobs/{id}/trace serves them. Retries counts
-// the transient-failure re-runs the job needed (absent when it succeeded
-// or failed on the first attempt).
+// are stamped with; GET /v1/jobs/{id}/trace serves them.
 type JobView struct {
 	ID      string          `json:"id"`
 	Status  string          `json:"status"`
 	TraceID string          `json:"trace_id,omitempty"`
 	Cached  bool            `json:"cached,omitempty"`
-	Retries int             `json:"retries,omitempty"`
 	Error   string          `json:"error,omitempty"`
 	Result  json.RawMessage `json:"result,omitempty"`
 	// QueuedAt and StartedAt (RFC 3339, nanosecond precision) separate
@@ -74,7 +70,6 @@ type job struct {
 	mu        sync.Mutex
 	status    string
 	cached    bool
-	retries   int
 	err       string
 	body      []byte
 	queuedAt  time.Time
@@ -85,7 +80,7 @@ func (j *job) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{ID: j.id, Status: j.status, TraceID: j.trace, Cached: j.cached,
-		Retries: j.retries, Error: j.err, Result: j.body}
+		Error: j.err, Result: j.body}
 	if !j.queuedAt.IsZero() {
 		v.QueuedAt = j.queuedAt.UTC().Format(time.RFC3339Nano)
 	}
@@ -109,12 +104,6 @@ func (j *job) set(status string, body []byte, cached bool, err error) {
 	}
 }
 
-func (j *job) addRetry() {
-	j.mu.Lock()
-	j.retries++
-	j.mu.Unlock()
-}
-
 // maxFinishedJobs bounds how many completed job records are retained for
 // polling; beyond it the oldest finished records are dropped and polls
 // for them return 404.
@@ -130,30 +119,19 @@ type JobsConfig struct {
 	Registry *obs.Registry
 	// Faults arms the jobs.dequeue injection point. May be nil.
 	Faults *faults.Injector
-	// RetryMax is the number of re-runs a transiently failing job gets
-	// beyond its first attempt (transient: a non-permanent injected
-	// fault; an unconverged solve is not retried). Default 2; negative
-	// disables retry.
-	RetryMax int
-	// RetryBase is the first backoff; attempt k waits a jittered
-	// RetryBase·2^k. Default 25ms.
-	RetryBase time.Duration
 }
 
 // Jobs is a bounded asynchronous work queue: Submit enqueues with
 // backpressure, a fixed worker pool drains, finished results stay
-// pollable until evicted. Transient failures are retried with jittered
-// exponential backoff; panics fail the job, never the process. Close
-// drains gracefully — queued jobs still run; new submissions are
-// refused.
+// pollable until evicted. Each job runs once: a solve is deterministic in
+// its spec and backend, so a failed job would fail the same way again.
+// Panics fail the job, never the process. Close drains gracefully —
+// queued jobs still run; new submissions are refused.
 type Jobs struct {
 	queue  chan *job
 	wg     sync.WaitGroup
 	reg    *obs.Registry
 	faults *faults.Injector
-
-	retryMax  int
-	retryBase time.Duration
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -165,41 +143,25 @@ type Jobs struct {
 	closed   bool
 }
 
-// NewJobs starts a pool of workers consuming a queue of the given depth,
-// with the default retry policy. Jobs run under a context canceled only
-// by CancelAll — a disconnected submitter must not kill a job another
-// poller may still want.
-func NewJobs(workers, depth int, reg *obs.Registry) *Jobs {
-	return NewJobsConfig(JobsConfig{Workers: workers, Depth: depth, Registry: reg})
-}
-
-// NewJobsConfig starts a worker pool with the full configuration.
-func NewJobsConfig(cfg JobsConfig) *Jobs {
+// NewJobs starts a pool of cfg.Workers workers consuming a queue of
+// cfg.Depth. Jobs run under a context canceled only by CancelAll — a
+// disconnected submitter must not kill a job another poller may still
+// want.
+func NewJobs(cfg JobsConfig) *Jobs {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
 	if cfg.Depth < 1 {
 		cfg.Depth = 1
 	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = 2
-	}
-	if cfg.RetryMax < 0 {
-		cfg.RetryMax = 0
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 25 * time.Millisecond
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Jobs{
-		queue:     make(chan *job, cfg.Depth),
-		reg:       cfg.Registry,
-		faults:    cfg.Faults,
-		retryMax:  cfg.RetryMax,
-		retryBase: cfg.RetryBase,
-		baseCtx:   ctx,
-		cancel:    cancel,
-		jobs:      make(map[string]*job),
+		queue:   make(chan *job, cfg.Depth),
+		reg:     cfg.Registry,
+		faults:  cfg.Faults,
+		baseCtx: ctx,
+		cancel:  cancel,
+		jobs:    make(map[string]*job),
 	}
 	// Queue depth is computed at scrape time, so queue wait — previously
 	// folded invisibly into job wall time — is observable directly.
@@ -220,10 +182,10 @@ func (j *Jobs) worker() {
 	}
 }
 
-// runJob executes one dequeued job to a terminal status: done, failed
-// (with retries for transient errors), canceled, or shed. Panics inside
-// the job body become a failed job via the shield — a panicking job must
-// fail that job, not the process.
+// runJob executes one dequeued job, once, to a terminal status: done,
+// failed, canceled, or shed. Panics inside the job body become a failed
+// job via the shield — a panicking job must fail that job, not the
+// process.
 func (j *Jobs) runJob(t *job) {
 	// A job dequeued after the hard-shutdown cancel never starts: it is
 	// reported failed with the distinct shed error rather than silently
@@ -243,29 +205,14 @@ func (j *Jobs) runJob(t *job) {
 	}
 	var body []byte
 	var cached bool
-	var err error
-	for attempt := 0; ; attempt++ {
-		first := attempt == 0
-		err = shield(func() error {
-			if first {
-				if ferr := j.faults.FireCtx(ctx, "jobs.dequeue"); ferr != nil {
-					return fmt.Errorf("serve: dequeue: %w", ferr)
-				}
-			}
-			var rerr error
-			body, cached, rerr = t.run(ctx)
-			return rerr
-		})
-		if err == nil || attempt >= j.retryMax || !transientErr(err) ||
-			ctx.Err() != nil || j.draining() {
-			break
+	err := shield(func() error {
+		if ferr := j.faults.FireCtx(ctx, "jobs.dequeue"); ferr != nil {
+			return fmt.Errorf("serve: dequeue: %w", ferr)
 		}
-		t.addRetry()
-		j.reg.Counter("serve.jobs_retried").Inc()
-		if !j.backoff(ctx, attempt) {
-			break // canceled while waiting: surface the last attempt's error
-		}
-	}
+		var rerr error
+		body, cached, rerr = t.run(ctx)
+		return rerr
+	})
 	switch {
 	case err == nil:
 		t.set(StatusDone, body, cached, nil)
@@ -277,31 +224,6 @@ func (j *Jobs) runJob(t *job) {
 		t.set(StatusFailed, nil, false, err)
 		j.reg.Counter("serve.jobs_failed").Inc()
 	}
-}
-
-// backoff sleeps the jittered exponential delay before retry attempt+1:
-// uniformly within [base·2^attempt/2, base·2^attempt), so synchronized
-// transient failures do not retry in lockstep. It returns false when the
-// pool context died while waiting.
-func (j *Jobs) backoff(ctx context.Context, attempt int) bool {
-	d := j.retryBase << uint(attempt)
-	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// draining reports whether Close has begun; retries stop so the drain
-// stays bounded.
-func (j *Jobs) draining() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.closed
 }
 
 // retire records a finished job for eviction accounting.

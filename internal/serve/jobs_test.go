@@ -26,7 +26,7 @@ func waitStatus(t *testing.T, jobs *Jobs, id, want string) JobView {
 }
 
 func TestJobsLifecycle(t *testing.T) {
-	jobs := NewJobs(1, 4, obs.NewRegistry())
+	jobs := NewJobs(JobsConfig{Workers: 1, Depth: 4, Registry: obs.NewRegistry()})
 	defer jobs.Close()
 
 	id, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
@@ -54,7 +54,7 @@ func TestJobsLifecycle(t *testing.T) {
 
 func TestJobsBackpressure(t *testing.T) {
 	reg := obs.NewRegistry()
-	jobs := NewJobs(1, 1, reg)
+	jobs := NewJobs(JobsConfig{Workers: 1, Depth: 1, Registry: reg})
 
 	block := make(chan struct{})
 	running, err := jobs.Submit("", func(context.Context) ([]byte, bool, error) {
@@ -88,7 +88,7 @@ func TestJobsBackpressure(t *testing.T) {
 }
 
 func TestJobsGracefulDrain(t *testing.T) {
-	jobs := NewJobs(2, 8, nil)
+	jobs := NewJobs(JobsConfig{Workers: 2, Depth: 8})
 	ids := make([]string, 6)
 	for i := range ids {
 		var err error
@@ -116,7 +116,7 @@ func TestJobsGracefulDrain(t *testing.T) {
 }
 
 func TestJobsCancelAll(t *testing.T) {
-	jobs := NewJobs(1, 2, nil)
+	jobs := NewJobs(JobsConfig{Workers: 1, Depth: 2})
 	id, err := jobs.Submit("", func(ctx context.Context) ([]byte, bool, error) {
 		<-ctx.Done()
 		return nil, false, fmt.Errorf("stopped: %w", ctx.Err())
@@ -136,7 +136,7 @@ func TestJobsCancelAll(t *testing.T) {
 func TestJobsEvictOldFinished(t *testing.T) {
 	// One worker finishes jobs in submission order, so the oldest finished
 	// records are exactly the first ones submitted.
-	jobs := NewJobs(1, 16, nil)
+	jobs := NewJobs(JobsConfig{Workers: 1, Depth: 16})
 	var ids []string
 	for i := 0; i < maxFinishedJobs+8; i++ {
 		for {

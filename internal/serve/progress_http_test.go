@@ -287,18 +287,15 @@ func TestJobEventsSSEDisconnect(t *testing.T) {
 }
 
 // TestWatchdogStallInjection is the chaos proof of the watchdog: a
-// solver wedged by an injected delay at the multigrid.cycle seam is
+// solver held by an injected delay at the multigrid.cycle seam is
 // classified stalled within the configured window, the verdict event
-// carries the job's trace ID, and — with cancel-on-stall armed — the
-// hopeless solve is reaped so the job terminates instead of burning its
-// full deadline.
+// carries the job's trace ID, and the watchdog only testifies — the
+// solve runs on and the job ends done once the delay ends.
 func TestWatchdogStallInjection(t *testing.T) {
-	s, url, reg := newChaosServer(t, "multigrid.cycle:delay:d=30s:after=3",
+	s, url, reg := newChaosServer(t, "multigrid.cycle:delay:d=600ms:after=3:n=1",
 		ServerConfig{
 			StallWindow:      120 * time.Millisecond,
 			WatchdogInterval: 20 * time.Millisecond,
-			CancelOnStall:    true,
-			JobRetries:       -1,
 		})
 
 	spec := testSpec(t)
@@ -343,8 +340,8 @@ func TestWatchdogStallInjection(t *testing.T) {
 		t.Fatalf("stalled verdict carries no reason: %+v", verdict)
 	}
 
-	// Cancel-on-stall reaps the solve: the job reaches a terminal state
-	// long before the 120s sync default or the 30s injected sleep.
+	// The verdict stops nothing: once the delay ends the solve finishes
+	// and the job ends done.
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		v, ok := s.jobs.Get(view.ID)
@@ -352,22 +349,19 @@ func TestWatchdogStallInjection(t *testing.T) {
 			t.Fatalf("job %s evicted while awaited", view.ID)
 		}
 		if terminalStatus(v.Status) {
-			if v.Status == StatusDone {
-				t.Fatalf("wedged job finished clean: %+v", v)
+			if v.Status != StatusDone {
+				t.Fatalf("stalled job = %+v, want done", v)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job still %s after stall cancel", v.Status)
+			t.Fatalf("job still %s after the delay ended", v.Status)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
 	if got := reg.Counter("progress.solves_stalled_total").Value(); got < 1 {
 		t.Errorf("progress.solves_stalled_total = %d, want >= 1", got)
-	}
-	if got := reg.Counter("watchdog.cancels_total").Value(); got < 1 {
-		t.Errorf("watchdog.cancels_total = %d, want >= 1", got)
 	}
 }
 

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
-
-	"cdrstoch/internal/faults"
 )
 
 // PanicError wraps a panic recovered at a service boundary — the
@@ -43,25 +40,4 @@ func shield(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// transientErr classifies a failure for the retry policy: only an
-// injected fault not marked permanent is worth a bounded retry with
-// backoff, because only it can change on a rerun. Everything else — bad
-// requests, cancellations, panics, permanent injections and solves that
-// ran out of cycles — is not. A solve is deterministic in its spec and
-// backend, so an unconverged solve would fail the same way again. Panics
-// are permanent even when the panic value is a transient injected error:
-// a panic's partial execution cannot be assumed safe to repeat blindly,
-// and the chaos suite asserts the job fails cleanly instead.
-func transientErr(err error) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	var fe *faults.Error
-	if errors.As(err, &fe) {
-		return !fe.Permanent
-	}
-	return false
 }

@@ -56,32 +56,20 @@ type ServerConfig struct {
 	// (solver cycles). Nil disables injection at zero cost. cdrserved
 	// arms it from CDR_FAULTS.
 	Faults *faults.Injector
-	// JobRetries bounds the re-runs an async job gets beyond its first
-	// attempt after a transient failure (a non-permanent injected fault;
-	// an unconverged solve is not retried). Default 2; negative disables
-	// retry.
-	JobRetries int
-	// JobRetryBase is the first retry backoff; attempt k waits a
-	// jittered JobRetryBase·2^k. Default 25ms.
-	JobRetryBase time.Duration
 	// CostRingSize bounds the progress table's tail of finished rows,
 	// the SolveReports behind /debug/solves. Default progress.DefaultKeep.
 	CostRingSize int
 	// StallWindow is the watchdog's staleness window: a solve with no
 	// events or no residual improvement for this long is classified
-	// stalled. Default 10s.
+	// stalled. The watchdog only reports: a stalled solve runs on, bounded
+	// by SyncTimeout (sync requests) and the multigrid cycle cap.
+	// Default 10s.
 	StallWindow time.Duration
 	// WatchdogInterval is the watchdog check cadence. Default 1s.
 	WatchdogInterval time.Duration
 	// DivergeChecks is how many consecutive residual-growth checks flag a
 	// solve diverging. Default 3.
 	DivergeChecks int
-	// CancelOnStall lets the watchdog cancel solves it classifies stalled
-	// or diverging. A canceled solve surfaces context.Canceled, which the
-	// job layer never retries, so the job ends canceled instead of
-	// running on. Off by default: a false positive under CPU starvation
-	// would kill a solve that was still making (slow) progress.
-	CancelOnStall bool
 	// EventsHeartbeat is the SSE keep-alive comment cadence on
 	// /v1/jobs/{id}/events. Default 5s.
 	EventsHeartbeat time.Duration
@@ -148,7 +136,6 @@ func NewServer(cfg ServerConfig) *Server {
 		StallWindow:   cfg.StallWindow,
 		Interval:      cfg.WatchdogInterval,
 		DivergeChecks: cfg.DivergeChecks,
-		CancelOnStall: cfg.CancelOnStall,
 		Keep:          cfg.CostRingSize,
 	})
 	cfg.Engine.Progress = prog
@@ -158,13 +145,11 @@ func NewServer(cfg ServerConfig) *Server {
 		reg:      cfg.Registry,
 		flight:   flight,
 		progress: prog,
-		jobs: NewJobsConfig(JobsConfig{
-			Workers:   cfg.Workers,
-			Depth:     cfg.QueueDepth,
-			Registry:  cfg.Registry,
-			Faults:    cfg.Faults,
-			RetryMax:  cfg.JobRetries,
-			RetryBase: cfg.JobRetryBase,
+		jobs: NewJobs(JobsConfig{
+			Workers:  cfg.Workers,
+			Depth:    cfg.QueueDepth,
+			Registry: cfg.Registry,
+			Faults:   cfg.Faults,
 		}),
 	}
 	// Process identity and drop-count exports. Start time is a constant
@@ -192,8 +177,8 @@ func (s *Server) Progress() *progress.Tracker { return s.progress }
 
 // Close drains the async queue: queued jobs still run, new submissions
 // are refused. Call after the http.Server has stopped accepting. The
-// watchdog stops only after the drain, so under CancelOnStall it can
-// still reap a stuck job blocking shutdown.
+// watchdog stops only after the drain, so it keeps classifying the jobs
+// that drain.
 func (s *Server) Close() {
 	s.jobs.Close()
 	s.progress.Stop()
@@ -578,11 +563,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // jobView resolves a job's current view, enriched with its row in the
 // progress table: terminal jobs carry their solve's cost report (when
-// the finished tail still keeps it — the job layer preserved the
-// submitter's trace ID across retries, so the lookup matches even for
-// retried jobs, and the view's retry count is copied onto the report),
-// running jobs carry the live progress of their in-flight solve (phase,
-// iteration, residual, watchdog state, ETA).
+// the finished tail still keeps it, matched by the submitter's trace ID,
+// which the job's context carries), running jobs carry the live progress
+// of their in-flight solve (phase, iteration, residual, watchdog state,
+// ETA).
 func (s *Server) jobView(id string) (JobView, bool) {
 	view, ok := s.jobs.Get(id)
 	if !ok {
@@ -591,7 +575,6 @@ func (s *Server) jobView(id string) (JobView, bool) {
 	switch view.Status {
 	case StatusDone, StatusFailed:
 		if rep, ok := s.report(view.TraceID); ok {
-			rep.Retries = view.Retries
 			rep.Cached = view.Cached
 			view.Cost = &rep
 		}
