@@ -82,7 +82,13 @@ chaos_stage
 echo "== metrics lint (every name survives Prometheus sanitization, no collisions) =="
 run_tests 'TestServerMetricsSurviveLint|TestLintMetrics' -count=1 \
     ./internal/serve ./internal/obs
-run_tests 'TestRuntimeCollectorPoll' -count=1 ./internal/obs/cost
+# The runtime.* gauges are computed at scrape time: present on the first
+# snapshot, with no poller goroutine.
+run_tests 'TestRuntimeGaugesReadAtScrape' -count=1 ./internal/obs/cost
+# The metrics and miss headers the benchmark's serve-mix workload reads
+# (serve.build_ms, serve.solve_ms, serve.singleflight_shared in JSON
+# /metrics; X-Solve-Cost-Wall-Ms, -Cycles, -States) stay exported.
+run_tests 'TestServeMixReadSurface' -count=1 ./internal/serve
 # The progress/watchdog metric families (progress.*, watchdog.*) are
 # touched eagerly at tracker construction, so this lint sees them all.
 run_tests 'TestTrackerMetricsSurviveLint' -count=1 ./internal/obs/progress
@@ -104,13 +110,14 @@ echo "== kron backend parity (matrix-free vs explicit, -race) =="
 # backend at every layer it plugs into: the shuffle kernels against the
 # materialized matrix (including the parallel split) and, bit for bit,
 # against the full-slab evaluation their support restriction replaces,
-# the operator-backed markov solvers, the implicit-fine-level multigrid
-# (including the per-level work its trace's closing span states, on both
-# backends, against the solve's level tallies, its
-# segment smoother and restriction against point Gauss–Seidel and a
-# row-by-row restriction over the materialized matrix, its link product
-# against the shuffle product and the materialized matrix, and its level 1,
-# written straight into its transpose, bit for bit against the restriction
+# the operator-backed markov solvers and structural queries, the
+# implicit-fine-level multigrid (including the per-level work its trace's
+# closing span states, on both backends, against the solve's level
+# tallies, its segment smoother and restriction against point
+# Gauss–Seidel and a row-by-row restriction over the materialized
+# matrix, its link product against the shuffle product and the
+# materialized matrix, and its level 1, written straight into its
+# transpose, bit for bit against the restriction
 # into a CSR matrix whose transpose is refreshed), the core analysis and
 # the measures a matrix-free model reads from π, the FSM synchronous
 # product, and the HTTP backend selector end to end (the
@@ -167,8 +174,9 @@ echo "== live progress (SSE stream + seeded stall injection, -race) =="
 # delay ends. Two explicit DefaultSpec-family jobs must fit the default
 # flight ring with nothing dropped, each job's trace running from its
 # build span through one iter event per cycle to the multigrid span_end.
-# Seeded like the chaos stage.
-CDR_FAULTS_SEED=1 run_tests 'TestJobEventsSSE|TestJobEventsFramesNamedByKind|TestJobTraceHoldsWholeSolves|TestWatchdogStallInjection|TestDebugProgressLiveETA' \
+# At the default heartbeat, the done frame follows the job's end within a
+# second. Seeded like the chaos stage.
+CDR_FAULTS_SEED=1 run_tests 'TestJobEventsSSE|TestJobEventsDoneOnJobEnd|TestJobEventsFramesNamedByKind|TestJobTraceHoldsWholeSolves|TestWatchdogStallInjection|TestDebugProgressLiveETA' \
     -race -count=1 ./internal/serve
 
 echo "== bench compare (optional; needs two committed BENCH_*.json) =="

@@ -58,7 +58,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -backend %q (want explicit or kron)", *backend))
 	}
-	buildDone := obsrv.Registry.Timer("build").Time()
+	buildDone := obsrv.Registry.Histogram("build_ms").Time()
 	endBuild := obsrv.Run.Span("cdranalyze.build")
 	var model *core.Model
 	if kron {
@@ -108,7 +108,7 @@ func main() {
 		obsrv.Run.Meter = meter
 	}
 	opt.Multigrid.Ctx = obsrv.Context()
-	solveDone := obsrv.Registry.Timer("solve").Time()
+	solveDone := obsrv.Registry.Histogram("solve_ms").Time()
 	endSolve := obsrv.Run.Span("cdranalyze.solve")
 	var a *core.Analysis
 	if kron {

@@ -59,7 +59,7 @@ func main() {
 	fmt.Println()
 
 	section("Figure 3 — transition probability matrix structure")
-	buildDone := reg.Timer("section.fig3").Time()
+	buildDone := reg.Histogram("section.fig3_ms").Time()
 	m, err := core.Build(experiments.BaseSpec())
 	buildDone()
 	check(err)
@@ -71,7 +71,7 @@ func main() {
 	fmt.Println("(render with: go run ./cmd/tpmspy -preset base)")
 
 	section("Figure 4 — stationary phase-error analysis, low vs 4x eye jitter")
-	fig4Done := reg.Timer("section.fig4").Time()
+	fig4Done := reg.Histogram("section.fig4_ms").Time()
 	for _, high := range []bool{false, true} {
 		endSpan := obsrv.Run.Span(fmt.Sprintf("cdrreport.fig4.high=%v", high))
 		p, err := experiments.RunPanel(experiments.Fig4Spec(high), solveOpt)
@@ -85,7 +85,7 @@ func main() {
 	fig4Done()
 
 	section("Figure 5 — BER vs loop-filter counter length (noise fixed)")
-	fig5Done := reg.Timer("section.fig5").Time()
+	fig5Done := reg.Histogram("section.fig5_ms").Time()
 	points, best, err := experiments.OptimalCounter(experiments.Fig5Spec, []int{1, 2, 4, 8, 16, 32}, solveOpt)
 	fig5Done()
 	check(err)
@@ -97,7 +97,7 @@ func main() {
 
 	if !*quick {
 		section("Numerical Methods — solver comparison under grid refinement")
-		solverDone := reg.Timer("section.solvers").Time()
+		solverDone := reg.Histogram("section.solvers_ms").Time()
 		for _, refine := range []int{2, 4} {
 			spec, err := experiments.ScaledSpec(refine)
 			check(err)
@@ -116,7 +116,7 @@ func main() {
 	}
 
 	section("Introduction — simulation infeasibility at SONET-class BER")
-	mcDone := reg.Timer("section.montecarlo").Time()
+	mcDone := reg.Histogram("section.montecarlo_ms").Time()
 	p, err := experiments.RunPanel(experiments.Fig4Spec(false), solveOpt)
 	check(err)
 	target := p.Analysis.BER

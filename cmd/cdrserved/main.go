@@ -64,7 +64,6 @@ func main() {
 	flightN := fs.Int("flight", 0, "flight recorder ring size in events (0 = default)")
 	solvesN := fs.Int("solves", 0, "finished solves kept for /debug/solves (0 = default)")
 	costLog := fs.String("cost-log", "", "append per-solve cost reports as JSON lines to this file")
-	runtimePoll := fs.Duration("runtime-poll", 10*time.Second, "runtime/metrics polling interval for runtime.* gauges (0 disables)")
 	stallWindow := fs.Duration("stall-window", 0, "watchdog staleness window: no events or residual improvement for this long marks a solve stalled (0 = default 10s)")
 	wdInterval := fs.Duration("watchdog-interval", 0, "watchdog check cadence (0 = default 1s)")
 	divergeChecks := fs.Int("diverge-checks", 0, "consecutive residual-growth checks before a solve is classified diverging (0 = default 3)")
@@ -98,10 +97,9 @@ func main() {
 		costSink = obs.NewJSONL(f)
 	}
 
-	// GC/scheduler health gauges (runtime.*) poll on their own cadence;
-	// stopped during drain so the exit is clean.
-	stopRuntime := cost.NewRuntimeCollector(obsrv.Registry).Start(*runtimePoll)
-	defer stopRuntime()
+	// GC/scheduler health gauges (runtime.*) read runtime/metrics at
+	// scrape time.
+	cost.RegisterRuntimeGauges(obsrv.Registry)
 
 	srv := serve.NewServer(serve.ServerConfig{
 		Engine: serve.EngineConfig{

@@ -160,6 +160,10 @@ func TestServerSmoke(t *testing.T) {
 	if snap.Counters["serve.solves"] != 1 {
 		t.Errorf("solves = %d, want 1", snap.Counters["serve.solves"])
 	}
+	// The runtime gauges are read at scrape time, so the first scrape has them.
+	if g := snap.Gauges["runtime.sched_goroutines_goroutines"]; g < 1 {
+		t.Errorf("runtime.sched_goroutines_goroutines = %g on the first scrape", g)
+	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mcDone := obsrv.Registry.Timer("montecarlo").Time()
+	mcDone := obsrv.Registry.Histogram("montecarlo_ms").Time()
 	endMC := obsrv.Run.Span("cdrsim.montecarlo")
 	res, err := bitsim.RunParallel(bitsim.Config{
 		Spec: spec, Bits: *bits, Seed: *seed,
@@ -70,7 +70,7 @@ func main() {
 		opt := core.SolveOptions{}
 		opt.Multigrid.Ctx = obsrv.Context()
 		opt.Multigrid.Workers = *workers
-		solveDone := obsrv.Registry.Timer("solve").Time()
+		solveDone := obsrv.Registry.Histogram("solve_ms").Time()
 		endSolve := obsrv.Run.Span("cdrsim.solve")
 		a, err := m.Solve(opt)
 		endSolve()

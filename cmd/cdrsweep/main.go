@@ -89,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(err)
 			}
 			endSpan := obsrv.Run.Span(fmt.Sprintf("sweep.counter.%d", l))
-			pointDone := obsrv.Registry.Timer("sweep.point").Time()
+			pointDone := obsrv.Registry.Histogram("sweep.point_ms").Time()
 			p, rep, err := runner.solve(spec)
 			pointDone()
 			endSpan()
@@ -130,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			spec.EyeJitter = dist.NewGaussian(0, sig)
 			endSpan := obsrv.Run.Span(fmt.Sprintf("sweep.noise.%g", sig))
-			pointDone := obsrv.Registry.Timer("sweep.point").Time()
+			pointDone := obsrv.Registry.Histogram("sweep.point_ms").Time()
 			p, rep, err := runner.solve(spec)
 			pointDone()
 			endSpan()
@@ -170,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "== grid 1/%d UI: %d states, %d nnz ==\n",
 				int(1/spec.GridStep+0.5), m.NumStates(), m.P.NNZ())
-			sweepDone := obsrv.Registry.Timer("sweep.solver").Time()
+			sweepDone := obsrv.Registry.Histogram("sweep.solver_ms").Time()
 			rows, err := experiments.CompareSolvers(m, *tol, 200000, obsrv.Tracer)
 			sweepDone()
 			if err != nil {

@@ -71,7 +71,7 @@ func main() {
 			}
 		}
 		endSpan := obsrv.Run.Span(fmt.Sprintf("jittertol.counter.%d", label))
-		searchDone := obsrv.Registry.Timer("tolerance.search").Time()
+		searchDone := obsrv.Registry.Histogram("tolerance.search_ms").Time()
 		base, err := experiments.BERWithSJ(spec, 0, slot, solveOpt)
 		if err != nil {
 			app.Fatal(err)

@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		app.Fatal(err)
 	}
-	buildDone := obsrv.Registry.Timer("build").Time()
+	buildDone := obsrv.Registry.Histogram("build_ms").Time()
 	endBuild := obsrv.Run.Span("tpmspy.build")
 	m, err := core.Build(spec)
 	endBuild()

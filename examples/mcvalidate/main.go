@@ -44,7 +44,7 @@ func main() {
 	}
 	reg.Gauge("model.states").Set(float64(model.NumStates()))
 	t0 := time.Now()
-	solveDone := reg.Timer("analysis.solve").Time()
+	solveDone := reg.Histogram("analysis.solve_ms").Time()
 	pi, err := model.SolveDirect()
 	solveDone()
 	if err != nil {
@@ -54,7 +54,7 @@ func main() {
 	tAnalysis := time.Since(t0)
 
 	t0 = time.Now()
-	mcDone := reg.Timer("montecarlo").Time()
+	mcDone := reg.Histogram("montecarlo_ms").Time()
 	mc, err := bitsim.Run(bitsim.Config{Spec: noisy, Bits: 2000000, Seed: 1, Metrics: reg})
 	mcDone()
 	if err != nil {
@@ -70,7 +70,7 @@ func main() {
 
 	// Part 2: the low-BER regime. The analysis solves it directly; the
 	// simulation budget is astronomical.
-	panelDone := reg.Timer("analysis.panel").Time()
+	panelDone := reg.Histogram("analysis.panel_ms").Time()
 	panel, err := experiments.RunPanel(experiments.Fig4Spec(false))
 	panelDone()
 	if err != nil {

@@ -286,13 +286,16 @@ func (m *Model) SlipSet() []bool {
 // SlipStats computes the stationary entry flux into the slip set and the
 // implied mean time between cycle slips (in bit periods).
 func (m *Model) SlipStats(pi []float64) (passage.FluxResult, error) {
-	if m.P != nil {
-		return passage.SlipFlux(m.P, pi, m.SlipSet())
+	var p passage.Transitions
+	switch {
+	case m.P != nil:
+		p = m.P
+	case m.Desc != nil:
+		p = m.Desc
+	default:
+		return passage.FluxResult{}, errors.New("core: model has no transition backend")
 	}
-	if m.Desc != nil {
-		return passage.SlipFluxOp(m.Desc, pi, m.SlipSet())
-	}
-	return passage.FluxResult{}, errors.New("core: model has no transition backend")
+	return passage.SlipFlux(p, pi, m.SlipSet())
 }
 
 // WrapSlipRate returns the stationary probability per bit that the phase
@@ -352,8 +355,8 @@ func (m *Model) MeanTimeToSlip() (float64, error) {
 }
 
 // Chain wraps the transition backend in a markov.Chain: the TPM when one
-// was assembled (full structural queries and solvers), the Kronecker
-// descriptor otherwise (the operator-capable solvers).
+// was assembled (every solver), the Kronecker descriptor otherwise (the
+// operator-capable solvers; structural queries materialize it).
 func (m *Model) Chain() (*markov.Chain, error) {
 	if m.P == nil && m.Desc != nil {
 		return markov.NewOperator(m.Desc)

@@ -45,9 +45,10 @@ type opsEstimator interface {
 // the transient analyses (Evolve, ExpectedCumulative,
 // SurvivalProbability, FrameErrorRate), MixingTime, and the stationary
 // statistics (Autocovariance, Autocorrelation, SpectralDensity).
-// The structural analyses read explicit rows and must not be called on
-// a matrix-free chain; GroupInverse and the Gauss–Seidel/direct solvers
-// report an error there, and P returns nil.
+// The structural analyses (SCCs, RecurrentClasses, Period,
+// IsIrreducible, IsErgodic) walk the backend's ToCSR materialization,
+// built once per call; GroupInverse and the Gauss–Seidel/direct solvers
+// report an error on a matrix-free chain, and P returns nil.
 func NewOperator(op Operator) (*Chain, error) {
 	if p, ok := op.(*spmat.CSR); ok {
 		return New(p)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cdrstoch/internal/kron"
@@ -146,6 +147,36 @@ func TestOperatorChainExplicitOnlySolvers(t *testing.T) {
 	}
 	if _, err := ch.GroupInverse(ch.Uniform()); err == nil {
 		t.Fatal("group inverse on matrix-free chain succeeded")
+	}
+}
+
+// TestOperatorChainStructure runs the five structural queries on a
+// matrix-free chain, which walk the descriptor's materialization, against
+// the explicit chain of the same matrix.
+func TestOperatorChainStructure(t *testing.T) {
+	d, _ := testDescriptor(t, 13)
+	implicit, err := NewOperator(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := New(d.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := implicit.SCCs(), explicit.SCCs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("SCCs = %v, want %v", got, want)
+	}
+	if got, want := implicit.RecurrentClasses(), explicit.RecurrentClasses(); !reflect.DeepEqual(got, want) {
+		t.Errorf("RecurrentClasses = %v, want %v", got, want)
+	}
+	if got, want := implicit.Period(), explicit.Period(); got != want {
+		t.Errorf("Period = %d, want %d", got, want)
+	}
+	if got, want := implicit.IsIrreducible(), explicit.IsIrreducible(); got != want {
+		t.Errorf("IsIrreducible = %v, want %v", got, want)
+	}
+	if got, want := implicit.IsErgodic(), explicit.IsErgodic(); got != want {
+		t.Errorf("IsErgodic = %v, want %v", got, want)
 	}
 }
 

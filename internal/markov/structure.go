@@ -1,5 +1,7 @@
 package markov
 
+import "cdrstoch/internal/spmat"
+
 // Structural analysis: strongly connected components (Tarjan), recurrence
 // classification, irreducibility and period. The CDR model is constructed
 // over its reachable state space, but reducibility can still arise from
@@ -7,14 +9,30 @@ package markov
 // checks turn such mistakes into diagnostics instead of silent
 // non-convergence.
 
+// explicit returns the one explicit matrix a structural query walks: the
+// chain's own CSR, or the materialization of a matrix-free backend that
+// offers one (kron.Descriptor's ToCSR), built once per query. It panics
+// on a backend that can do neither.
+func (c *Chain) explicit() *spmat.CSR {
+	if c.p != nil {
+		return c.p
+	}
+	if m, ok := c.op.(interface{ ToCSR() *spmat.CSR }); ok {
+		return m.ToCSR()
+	}
+	panic("markov: structural analysis needs an explicit CSR or a backend with ToCSR")
+}
+
 // SCCs returns the strongly connected components of the chain's directed
 // transition graph (edges with positive probability), using Tarjan's
 // algorithm with an explicit stack to survive million-state graphs without
 // blowing the goroutine stack. Components are returned in reverse
 // topological order (every edge leaving component k targets a component
 // with index < k... specifically Tarjan emits sinks first).
-func (c *Chain) SCCs() [][]int {
-	n := c.N()
+func (c *Chain) SCCs() [][]int { return sccs(c.explicit()) }
+
+func sccs(p *spmat.CSR) [][]int {
+	n, _ := p.Dims()
 	const unvisited = -1
 	index := make([]int, n)
 	low := make([]int, n)
@@ -44,7 +62,7 @@ func (c *Chain) SCCs() [][]int {
 		onStack[root] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			cols, vals := c.p.Row(f.v)
+			cols, vals := p.Row(f.v)
 			advanced := false
 			for f.ei < len(cols) {
 				w := cols[f.ei]
@@ -74,9 +92,9 @@ func (c *Chain) SCCs() [][]int {
 			v := f.v
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
+				u := frames[len(frames)-1].v
+				if low[v] < low[u] {
+					low[u] = low[v]
 				}
 			}
 			if low[v] == index[v] {
@@ -105,8 +123,10 @@ func (c *Chain) IsIrreducible() bool { return len(c.SCCs()) == 1 }
 // SCCs with no positive-probability edge leaving them. An ergodic chain
 // has exactly one, covering all states.
 func (c *Chain) RecurrentClasses() [][]int {
-	comps := c.SCCs()
-	id := make([]int, c.N())
+	p := c.explicit()
+	comps := sccs(p)
+	n, _ := p.Dims()
+	id := make([]int, n)
 	for ci, comp := range comps {
 		for _, v := range comp {
 			id[v] = ci
@@ -116,8 +136,8 @@ func (c *Chain) RecurrentClasses() [][]int {
 	for i := range closed {
 		closed[i] = true
 	}
-	for v := 0; v < c.N(); v++ {
-		cols, vals := c.p.Row(v)
+	for v := 0; v < n; v++ {
+		cols, vals := p.Row(v)
 		for k, w := range cols {
 			if vals[k] > 0 && id[w] != id[v] {
 				closed[id[v]] = false
@@ -136,11 +156,13 @@ func (c *Chain) RecurrentClasses() [][]int {
 // Period returns the period of an irreducible chain: the gcd of all cycle
 // lengths, computed from BFS level differences. It returns 0 for a
 // reducible chain (period is then class-dependent).
-func (c *Chain) Period() int {
-	if !c.IsIrreducible() {
+func (c *Chain) Period() int { return period(c.explicit()) }
+
+func period(p *spmat.CSR) int {
+	if len(sccs(p)) != 1 {
 		return 0
 	}
-	n := c.N()
+	n, _ := p.Dims()
 	level := make([]int, n)
 	for i := range level {
 		level[i] = -1
@@ -151,7 +173,7 @@ func (c *Chain) Period() int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		cols, vals := c.p.Row(v)
+		cols, vals := p.Row(v)
 		for k, w := range cols {
 			if vals[k] == 0 {
 				continue
@@ -189,7 +211,6 @@ func gcd(a, b int) int {
 
 // IsErgodic reports whether the chain is irreducible and aperiodic, the
 // condition under which every solver here converges to the unique
-// stationary distribution.
-func (c *Chain) IsErgodic() bool {
-	return c.IsIrreducible() && c.Period() == 1
-}
+// stationary distribution. Period is 0 for a reducible chain, so period 1
+// is both conditions.
+func (c *Chain) IsErgodic() bool { return c.Period() == 1 }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"cdrstoch/internal/obs"
 	"cdrstoch/internal/spmat"
@@ -228,10 +228,16 @@ func TestAggregateEndpointHistograms(t *testing.T) {
 	}
 }
 
-func TestRuntimeCollectorPoll(t *testing.T) {
+// TestRuntimeGaugesReadAtScrape pins the runtime.* gauges as computed
+// gauges: present on the first snapshot after registration, with no
+// goroutine started to poll them, and lint clean.
+func TestRuntimeGaugesReadAtScrape(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewRuntimeCollector(reg)
-	c.Poll()
+	before := runtime.NumGoroutine()
+	RegisterRuntimeGauges(reg)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("registration started %d goroutine(s)", after-before)
+	}
 	snap := reg.Snapshot()
 	if g := snap.Gauges["runtime.sched_goroutines_goroutines"]; g < 1 {
 		t.Errorf("goroutine gauge = %g", g)
@@ -246,28 +252,17 @@ func TestRuntimeCollectorPoll(t *testing.T) {
 			t.Errorf("missing quantile gauge %s", name)
 		}
 	}
+	// Each snapshot reads the runtime afresh.
+	cycles := snap.Gauges["runtime.gc_cycles_total_gc_cycles"]
+	runtime.GC()
+	if got := reg.Snapshot().Gauges["runtime.gc_cycles_total_gc_cycles"]; got <= cycles {
+		t.Errorf("gc cycle gauge %g did not advance past %g after runtime.GC", got, cycles)
+	}
 	// Every exported name must survive metrics lint.
 	if probs := snap.LintMetrics(); len(probs) != 0 {
 		t.Errorf("runtime gauges fail lint: %v", probs)
 	}
-	// Nil collector / registry are no-ops.
-	var nc *RuntimeCollector
-	nc.Poll()
-	NewRuntimeCollector(nil).Poll()
-}
-
-func TestRuntimeCollectorStartStop(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := NewRuntimeCollector(reg)
-	stop := c.Start(time.Millisecond)
-	defer stop()
-	// The immediate poll guarantees the gauges exist before any tick.
-	if g := reg.Snapshot().Gauges["runtime.sched_goroutines_goroutines"]; g < 1 {
-		t.Errorf("immediate poll missing: %g", g)
-	}
-	stop()
-	// interval <= 0 returns a valid no-op stop.
-	c.Start(0)()
+	RegisterRuntimeGauges(nil) // a nil registry is a no-op
 }
 
 func TestRuntimeGaugeName(t *testing.T) {

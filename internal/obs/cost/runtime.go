@@ -2,18 +2,16 @@ package cost
 
 import (
 	"runtime/metrics"
-	"sync"
-	"time"
 
 	"cdrstoch/internal/obs"
 )
 
-// runtimeSamples is the fixed runtime/metrics read set of the collector.
-// Each entry maps one runtime sample to one (or, for histograms, a few)
-// gauges in the Registry under the runtime.* namespace. The set is
-// deliberately small and fixed-cardinality: scheduler decisions need GC
-// pressure, heap size, scheduling latency, and goroutine count — not the
-// full runtime/metrics catalogue.
+// runtimeSamples is the fixed runtime/metrics read set behind the
+// runtime.* gauges. Each entry maps one runtime sample to one (or, for
+// histograms, two quantile) gauges under the runtime.* namespace. The
+// set is deliberately small and fixed-cardinality: scheduler decisions
+// need GC pressure, heap size, scheduling latency, and goroutine count —
+// not the full runtime/metrics catalogue.
 var runtimeSamples = []string{
 	"/sched/goroutines:goroutines",
 	"/memory/classes/heap/objects:bytes",
@@ -23,76 +21,48 @@ var runtimeSamples = []string{
 	"/sched/latencies:seconds",
 }
 
-// RuntimeCollector polls runtime/metrics into Registry gauges so the
-// process's GC and scheduler health exports alongside solver metrics.
-type RuntimeCollector struct {
-	reg     *obs.Registry
-	samples []metrics.Sample
-}
-
-// NewRuntimeCollector prepares a collector writing into reg.
-func NewRuntimeCollector(reg *obs.Registry) *RuntimeCollector {
-	s := make([]metrics.Sample, len(runtimeSamples))
-	for i, name := range runtimeSamples {
-		s[i].Name = name
+// RegisterRuntimeGauges exports the process's GC and scheduler health
+// alongside the solver metrics: each runtime.* gauge is a computed gauge
+// (obs.Registry.GaugeFunc) that reads its runtime/metrics sample when a
+// snapshot is taken, so every scrape sees current values and no
+// goroutine polls in between. Samples the running Go version does not
+// support are not registered, so the set degrades instead of panicking
+// across Go versions. A nil registry is a no-op.
+func RegisterRuntimeGauges(reg *obs.Registry) {
+	kinds := map[string]metrics.ValueKind{}
+	for _, d := range metrics.All() {
+		kinds[d.Name] = d.Kind
 	}
-	return &RuntimeCollector{reg: reg, samples: s}
-}
-
-// Poll reads the sample set once and updates the gauges. Unknown or
-// unsupported samples (KindBad on older runtimes) are skipped, so the
-// collector degrades instead of panicking across Go versions.
-func (c *RuntimeCollector) Poll() {
-	if c == nil || c.reg == nil {
-		return
-	}
-	metrics.Read(c.samples)
-	for i := range c.samples {
-		s := &c.samples[i]
-		switch s.Value.Kind() {
+	for _, sample := range runtimeSamples {
+		name := runtimeGaugeName(sample)
+		switch kinds[sample] {
 		case metrics.KindUint64:
-			c.reg.Gauge(runtimeGaugeName(s.Name)).Set(float64(s.Value.Uint64()))
+			reg.GaugeFunc(name, func() float64 { return float64(readRuntime(sample).Uint64()) })
 		case metrics.KindFloat64:
-			c.reg.Gauge(runtimeGaugeName(s.Name)).Set(s.Value.Float64())
+			reg.GaugeFunc(name, func() float64 { return readRuntime(sample).Float64() })
 		case metrics.KindFloat64Histogram:
-			h := s.Value.Float64Histogram()
-			base := runtimeGaugeName(s.Name)
-			c.reg.Gauge(base + "_p50").Set(histQuantile(h, 0.5))
-			c.reg.Gauge(base + "_p99").Set(histQuantile(h, 0.99))
+			reg.GaugeFunc(name+"_p50", func() float64 {
+				return histQuantile(readRuntime(sample).Float64Histogram(), 0.5)
+			})
+			reg.GaugeFunc(name+"_p99", func() float64 {
+				return histQuantile(readRuntime(sample).Float64Histogram(), 0.99)
+			})
 		}
 	}
 }
 
-// Start polls immediately and then every interval until the returned
-// stop function is called. interval <= 0 disables polling (stop is still
-// valid). Stop is idempotent — shutdown paths may race to call it. The
-// polling goroutine is the only writer of these gauges.
-func (c *RuntimeCollector) Start(interval time.Duration) (stop func()) {
-	if c == nil || c.reg == nil || interval <= 0 {
-		return func() {}
-	}
-	c.Poll()
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.Poll()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+// readRuntime reads one runtime/metrics sample into a fresh buffer, so
+// concurrent snapshots never share one.
+func readRuntime(name string) metrics.Value {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	return s[0].Value
 }
 
 // runtimeGaugeName maps a runtime/metrics name like
 // "/gc/pauses:seconds" to a registry gauge name like
 // "runtime.gc_pauses_seconds" — characters outside the metric-name
-// convention (see obs.LintNames) become underscores.
+// convention (see obs.Snapshot.LintMetrics) become underscores.
 func runtimeGaugeName(sample string) string {
 	b := []byte("runtime.")
 	for i := 0; i < len(sample); i++ {

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"sync/atomic"
+	"time"
 )
 
 // Histogram bucket layout: one bucket per power of two, upper bounds
@@ -82,6 +83,18 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.counts[idx].Add(1)
+}
+
+// Time starts a stopwatch; the returned function stops it and records
+// the elapsed time in milliseconds. Usage:
+// defer reg.Histogram("solve_ms").Time()(). A nil histogram reads no
+// clock and returns a no-op.
+func (h *Histogram) Time() func() {
+	if h == nil {
+		return func() {}
+	}
+	start := time.Now()
+	return func() { h.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }
 }
 
 // HistogramBucket is one occupied bucket of a snapshot: Count

@@ -16,16 +16,16 @@ import (
 // "cost.analyze.cpu_seconds"). The lint asserts that Prometheus
 // sanitization is the identity apart from that fixed '.'→'_' mapping —
 // no silently mangled characters, no leading digit — and that no two
-// registered metrics collide after sanitization (families, with the
-// timer "_seconds" suffix applied, must stay distinct, or two metrics
-// would silently merge in the exposition).
+// registered metrics collide after sanitization (families must stay
+// distinct, or two metrics would silently merge in the exposition).
 func (s Snapshot) LintMetrics() []string {
 	var problems []string
 	exposed := map[string][]string{} // exposed family name -> registry names
 
-	check := func(name, exposedName string) {
+	check := func(name string) {
 		want := strings.ReplaceAll(name, ".", "_")
-		if got := promName(name); got != want {
+		got := promName(name)
+		if got != want {
 			problems = append(problems,
 				fmt.Sprintf("metric %q: prometheus sanitization rewrites it to %q (only '.' may map to '_')", name, got))
 		}
@@ -33,21 +33,17 @@ func (s Snapshot) LintMetrics() []string {
 			problems = append(problems,
 				fmt.Sprintf("metric %q: must start with a letter or underscore", name))
 		}
-		exposed[exposedName] = append(exposed[exposedName], name)
+		exposed[got] = append(exposed[got], name)
 	}
 
 	for name := range s.Counters {
-		check(name, promName(name))
+		check(name)
 	}
 	for name := range s.Gauges {
-		check(name, promName(name))
-	}
-	for name := range s.Timers {
-		// Timers expose as <name>_seconds summaries.
-		check(name, promName(name)+"_seconds")
+		check(name)
 	}
 	for name := range s.Histograms {
-		check(name, promName(name))
+		check(name)
 	}
 
 	families := make([]string, 0, len(exposed))

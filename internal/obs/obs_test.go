@@ -3,12 +3,12 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRegistryConcurrentUpdates(t *testing.T) {
@@ -23,7 +23,7 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				reg.Counter("bits").Add(2)
 				reg.Gauge("rate").Set(float64(g))
-				reg.Timer("step").Observe(time.Microsecond)
+				reg.Histogram("step_ms").Observe(1)
 			}
 		}(g)
 	}
@@ -32,11 +32,8 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 	if got := s.Counters["bits"]; got != 2*goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, 2*goroutines*perG)
 	}
-	if s.Timers["step"].Count != goroutines*perG {
-		t.Errorf("timer count = %d", s.Timers["step"].Count)
-	}
-	if s.Timers["step"].Min != time.Microsecond || s.Timers["step"].Max != time.Microsecond {
-		t.Errorf("timer min/max = %v/%v", s.Timers["step"].Min, s.Timers["step"].Max)
+	if h := s.Histograms["step_ms"]; h.Count != goroutines*perG || h.Sum != goroutines*perG {
+		t.Errorf("histogram count/sum = %d/%g, want %d", h.Count, h.Sum, goroutines*perG)
 	}
 	if r := s.Gauges["rate"]; r < 0 || r >= goroutines {
 		t.Errorf("gauge = %g", r)
@@ -47,12 +44,12 @@ func TestNilRegistryAndMetricsAreNoops(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x").Inc()
 	reg.Gauge("y").Set(3)
-	reg.Timer("z").Observe(time.Second)
+	reg.Histogram("z").Time()()
 	if v := reg.Counter("x").Value(); v != 0 {
 		t.Errorf("nil counter value = %d", v)
 	}
 	s := reg.Snapshot()
-	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Timers) != 0 {
+	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Errorf("nil snapshot not empty: %+v", s)
 	}
 	var buf bytes.Buffer
@@ -86,8 +83,9 @@ func TestDisabledPathAllocations(t *testing.T) {
 	var reg2 *Registry
 	if n := testing.AllocsPerRun(1000, func() {
 		reg2.Histogram("lat").Observe(1.5)
+		reg2.Histogram("lat_ms").Time()()
 	}); n != 0 {
-		t.Errorf("nil-registry histogram observe allocates %.1f/op", n)
+		t.Errorf("nil-registry histogram observe/time allocates %.1f/op", n)
 	}
 	var flight *FlightRecorder
 	if n := testing.AllocsPerRun(1000, func() {
@@ -194,54 +192,57 @@ func TestSnapshotWriters(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("solver.iterations").Add(42)
 	reg.Gauge("bitsim.bits_per_sec").Set(1.5e8)
-	reg.Timer("solve").Observe(3 * time.Millisecond)
+	reg.Histogram("solve_ms").Time()()
 	s := reg.Snapshot()
 
 	var text bytes.Buffer
 	if err := s.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"solver.iterations", "42", "bitsim.bits_per_sec", "count=1"} {
+	for _, want := range []string{"solver.iterations", "42", "bitsim.bits_per_sec", "solve_ms", "count=1"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text snapshot missing %q:\n%s", want, text.String())
 		}
 	}
 
-	var js bytes.Buffer
-	if err := s.WriteJSON(&js); err != nil {
+	js, err := reg.SnapshotJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(js.String(), `"solver.iterations":42`) {
-		t.Errorf("json snapshot missing counter: %s", js.String())
+	for _, want := range []string{`"solver.iterations":42`, `"solve_ms":{"count":1`} {
+		if !strings.Contains(string(js), want) {
+			t.Errorf("json snapshot missing %s: %s", want, js)
+		}
 	}
 }
 
 // TestSnapshotJSONMatchesWriteJSON pins the byte-level contract the
-// cdrserved /metrics endpoint relies on: SnapshotJSON is exactly what
-// Snapshot().WriteJSON writes.
+// cdrserved /metrics endpoint relies on: SnapshotJSON is exactly what an
+// encoding/json Encoder writes for the snapshot (the bytes Snapshot.WriteJSON
+// used to write), and a nil registry yields an empty object.
 func TestSnapshotJSONMatchesWriteJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("serve.solves").Add(3)
 	reg.Gauge("serve.cache_entries").Set(2)
-	reg.Timer("serve.solve").Observe(5 * time.Millisecond)
+	reg.Histogram("serve.solve_ms").Observe(5)
 
 	got, err := reg.SnapshotJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&want); err != nil {
+	if err := json.NewEncoder(&want).Encode(reg.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("SnapshotJSON diverges from WriteJSON:\n%s\nvs\n%s", got, want.Bytes())
+		t.Errorf("SnapshotJSON diverges from the encoded snapshot:\n%s\nvs\n%s", got, want.Bytes())
 	}
 
 	nilGot, err := (*Registry)(nil).SnapshotJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(nilGot), "{") {
-		t.Errorf("nil registry snapshot: %q", nilGot)
+	if string(nilGot) != "{}\n" {
+		t.Errorf("nil registry JSON snapshot = %q, want {}", nilGot)
 	}
 }

@@ -12,10 +12,9 @@ import (
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4): one family per metric with HELP and TYPE
 // lines, families sorted by exposed name. Counters and gauges map
-// directly; timers become summaries named <name>_seconds carrying sum
-// (in seconds) and count; histograms keep their recorded unit and emit
-// the standard cumulative _bucket/_sum/_count series ending in the
-// mandatory le="+Inf" bucket.
+// directly; histograms keep their recorded unit and emit the standard
+// cumulative _bucket/_sum/_count series ending in the mandatory
+// le="+Inf" bucket.
 //
 // Metric names are sanitized to the Prometheus alphabet ([a-zA-Z0-9_:],
 // so "serve.http_200" exposes as "serve_http_200"); the HELP line
@@ -39,11 +38,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		name := promName(orig)
 		add(name, fmt.Sprintf("# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
 			name, orig, name, name, promFloat(v)))
-	}
-	for orig, t := range s.Timers {
-		name := promName(orig) + "_seconds"
-		add(name, fmt.Sprintf("# HELP %s %s\n# TYPE %s summary\n%s_sum %s\n%s_count %d\n",
-			name, orig, name, name, promFloat(t.Total.Seconds()), name, t.Count))
 	}
 	for orig, h := range s.Histograms {
 		name := promName(orig)

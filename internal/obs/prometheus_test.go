@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -21,7 +20,6 @@ func goldenSnapshot() Snapshot {
 	reg := NewRegistry()
 	reg.Counter("serve.solves").Add(3)
 	reg.Gauge("serve.cache_entries").Set(2.5)
-	reg.Timer("solve").Observe(1500 * time.Millisecond)
 	h := reg.Histogram("serve.solve_ms")
 	h.Observe(0.75)
 	h.Observe(3)
@@ -101,10 +99,6 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "# HELP serve_solves serve.solves") {
 		t.Errorf("HELP does not preserve the registry name:\n%s", buf.String())
-	}
-	// Timers expose as <name>_seconds summaries.
-	if !strings.Contains(buf.String(), "solve_seconds_sum 1.5") {
-		t.Errorf("timer summary missing:\n%s", buf.String())
 	}
 }
 

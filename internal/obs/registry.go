@@ -1,13 +1,14 @@
 // Package obs is the observability layer of the repository: a lightweight
-// metrics registry (counters, gauges, timers, log-bucketed histograms)
-// with snapshot APIs (aligned text, JSON, Prometheus text exposition), a
-// Tracer interface with a JSON-lines sink for structured solver events
-// (spans, per-iteration residuals, per-level multigrid work on the
-// solve's closing span, Monte Carlo worker progress), an always-on FlightRecorder ring holding the most
-// recent events for postmortem dumps, and the Run: the one per-solve
-// handle, carried in the solve's context, that stamps the request's
-// trace identity onto events and routes a solver's reports to the event
-// sink, the cost meter and the fault hook.
+// metrics registry (counters, gauges, computed gauges, log-bucketed
+// histograms) with snapshot APIs (aligned text, JSON, Prometheus text
+// exposition), a Tracer interface with a JSON-lines sink for structured
+// solver events (spans, per-iteration residuals, per-level multigrid work
+// on the solve's closing span, Monte Carlo worker progress), an always-on
+// FlightRecorder ring holding the most recent events for postmortem
+// dumps, and the Run: the one per-solve handle, carried in the solve's
+// context, that stamps the request's trace identity onto events and
+// routes a solver's reports to the event sink, the cost meter and the
+// fault hook.
 //
 // The package is built around a zero-cost-when-disabled contract: a
 // solver's Probe without a run only checks its context, and every
@@ -25,7 +26,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing int64 metric. All methods are safe
@@ -75,63 +75,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Timer accumulates duration observations. All methods are safe for
-// concurrent use and tolerate a nil receiver.
-type Timer struct {
-	mu    sync.Mutex
-	count int64
-	total time.Duration
-	min   time.Duration
-	max   time.Duration
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.count++
-	t.total += d
-	t.mu.Unlock()
-}
-
-// Time starts a stopwatch; the returned function stops it and records the
-// elapsed duration. Usage: defer reg.Timer("solve").Time()().
-func (t *Timer) Time() func() {
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-// Stats returns the accumulated statistics.
-func (t *Timer) Stats() TimerStats {
-	if t == nil {
-		return TimerStats{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := TimerStats{Count: t.count, Total: t.total, Min: t.min, Max: t.max}
-	if t.count > 0 {
-		s.Mean = t.total / time.Duration(t.count)
-	}
-	return s
-}
-
-// TimerStats summarizes a Timer. Durations serialize as nanoseconds.
-type TimerStats struct {
-	Count int64         `json:"count"`
-	Total time.Duration `json:"total_ns"`
-	Min   time.Duration `json:"min_ns"`
-	Max   time.Duration `json:"max_ns"`
-	Mean  time.Duration `json:"mean_ns"`
-}
-
 // Registry is a name-indexed collection of metrics. The zero value is not
 // usable; construct with NewRegistry. A nil *Registry is a valid no-op
 // sink: accessors return nil metrics whose methods do nothing, so
@@ -140,7 +83,6 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 	gaugeFuncs map[string]func() float64
 }
@@ -150,7 +92,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		timers:     make(map[string]*Timer),
 		histograms: make(map[string]*Histogram),
 		gaugeFuncs: make(map[string]func() float64),
 	}
@@ -184,21 +125,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.timers[name]
-	if t == nil {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -235,7 +161,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]float64        `json:"gauges,omitempty"`
-	Timers     map[string]TimerStats     `json:"timers,omitempty"`
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 }
 
@@ -245,7 +170,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
-		Timers:     map[string]TimerStats{},
 		Histograms: map[string]HistogramStats{},
 	}
 	if r == nil {
@@ -259,10 +183,6 @@ func (r *Registry) Snapshot() Snapshot {
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
-	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for k, v := range r.timers {
-		timers[k] = v
 	}
 	histograms := make(map[string]*Histogram, len(r.histograms))
 	for k, v := range r.histograms {
@@ -284,9 +204,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, fn := range gaugeFuncs {
 		s.Gauges[k] = fn()
 	}
-	for k, v := range timers {
-		s.Timers[k] = v.Stats()
-	}
 	for k, v := range histograms {
 		s.Histograms[k] = v.Stats()
 	}
@@ -297,7 +214,7 @@ func (r *Registry) Snapshot() Snapshot {
 // line, sorted by name within each metric family.
 func (s Snapshot) WriteText(w io.Writer) error {
 	width := 0
-	for _, m := range []int{maxKeyLen(s.Counters), maxKeyLen(s.Gauges), maxKeyLen(s.Timers), maxKeyLen(s.Histograms)} {
+	for _, m := range []int{maxKeyLen(s.Counters), maxKeyLen(s.Gauges), maxKeyLen(s.Histograms)} {
 		if m > width {
 			width = m
 		}
@@ -318,13 +235,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			return err
 		}
 	}
-	for _, k := range sortedKeys(s.Timers) {
-		t := s.Timers[k]
-		if _, err := fmt.Fprintf(w, "%-*s  count=%d total=%v mean=%v min=%v max=%v\n",
-			width, k, t.Count, t.Total, t.Mean, t.Min, t.Max); err != nil {
-			return err
-		}
-	}
 	for _, k := range sortedKeys(s.Histograms) {
 		h := s.Histograms[k]
 		if _, err := fmt.Fprintf(w, "%-*s  count=%d sum=%g p50=%g p90=%g p99=%g\n",
@@ -335,17 +245,11 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	return nil
 }
 
-// WriteJSON renders the snapshot as a single JSON object.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(s)
-}
-
 // SnapshotJSON returns the current snapshot as one newline-terminated JSON
-// object — byte-identical to what Snapshot().WriteJSON would produce
-// (encoding/json sorts map keys, so the bytes are deterministic for a
-// given metric state). cdrserved's /metrics endpoint serves exactly these
-// bytes. A nil registry yields an empty snapshot object.
+// object (encoding/json sorts map keys, so the bytes are deterministic for
+// a given metric state). It is the one JSON rendering of a snapshot:
+// cdrserved's /metrics endpoint serves exactly these bytes. A nil
+// registry yields an empty snapshot object.
 func (r *Registry) SnapshotJSON() ([]byte, error) {
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {

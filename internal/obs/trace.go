@@ -20,8 +20,8 @@ import (
 //	                       solve_end carries the final Iter/Residual and,
 //	                       on failure, the error in Reason
 //	watchdog               a watchdog classification transition; Name is the
-//	                       new state (stalled, diverging, recovered,
-//	                       canceled) and Reason says why
+//	                       new state (stalled, diverging, recovered) and
+//	                       Reason says why
 type Event struct {
 	// T is the event timestamp in Unix nanoseconds.
 	T int64 `json:"t"`

@@ -210,57 +210,25 @@ type FluxResult struct {
 	TargetMass float64
 }
 
-// SlipFlux computes the stationary entry flux into a target set, the
-// paper's cycle-slip-rate measure in its numerically robust form: it needs
-// only the stationary vector (available from the multigrid solve) and one
-// pass over the matrix, and remains accurate when the mean time between
-// slips is astronomically large.
-func SlipFlux(p *spmat.CSR, pi []float64, target []bool) (FluxResult, error) {
-	n, m := p.Dims()
-	if n != m || len(pi) != n || len(target) != n {
-		return FluxResult{}, errors.New("passage: dimension mismatch")
-	}
-	var res FluxResult
-	for i := 0; i < n; i++ {
-		if target[i] {
-			res.TargetMass += pi[i]
-			continue
-		}
-		res.OutsideMass += pi[i]
-		if pi[i] == 0 {
-			continue
-		}
-		cols, vals := p.Row(i)
-		rowFlux := 0.0
-		for k, j := range cols {
-			if target[j] {
-				rowFlux += vals[k]
-			}
-		}
-		res.Flux += pi[i] * rowFlux
-	}
-	if res.Flux > 0 {
-		res.MeanTimeBetween = res.OutsideMass / res.Flux
-	} else {
-		res.MeanTimeBetween = math.Inf(1)
-	}
-	return res, nil
-}
-
-// MulVecer is the column action y = P·x — the one operation the flux
-// measure needs from a transition backend. Both *spmat.CSR and the
-// matrix-free kron.Descriptor satisfy it.
-type MulVecer interface {
+// Transitions is the part of a transition backend the flux measure
+// needs: its dimensions and the column action y = P·x. Both *spmat.CSR
+// and the matrix-free kron.Descriptor satisfy it.
+type Transitions interface {
+	Dims() (r, c int)
 	MulVec(y, x []float64)
 }
 
-// SlipFluxOp is SlipFlux for an implicit transition operator: the per-row
-// target mass Σ_{j∈T} P_ij is a single column action on the target's
-// indicator vector, so the flux of a matrix-free chain costs one shuffle
-// product instead of a materialized matrix.
-func SlipFluxOp(p MulVecer, pi []float64, target []bool) (FluxResult, error) {
-	n := len(pi)
-	if len(target) != n {
+// SlipFlux computes the stationary entry flux into a target set, the
+// paper's cycle-slip-rate measure in its numerically robust form: it needs
+// only the stationary vector (available from the multigrid solve) and one
+// product with the matrix, and remains accurate when the mean time between
+// slips is astronomically large. The per-row target mass Σ_{j∈T} P_ij is
+// a single column action on the target's indicator vector, so the flux of
+// a matrix-free chain costs one shuffle product instead of a materialized
+// matrix.
+func SlipFlux(p Transitions, pi []float64, target []bool) (FluxResult, error) {
+	n, m := p.Dims()
+	if n != m || len(pi) != n || len(target) != n {
 		return FluxResult{}, errors.New("passage: dimension mismatch")
 	}
 	ind := make([]float64, n)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -269,11 +270,60 @@ func TestServerMetricsSurviveLint(t *testing.T) {
 	mustGet(t, ts.URL+"/healthz")
 	mustGet(t, ts.URL+"/metrics")
 
-	// Include the runtime collector's gauges in the checked surface.
-	cost.NewRuntimeCollector(reg).Poll()
+	// Include the runtime gauges in the checked surface.
+	cost.RegisterRuntimeGauges(reg)
 
 	if probs := reg.Snapshot().LintMetrics(); len(probs) != 0 {
 		t.Errorf("metrics lint failed:\n%s", strings.Join(probs, "\n"))
+	}
+}
+
+// TestServeMixReadSurface pins what the benchmark's serve-mix workload
+// reads from the service: the JSON /metrics names serve.build_ms and
+// serve.solve_ms (histograms) and serve.singleflight_shared (counter),
+// and the X-Solve-Cost-Wall-Ms, -Cycles and -States headers of a miss.
+// Deleting or renaming any of them would silently empty that workload's
+// per-layer numbers.
+func TestServeMixReadSurface(t *testing.T) {
+	// Every multigrid cycle is slowed so the burst's leader is still in
+	// flight when the second request joins it.
+	_, url, _ := newChaosServer(t, "multigrid.cycle:delay:ms=20", ServerConfig{})
+
+	resp, body := postJSON(t, url+"/v1/analyze", solveRequest{Spec: testSpec(t)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("miss: %d %s", resp.StatusCode, body)
+	}
+	for _, h := range []string{"X-Solve-Cost-Wall-Ms", "X-Solve-Cost-Cycles", "X-Solve-Cost-States"} {
+		if v, err := strconv.ParseFloat(resp.Header.Get(h), 64); err != nil || v <= 0 {
+			t.Errorf("miss header %s = %q, want a positive number", h, resp.Header.Get(h))
+		}
+	}
+
+	burst := solveRequest{Spec: testSpecVariants(t)[2]} // a spec not yet solved
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, body := postJSON(t, url+"/v1/analyze", burst); resp.StatusCode != http.StatusOK {
+				t.Errorf("burst: %d %s", resp.StatusCode, body)
+			}
+		}()
+	}
+	wg.Wait()
+
+	_, body = mustGet(t, url+"/metrics")
+	var snap obs.Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"serve.build_ms", "serve.solve_ms"} {
+		if h := snap.Histograms[name]; h.Count != 2 || h.Sum <= 0 {
+			t.Errorf("histogram %s = %+v, want two observed solves", name, h)
+		}
+	}
+	if got := snap.Counters["serve.singleflight_shared"]; got != 1 {
+		t.Errorf("serve.singleflight_shared = %d, want 1", got)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
-	"time"
 
 	"cdrstoch/internal/core"
 	"cdrstoch/internal/dist"
@@ -239,10 +238,6 @@ func validate(spec core.Spec) (string, error) {
 	return h, nil
 }
 
-// ms converts a duration to fractional milliseconds for histogram
-// observations.
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
 // shortKey returns the spec-key prefix used in error messages and pprof
 // labels (bounded cardinality for profile label indexes).
 func shortKey(key string) string {
@@ -279,7 +274,6 @@ func (e *Engine) solve(ctx context.Context, endpoint, key string,
 	if ferr := e.cfg.Faults.FireCtx(sctx, "engine.solve"); ferr != nil {
 		return nil, fmt.Errorf("serve: solve %s: %w", shortKey(key), ferr)
 	}
-	defer e.reg.Timer("serve.solve").Time()()
 	e.reg.Counter("serve.solves").Inc()
 	m, out, err = body(sctx, run)
 	return out, err
@@ -322,7 +316,7 @@ func analyzeKey(backend, h string) string { return "analyze:" + backend + ":" + 
 // profiles of a busy server attribute samples to the spec being solved,
 // not just to "the solver".
 func (e *Engine) analyze(ctx context.Context, run *obs.Run, team *spmat.Pool, spec core.Spec, key, endpoint, backend string) (m *core.Model, a *core.Analysis, err error) {
-	buildStart := time.Now()
+	buildDone := e.reg.Histogram("serve.build_ms").Time()
 	endBuild := run.Span("serve.build")
 	pprof.Do(ctx, pprof.Labels("endpoint", endpoint, "spec", shortKey(key), "stage", "build"), func(ctx context.Context) {
 		if backend == backendExplicit {
@@ -332,13 +326,13 @@ func (e *Engine) analyze(ctx context.Context, run *obs.Run, team *spmat.Pool, sp
 		}
 	})
 	endBuild()
-	e.reg.Histogram("serve.build_ms").Observe(ms(time.Since(buildStart)))
+	buildDone()
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: build %s: %w", shortKey(key), err)
 	}
 	mg := e.cfg.Multigrid
 	mg.Pool = team
-	solveStart := time.Now()
+	solveDone := e.reg.Histogram("serve.solve_ms").Time()
 	endSolve := run.Span("serve.solve")
 	pprof.Do(ctx, pprof.Labels("endpoint", endpoint, "spec", shortKey(key), "stage", "solve"), func(ctx context.Context) {
 		mg.Ctx = ctx // the labeled ctx still carries the run
@@ -349,14 +343,13 @@ func (e *Engine) analyze(ctx context.Context, run *obs.Run, team *spmat.Pool, sp
 		}
 	})
 	endSolve()
-	e.reg.Histogram("serve.solve_ms").Observe(ms(time.Since(solveStart)))
+	solveDone()
 	if err != nil {
 		if errors.Is(err, core.ErrUnconverged) {
 			e.reg.Counter("serve.unconverged").Inc()
 		}
 		return m, nil, fmt.Errorf("serve: solve %s: %w", shortKey(key), err)
 	}
-	e.reg.Counter("serve.solver_cycles").Add(int64(a.Multigrid.Cycles))
 	e.reg.Histogram("serve.solve_cycles").Observe(float64(a.Multigrid.Cycles))
 	return m, a, nil
 }
@@ -637,20 +630,19 @@ func (e *Engine) Sweep(ctx context.Context, base core.Spec, param string, values
 // another request's flight — and a batch cannot deadlock a
 // MaxConcurrent=1 engine.
 func (e *Engine) sessionSolve(ctx context.Context, run *obs.Run, sess *sweep.Session, spec core.Spec, key string) (pt *sweep.Point, err error) {
-	solveStart := time.Now()
+	solveDone := e.reg.Histogram("serve.solve_ms").Time()
 	endSolve := run.Span("serve.sweep_point")
 	pprof.Do(ctx, pprof.Labels("endpoint", "sweep", "spec", shortKey(key), "stage", "solve"), func(ctx context.Context) {
 		pt, err = sess.Solve(ctx, spec)
 	})
 	endSolve()
-	e.reg.Histogram("serve.solve_ms").Observe(ms(time.Since(solveStart)))
+	solveDone()
 	if err != nil {
 		if errors.Is(err, core.ErrUnconverged) {
 			e.reg.Counter("serve.unconverged").Inc()
 		}
 		return nil, fmt.Errorf("serve: solve %s: %w", shortKey(key), err)
 	}
-	e.reg.Counter("serve.solver_cycles").Add(int64(pt.Analysis.Multigrid.Cycles))
 	e.reg.Histogram("serve.solve_cycles").Observe(float64(pt.Analysis.Multigrid.Cycles))
 	return pt, nil
 }

@@ -66,6 +66,8 @@ type job struct {
 	id    string
 	trace string
 	run   func(context.Context) ([]byte, bool, error)
+	// done is closed once the job has its terminal status.
+	done chan struct{}
 
 	mu        sync.Mutex
 	status    string
@@ -176,17 +178,17 @@ func NewJobs(cfg JobsConfig) *Jobs {
 func (j *Jobs) worker() {
 	defer j.wg.Done()
 	for t := range j.queue {
-		j.reg.Gauge("serve.jobs_queued").Set(float64(len(j.queue)))
 		j.runJob(t)
 		j.retire(t.id)
 	}
 }
 
 // runJob executes one dequeued job, once, to a terminal status: done,
-// failed, canceled, or shed. Panics inside the job body become a failed
-// job via the shield — a panicking job must fail that job, not the
-// process.
+// failed, canceled, or shed, and then closes the job's done channel.
+// Panics inside the job body become a failed job via the shield — a
+// panicking job must fail that job, not the process.
 func (j *Jobs) runJob(t *job) {
+	defer close(t.done)
 	// A job dequeued after the hard-shutdown cancel never starts: it is
 	// reported failed with the distinct shed error rather than silently
 	// dropped or misreported as a mid-run cancellation.
@@ -256,13 +258,12 @@ func (j *Jobs) Submit(trace string, run func(context.Context) ([]byte, bool, err
 	}
 	j.seq++
 	t := &job{id: fmt.Sprintf("job-%06d", j.seq), trace: trace, run: run,
-		status: StatusQueued, queuedAt: time.Now()}
+		done: make(chan struct{}), status: StatusQueued, queuedAt: time.Now()}
 	select {
 	case j.queue <- t:
 		j.jobs[t.id] = t
 		j.mu.Unlock()
 		j.reg.Counter("serve.jobs_submitted").Inc()
-		j.reg.Gauge("serve.jobs_queued").Set(float64(len(j.queue)))
 		return t.id, nil
 	default:
 		j.mu.Unlock()
@@ -280,6 +281,18 @@ func (j *Jobs) Get(id string) (JobView, bool) {
 		return JobView{}, false
 	}
 	return t.view(), true
+}
+
+// Done returns a channel that is closed once the job reaches a terminal
+// status, if the job is still retained.
+func (j *Jobs) Done(id string) (<-chan struct{}, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	t, ok := j.jobs[id]
+	if !ok {
+		return nil, false
+	}
+	return t.done, true
 }
 
 // Close refuses new submissions, lets queued jobs drain, and returns when

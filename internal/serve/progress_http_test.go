@@ -133,6 +133,39 @@ func TestJobEventsSSE(t *testing.T) {
 	}
 }
 
+// TestJobEventsDoneOnJobEnd pins that the terminal "done" frame follows
+// the job's end at once, at the default heartbeat: the stream learns that
+// the job ended from the job itself, not at its next keep-alive tick.
+func TestJobEventsDoneOnJobEnd(t *testing.T) {
+	// The dequeue delay holds the job queued until the client subscribes.
+	_, url, _ := newChaosServer(t, "jobs.dequeue:delay:ms=150:n=1", ServerConfig{})
+	id := submitAsync(t, url, solveRequest{Spec: testSpec(t)})
+	stream, err := http.Get(url + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+
+	// The solve's solve_end ("progress") frame is the last event before
+	// the job turns terminal.
+	var ended time.Time
+	frames, _ := readSSE(t, stream, 30*time.Second, func(f sseFrame) bool {
+		if f.Event == "progress" {
+			ended = time.Now()
+		}
+		return f.Event == "done"
+	})
+	if len(frames) == 0 || frames[len(frames)-1].Event != "done" {
+		t.Fatalf("stream ended without a done frame: %d frames", len(frames))
+	}
+	if ended.IsZero() {
+		t.Fatal("no progress frame before done: the job ended before the stream subscribed")
+	}
+	if lag := time.Since(ended); lag > time.Second {
+		t.Errorf("done arrived %v after the solve ended, want within 1s", lag)
+	}
+}
+
 // TestJobEventsFramesNamedByKind pins the SSE frame names: each frame is
 // named by its event's kind, so an "iter" frame always carries an iter
 // event and the solve's spans arrive as "span_start" / "span_end" frames,

@@ -418,9 +418,7 @@ func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, run func(contex
 // then either enqueue (async) or solve under the request deadline.
 func (s *Server) handleSolve(name string, solve func(context.Context, core.Spec, string) ([]byte, bool, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		defer s.reg.Timer("serve.http_" + name).Time()()
-		start := time.Now()
-		defer func() { s.reg.Histogram("serve.http_" + name + "_ms").Observe(ms(time.Since(start))) }()
+		defer s.reg.Histogram("serve.http_" + name + "_ms").Time()()
 		var req solveRequest
 		if err := s.decode(w, r, &req); err != nil {
 			s.writeError(w, r, err)
@@ -522,9 +520,7 @@ type sweepRequest struct {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	defer s.reg.Timer("serve.http_sweep").Time()()
-	start := time.Now()
-	defer func() { s.reg.Histogram("serve.http_sweep_ms").Observe(ms(time.Since(start))) }()
+	defer s.reg.Histogram("serve.http_sweep_ms").Time()()
 	var req sweepRequest
 	if err := s.decode(w, r, &req); err != nil {
 		s.writeError(w, r, err)

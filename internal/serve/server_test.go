@@ -418,7 +418,7 @@ func TestServerMetricsRaceClean(t *testing.T) {
 				}
 				reg.Counter(fmt.Sprintf("test.worker_%d", w%4)).Inc()
 				reg.Gauge("test.gauge").Set(float64(i))
-				reg.Timer("test.timer").Observe(time.Duration(i))
+				reg.Histogram("test.histogram").Observe(float64(i))
 			}
 		}(w)
 	}

@@ -23,12 +23,15 @@ const sseSubBuffer = 1024
 // whose multigrid span_end carries the per-level work), "iter" for raw
 // solver iterations, "progress" when a solve finishes (one per sweep
 // point on batched sweeps), "watchdog" for stall/divergence verdicts,
-// and a terminal "done" carrying the final JobView. Heartbeat comments
-// keep idle connections alive; a disconnected client tears the stream
-// down at the next event or heartbeat.
+// and a terminal "done" carrying the final JobView, written as soon as
+// the job ends. Heartbeat comments keep idle connections alive; a
+// disconnected client tears the stream down at the next event or
+// heartbeat.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.jobView(r.PathValue("id"))
-	if !ok {
+	id := r.PathValue("id")
+	view, ok := s.jobView(id)
+	ended, retained := s.jobs.Done(id)
+	if !ok || !retained {
 		s.writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown or evicted job"})
 		return
 	}
@@ -63,39 +66,29 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			s.reg.Counter("serve.sse_disconnects").Inc()
 			return
-		case e, open := <-sub.C():
-			if !open {
-				return
-			}
+		case e := <-sub.C():
 			writeSSE(w, sseEventName(e), e)
 			fl.Flush()
-		case <-hb.C:
-			// Heartbeat doubles as the terminal poll: job completion is
-			// observed through the job table, not the event stream, so a
-			// lossy (slow-reader) stream still terminates correctly.
-			if view, ok = s.jobView(r.PathValue("id")); !ok || terminalStatus(view.Status) {
-				if ok {
-					// The job went terminal between event reads: the final
-					// solve_end (and any trailing watchdog events) may still
-					// sit buffered in the subscription. Drain them so the
-					// "done" frame is genuinely last.
-					for drained := false; !drained; {
-						select {
-						case e, open := <-sub.C():
-							if !open {
-								drained = true
-								break
-							}
-							writeSSE(w, sseEventName(e), e)
-						default:
-							drained = true
-						}
-					}
-					writeSSE(w, "done", view)
+		case <-ended:
+			// Job completion is observed through the job table, not the
+			// event stream, so a lossy (slow-reader) stream still
+			// terminates. The final solve_end (and any trailing watchdog
+			// events) may still sit buffered in the subscription: drain
+			// them so the "done" frame is genuinely last.
+			for drained := false; !drained; {
+				select {
+				case e := <-sub.C():
+					writeSSE(w, sseEventName(e), e)
+				default:
+					drained = true
 				}
-				fl.Flush()
-				return
 			}
+			if view, ok = s.jobView(id); ok {
+				writeSSE(w, "done", view)
+			}
+			fl.Flush()
+			return
+		case <-hb.C:
 			fmt.Fprint(w, ": hb\n\n")
 			fl.Flush()
 		}
